@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo
+.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo perfbench
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -119,6 +119,14 @@ bench-serve:
 bench-cluster:
 	$(GO) run ./cmd/loadgen -self-serve -cluster 2 -conns 32 -events 20000 \
 		-train-days 2 -days 1 -token bench -migrations 8 -out BENCH_cluster.json
+
+# One serving-benchmark workload built from this checkout, at the
+# benchmark's run length and untraced:
+#   make perfbench W=cluster-migrate SEED=101
+W ?= cluster-migrate
+SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 16 --trace 0
 
 # Full paper-reproduction benchmark suite (tables, figures, ablations).
 bench-paper:

@@ -192,13 +192,13 @@ func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
 // cut without stopping the worker.
 func (w *Worker) killLinks() {
 	w.mu.Lock()
-	links := make([]*link, 0, len(w.links))
+	links := make([]*wire.Writer, 0, len(w.links))
 	for l := range w.links {
 		links = append(links, l)
 	}
 	w.mu.Unlock()
 	for _, l := range links {
-		l.nc.Close()
+		l.Conn().Close()
 	}
 }
 
@@ -423,6 +423,63 @@ func TestClusterResumeExactlyOnce(t *testing.T) {
 		t.Fatalf("expected at least one reconnect, stats: %+v", st)
 	}
 	waitCond(t, 10*time.Second, "window drain", func() bool { return p.Pending() == 0 })
+}
+
+// TestProxyBatchesFitWorkerFrameLimit streams two tenants' events with long
+// device names at a worker whose frame limit holds only four of them. The
+// proxy's link writer merges each tenant's events into SubmitBatch frames,
+// and every merged frame must stay under the limit the worker announced:
+// one oversized frame would cut the link. A Quiesce sent between events
+// must still find every event before it admitted.
+func TestProxyBatchesFitWorkerFrameLimit(t *testing.T) {
+	backend := newFakeBackend("")
+	_, addr := startWorker(t, WorkerConfig{Backend: backend, MaxFrame: 1100})
+	p, err := Open(ProxyConfig{Addr: addr, KeepAlive: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer p.Close()
+	tenants := []string{"t1", "t2"}
+	for _, name := range tenants {
+		if err := p.Register(name, []byte("m"), nil, 0, 0, false, nil); err != nil {
+			t.Fatalf("Register(%s): %v", name, err)
+		}
+	}
+	const n = 2000
+	var wg sync.WaitGroup
+	for _, name := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(1); seq <= n; seq++ {
+				ev := testEvent(seq)
+				ev.Device = fmt.Sprintf("%0200d", seq%7)
+				if err := p.Submit(name, ev); err != nil {
+					t.Errorf("Submit(%s, %d): %v", name, seq, err)
+					return
+				}
+				if seq == n/2 && name == "t1" {
+					if err := p.Quiesce(name); err != nil {
+						t.Errorf("Quiesce: %v", err)
+					} else if got := backend.eventCount(name); got < n/2 {
+						t.Errorf("Quiesce returned with %d of %d earlier events admitted", got, n/2)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range tenants {
+		waitCond(t, 10*time.Second, "all events admitted", func() bool { return backend.eventCount(name) >= n })
+		for i, s := range backend.eventSeqs(name) {
+			if s != uint64(i+1) {
+				t.Fatalf("%s event %d has seq %d, want %d", name, i, s, i+1)
+			}
+		}
+	}
+	if st := p.Stats(); st.Reconnects != 0 || st.Retransmits != 0 {
+		t.Fatalf("link was cut (an oversized batch?): %+v", st)
+	}
 }
 
 // TestClusterNackPrunesWindow: worker-side refusals are decided events —

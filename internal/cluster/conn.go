@@ -8,13 +8,7 @@
 // §11 for the protocol and the handoff state machine.
 package cluster
 
-import (
-	"errors"
-	"io"
-	"net"
-	"sync"
-	"time"
-)
+import "errors"
 
 // Cluster link errors.
 var (
@@ -33,142 +27,6 @@ var (
 	// time; the link is cut because its state is indeterminate.
 	ErrControlTimeout = errors.New("cluster: control op timed out")
 )
-
-// outFrame is one queued outbound frame; wrote (when non-nil) is closed
-// after the frame reaches the socket or the write path fails.
-type outFrame struct {
-	b     []byte
-	wrote chan struct{}
-}
-
-// link is the shared half of a connection: an outbound frame queue drained
-// by a writer goroutine that batches socket writes, mirroring the wire
-// server's conn plumbing.
-type link struct {
-	nc       net.Conn
-	out      chan outFrame
-	done     chan struct{}
-	closeOne sync.Once
-	onStall  func() // called once when a write deadline evicts the peer
-}
-
-func newLink(nc net.Conn, buffer int, writeTimeout time.Duration, onStall func()) *link {
-	l := &link{
-		nc:      nc,
-		out:     make(chan outFrame, buffer),
-		done:    make(chan struct{}),
-		onStall: onStall,
-	}
-	go l.writeLoop(writeTimeout)
-	return l
-}
-
-func (l *link) finish() {
-	l.closeOne.Do(func() { close(l.done) })
-	l.nc.Close()
-}
-
-// send queues one encoded frame, blocking while the queue is full but never
-// past the connection's end.
-func (l *link) send(frame []byte) {
-	select {
-	case l.out <- outFrame{b: frame}:
-	case <-l.done:
-	}
-}
-
-// trySend queues one encoded frame without blocking. Alarm push and ack
-// flushes use it: those paths must never stall behind a slow peer.
-func (l *link) trySend(frame []byte) bool {
-	select {
-	case l.out <- outFrame{b: frame}:
-		return true
-	default:
-		return false
-	}
-}
-
-// sendWait queues one frame and waits (bounded) for it to reach the socket
-// — the final error frame before a teardown.
-func (l *link) sendWait(frame []byte, timeout time.Duration) {
-	wrote := make(chan struct{})
-	select {
-	case l.out <- outFrame{b: frame, wrote: wrote}:
-	case <-l.done:
-		return
-	}
-	select {
-	case <-wrote:
-	case <-l.done:
-	case <-time.After(timeout):
-	}
-}
-
-func (l *link) writeLoop(writeTimeout time.Duration) {
-	bw := newFlushWriter(deadlineWriter{nc: l.nc, timeout: writeTimeout})
-	failed := false
-	for {
-		select {
-		case f := <-l.out:
-			if !failed {
-				if err := bw.write(f.b, len(l.out) == 0); err != nil {
-					failed = true
-					if isTimeout(err) && l.onStall != nil {
-						l.onStall()
-					}
-					l.nc.Close() // wake the reader; it finishes the link
-				}
-			}
-			// After a failure keep draining so senders never park on a
-			// dead link; acknowledge regardless so sendWait cannot hang.
-			if f.wrote != nil {
-				close(f.wrote)
-			}
-		case <-l.done:
-			return
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// deadlineWriter arms a write deadline before every socket write so a peer
-// that stopped reading cannot wedge the writer goroutine forever.
-type deadlineWriter struct {
-	nc      net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	return w.nc.Write(p)
-}
-
-// flushWriter batches frame writes, flushing when the outbound queue goes
-// idle so a burst costs one syscall, not one per frame.
-type flushWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func newFlushWriter(w io.Writer) *flushWriter {
-	return &flushWriter{w: w, buf: make([]byte, 0, 32<<10)}
-}
-
-func (f *flushWriter) write(frame []byte, flush bool) error {
-	f.buf = append(f.buf, frame...)
-	if !flush && len(f.buf) < 32<<10 {
-		return nil
-	}
-	_, err := f.w.Write(f.buf)
-	f.buf = f.buf[:0]
-	return err
-}
 
 // chunked splits b into ChunkSize slices (the last may be shorter); a nil
 // or empty b yields no chunks.

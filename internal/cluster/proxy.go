@@ -201,7 +201,7 @@ type Proxy struct {
 	cfg ProxyConfig
 
 	mu      sync.Mutex
-	conn    *link
+	conn    *wire.Writer
 	gen     uint64 // increments per installed connection
 	state   LinkState
 	closed  bool
@@ -245,7 +245,9 @@ func Open(cfg ProxyConfig) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.install(l)
+	if err := p.install(l); err != nil {
+		return nil, err
+	}
 	p.wg.Add(1)
 	go p.keepalive()
 	return p, nil
@@ -265,7 +267,7 @@ func (p *Proxy) notify(st LinkState) {
 
 // dial opens one connection and completes the hello handshake
 // synchronously; the reader goroutine is not yet running.
-func (p *Proxy) dial() (*link, error) {
+func (p *Proxy) dial() (*wire.Writer, error) {
 	p.mu.Lock()
 	p.attempts++
 	p.mu.Unlock()
@@ -299,9 +301,10 @@ func (p *Proxy) dial() (*link, error) {
 		nc.Close()
 		return nil, err
 	}
+	var peerMax uint32
 	switch t {
 	case wire.FrameShardWelcome:
-		if _, _, err := wire.ParseShardWelcome(payload); err != nil {
+		if _, peerMax, err = wire.ParseShardWelcome(payload); err != nil {
 			nc.Close()
 			return nil, err
 		}
@@ -317,7 +320,7 @@ func (p *Proxy) dial() (*link, error) {
 		return nil, fmt.Errorf("%w: expected shard-welcome, got %s", wire.ErrBadFrame, t)
 	}
 	nc.SetDeadline(time.Time{})
-	l := newLink(nc, p.cfg.OutBuffer, p.cfg.WriteTimeout, func() {
+	l := wire.NewWriter(nc, p.cfg.OutBuffer, int(peerMax), p.cfg.WriteTimeout, func() {
 		p.logf("cluster: shard %s: write stalled past %v", p.cfg.Addr, p.cfg.WriteTimeout)
 	})
 	p.wg.Add(1)
@@ -329,9 +332,16 @@ func (p *Proxy) dial() (*link, error) {
 // there are no tenants to resume; reconnects go through resumeAll first.
 // Any window tail banked after a tenant's resume retransmit but before this
 // publish is flushed here, so no event strands unsent until the next link
-// death.
-func (p *Proxy) install(l *link) {
+// death. A link that already died is refused: linkDied skips a link that is
+// not installed, so nothing else would notice it.
+func (p *Proxy) install(l *wire.Writer) error {
 	p.mu.Lock()
+	select {
+	case <-l.Done():
+		p.mu.Unlock()
+		return ErrLinkDown
+	default:
+	}
 	p.conn = l
 	p.gen++
 	gen := p.gen
@@ -345,28 +355,25 @@ func (p *Proxy) install(l *link) {
 		t.mu.Unlock()
 	}
 	p.notify(LinkConnected)
+	return nil
 }
 
 // flushTailLocked sends every window event above the tenant's sent mark and
-// advances the mark. Callers hold t.mu, which keeps the tail contiguous
-// with any concurrent Submit.
-func (p *Proxy) flushTailLocked(l *link, t *pxTenant) {
+// advances the mark. On the hot path the tail is the one event Submit just
+// added, and the link writer appends it to the tenant's open SubmitBatch
+// frame. Callers hold t.mu, which keeps the tail contiguous with any
+// concurrent Submit.
+func (p *Proxy) flushTailLocked(l *wire.Writer, t *pxTenant) {
 	at := len(t.window)
 	for at > 0 && t.window[at-1].Link > t.sent {
 		at--
 	}
-	for ; at < len(t.window); at += p.cfg.Batch {
-		end := at + p.cfg.Batch
-		if end > len(t.window) {
-			end = len(t.window)
-		}
-		frame, err := wire.AppendSubmitBatch(nil, t.name, t.window[at:end])
-		if err != nil {
+	for _, be := range t.window[at:] {
+		if l.SendEvent(t.name, be, p.cfg.Batch) != nil {
 			return
 		}
-		l.send(frame)
+		t.sent = be.Link
 	}
-	t.sent = t.nextLink
 }
 
 func (p *Proxy) tenantListLocked() []*pxTenant {
@@ -379,7 +386,7 @@ func (p *Proxy) tenantListLocked() []*pxTenant {
 }
 
 // current returns the live link and its generation, or nil while degraded.
-func (p *Proxy) current() (*link, uint64) {
+func (p *Proxy) current() (*wire.Writer, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.state != LinkConnected {
@@ -397,9 +404,7 @@ func (p *Proxy) keepalive() {
 	for {
 		select {
 		case <-tick.C:
-			if l, _ := p.current(); l != nil {
-				l.trySend(wire.AppendPing(nil))
-			}
+			p.Ping()
 		case <-p.closeC:
 			return
 		}
@@ -408,7 +413,7 @@ func (p *Proxy) keepalive() {
 
 // readLoop dispatches inbound frames until the link dies, then hands off
 // to the reconnect machinery.
-func (p *Proxy) readLoop(l *link, r *wire.Reader) {
+func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 	defer p.wg.Done()
 	for {
 		t, payload, err := r.Next()
@@ -457,13 +462,13 @@ func (p *Proxy) readLoop(l *link, r *wire.Reader) {
 			if ok.Tenant != "" {
 				p.ackTenant(ok.Tenant, ok.Watermark)
 			}
-			p.completeCtl(ctlResult{ok: ok}, false)
+			p.completeCtl(ctlResult{ok: ok})
 		case wire.FrameShardErr:
 			e, err := wire.ParseShardErr(payload)
 			if err != nil {
 				continue
 			}
-			p.completeCtl(ctlResult{err: e}, false)
+			p.completeCtl(ctlResult{err: e})
 		case wire.FrameEnvelopeChunk:
 			c, err := wire.ParseEnvelopeChunk(payload)
 			if err != nil {
@@ -488,12 +493,12 @@ func (p *Proxy) readLoop(l *link, r *wire.Reader) {
 			pc := p.ctl
 			p.mu.Unlock()
 			if pc != nil && pc.op == wire.OpExport && pc.tenant == tenant {
-				p.completeCtl(ctlResult{model: pc.model, state: pc.state}, false)
+				p.completeCtl(ctlResult{model: pc.model, state: pc.state})
 			}
 		case wire.FrameShardStats:
 			doc := make([]byte, len(payload))
 			copy(doc, payload)
-			p.completeCtl(ctlResult{stats: doc}, false)
+			p.completeCtl(ctlResult{stats: doc})
 		case wire.FramePong:
 			// keepalive echo; nothing to do
 		default:
@@ -537,7 +542,7 @@ func (t *pxTenant) pruneLocked(wm uint64) {
 
 // dispatchAlarm dedups by alarm index (ring replays may overlap confirmed
 // deliveries), hands the alarm to the tenant sink, and confirms receipt.
-func (p *Proxy) dispatchAlarm(l *link, tenant string, idx uint64, a wire.Alarm) {
+func (p *Proxy) dispatchAlarm(l *wire.Writer, tenant string, idx uint64, a wire.Alarm) {
 	p.mu.Lock()
 	t := p.tenants[tenant]
 	p.mu.Unlock()
@@ -562,14 +567,14 @@ func (p *Proxy) dispatchAlarm(l *link, tenant string, idx uint64, a wire.Alarm) 
 	p.alarmsDispatched++
 	p.mu.Unlock()
 	if frame, err := wire.AppendAlarmStreamAck(nil, tenant, idx); err == nil {
-		l.trySend(frame) // a lost receipt only means a bigger replay later
+		l.TrySend(frame) // a lost receipt only means a bigger replay later
 	}
 }
 
 // linkDied marks the link degraded, fails the in-flight control op, and
 // starts the reconnect loop (unless the proxy is closing).
-func (p *Proxy) linkDied(l *link) {
-	l.finish()
+func (p *Proxy) linkDied(l *wire.Writer) {
+	l.Finish()
 	p.mu.Lock()
 	if p.closed || p.conn != l {
 		p.mu.Unlock()
@@ -578,15 +583,15 @@ func (p *Proxy) linkDied(l *link) {
 	p.conn = nil
 	p.state = LinkDegraded
 	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrLinkDown}, true)
+	p.completeCtl(ctlResult{err: ErrLinkDown})
 	p.notify(LinkDegraded)
 	p.wg.Add(1)
 	go p.reconnect()
 }
 
-// completeCtl resolves the pending control op. onDeath also covers ops that
-// were registered but whose frames never reached the worker.
-func (p *Proxy) completeCtl(res ctlResult, onDeath bool) {
+// completeCtl resolves the pending control op, including one whose frames
+// never reached the worker when the link died.
+func (p *Proxy) completeCtl(res ctlResult) {
 	p.mu.Lock()
 	pc := p.ctl
 	if pc == nil {
@@ -595,7 +600,6 @@ func (p *Proxy) completeCtl(res ctlResult, onDeath bool) {
 	}
 	p.ctl = nil
 	p.mu.Unlock()
-	_ = onDeath
 	pc.ch <- res
 }
 
@@ -619,7 +623,7 @@ func (p *Proxy) reconnect() {
 				p.logf("cluster: shard %s link resumed after %v", p.cfg.Addr, time.Since(died).Round(time.Millisecond))
 				return
 			}
-			l.finish()
+			l.Finish()
 		}
 		if p.isClosed() {
 			return
@@ -648,7 +652,7 @@ func (p *Proxy) reconnect() {
 // in order. Only after every tenant resumes is the link published for new
 // Submits, so retransmitted tails and new events cannot interleave out of
 // link order.
-func (p *Proxy) resumeAll(l *link) error {
+func (p *Proxy) resumeAll(l *wire.Writer) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -681,45 +685,32 @@ func (p *Proxy) resumeAll(l *link) error {
 			t.acked = res.ok.Watermark
 			t.pruneLocked(res.ok.Watermark)
 		}
-		// Retransmit the unacked tail in batches, still under t.mu so a
+		// Retransmit the whole unacked window, still under t.mu so a
 		// concurrent Submit cannot interleave ahead of the tail.
-		for at := 0; at < len(t.window); at += p.cfg.Batch {
-			end := at + p.cfg.Batch
-			if end > len(t.window) {
-				end = len(t.window)
-			}
-			bframe, err := wire.AppendSubmitBatch(nil, t.name, t.window[at:end])
-			if err != nil {
-				t.mu.Unlock()
-				return err
-			}
-			p.mu.Lock()
-			p.retransmits += uint64(end - at)
-			p.mu.Unlock()
-			l.send(bframe)
-		}
-		t.sent = t.nextLink
+		t.sent = 0
+		p.flushTailLocked(l, t)
+		retransmits := len(t.window)
 		t.cond.Broadcast()
 		t.mu.Unlock()
 		p.mu.Lock()
+		p.retransmits += uint64(retransmits)
 		p.resumes++
 		p.mu.Unlock()
 	}
 	// Publish: new Submits may now stream on this link.
-	p.install(l)
-	return nil
+	return p.install(l)
 }
 
 // roundTrip registers pc as the in-flight control op, sends its frames, and
 // waits for the reader to complete it. The caller must hold ctlMu (user
 // ops) or be the reconnect goroutine (which runs before the link is
 // published, so no user op can race the slot).
-func (p *Proxy) roundTrip(l *link, pc *pendingCtl, frames ...[]byte) (ctlResult, error) {
+func (p *Proxy) roundTrip(l *wire.Writer, pc *pendingCtl, frames ...[]byte) (ctlResult, error) {
 	p.mu.Lock()
 	p.ctl = pc
 	p.mu.Unlock()
 	for _, f := range frames {
-		l.send(f)
+		l.Send(f)
 	}
 	select {
 	case res := <-pc.ch:
@@ -732,8 +723,13 @@ func (p *Proxy) roundTrip(l *link, pc *pendingCtl, frames ...[]byte) (ctlResult,
 		p.mu.Unlock()
 		// The op may have half-applied on the worker; the link's state is
 		// indeterminate, so cut it and let resume re-establish invariants.
-		l.nc.Close()
+		l.Conn().Close()
 		return ctlResult{}, ErrControlTimeout
+	case <-l.Done():
+		// The link died under the op; a reply read before that completed it.
+		p.completeCtl(ctlResult{err: ErrLinkDown})
+		res := <-pc.ch
+		return res, res.err
 	case <-p.closeC:
 		return ctlResult{}, ErrProxyClosed
 	}
@@ -968,7 +964,7 @@ func (p *Proxy) StatsDoc() ([]byte, error) {
 // Ping nudges the live link (keepalive + ack flush); a no-op while down.
 func (p *Proxy) Ping() {
 	if l, _ := p.current(); l != nil {
-		l.trySend(wire.AppendPing(nil))
+		l.TrySend(wire.AppendPing(nil))
 	}
 }
 
@@ -1045,10 +1041,11 @@ func (p *Proxy) Close() error {
 	tenants := p.tenantListLocked()
 	close(p.closeC)
 	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrProxyClosed}, true)
+	p.completeCtl(ctlResult{err: ErrProxyClosed})
 	if l != nil {
-		l.send(wire.AppendBye(nil))
-		l.finish()
+		// Finish discards what is pending: let it and the Bye out first.
+		l.SendWait(wire.AppendBye(nil), time.Second)
+		l.Finish()
 	}
 	for _, t := range tenants {
 		t.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,7 +168,7 @@ type wkTenant struct {
 	sinceAck  int
 
 	alarmMu  sync.Mutex
-	link     *link // link currently attached; nil while orphaned
+	link     *wire.Writer // link currently attached; nil while orphaned
 	alarmSeq uint64
 	ring     []bankedAlarm
 	ringCap  int
@@ -187,7 +188,7 @@ type Worker struct {
 
 	mu      sync.Mutex
 	lns     map[net.Listener]struct{}
-	links   map[*link]struct{}
+	links   map[*wire.Writer]struct{}
 	tenants map[string]*wkTenant
 	closed  bool
 
@@ -216,7 +217,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		cfg:     cfg.withDefaults(),
 		lns:     make(map[net.Listener]struct{}),
-		links:   make(map[*link]struct{}),
+		links:   make(map[*wire.Writer]struct{}),
 		tenants: make(map[string]*wkTenant),
 	}, nil
 }
@@ -280,13 +281,13 @@ func (w *Worker) Close() error {
 	for ln := range w.lns {
 		ln.Close()
 	}
-	links := make([]*link, 0, len(w.links))
+	links := make([]*wire.Writer, 0, len(w.links))
 	for l := range w.links {
 		links = append(links, l)
 	}
 	w.mu.Unlock()
 	for _, l := range links {
-		l.nc.Close()
+		l.Conn().Close()
 	}
 	return nil
 }
@@ -317,20 +318,20 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 func (w *Worker) handle(nc net.Conn) {
-	l := newLink(nc, w.cfg.OutBuffer, w.cfg.WriteTimeout, func() {
+	l := wire.NewWriter(nc, w.cfg.OutBuffer, 0, w.cfg.WriteTimeout, func() {
 		w.evictedIdle.Add(1)
 		w.logf("cluster: evicting router %s: write stalled past %v", nc.RemoteAddr(), w.cfg.WriteTimeout)
 	})
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		l.finish()
+		l.Finish()
 		return
 	}
 	w.links[l] = struct{}{}
 	w.mu.Unlock()
 	defer func() {
-		l.finish()
+		l.Finish()
 		w.teardown(l)
 	}()
 
@@ -348,7 +349,7 @@ func (w *Worker) handle(nc net.Conn) {
 
 // teardown detaches the link from every tenant it was serving; tenants and
 // their watermarks survive for the router's resume.
-func (w *Worker) teardown(l *link) {
+func (w *Worker) teardown(l *wire.Writer) {
 	w.mu.Lock()
 	delete(w.links, l)
 	tenants := make([]*wkTenant, 0, len(w.tenants))
@@ -367,15 +368,13 @@ func (w *Worker) teardown(l *link) {
 
 // errClose sends one final ShardErr and waits for it to reach the socket
 // before the deferred teardown.
-func (w *Worker) errClose(l *link, e wire.ShardErr) {
-	frame, err := wire.AppendShardErr(nil, e)
-	if err != nil {
-		return
+func (w *Worker) errClose(l *wire.Writer, e wire.ShardErr) {
+	if frame, err := wire.AppendShardErr(nil, e); err == nil {
+		l.SendWait(frame, time.Second)
 	}
-	l.sendWait(frame, time.Second)
 }
 
-func (w *Worker) hello(l *link, r *wire.Reader) error {
+func (w *Worker) hello(l *wire.Writer, r *wire.Reader) error {
 	t, p, err := r.Next()
 	if err != nil {
 		return err
@@ -395,10 +394,10 @@ func (w *Worker) hello(l *link, r *wire.Reader) error {
 	}
 	if err := w.cfg.Backend.Authenticate(token); err != nil {
 		w.errClose(l, wire.ShardErr{Code: wire.CodeBadAuth, Detail: "authentication rejected"})
-		w.logf("cluster: refused router link from %s (%q): %v", l.nc.RemoteAddr(), router, err)
+		w.logf("cluster: refused router link from %s (%q): %v", l.Conn().RemoteAddr(), router, err)
 		return err
 	}
-	l.send(wire.AppendShardWelcome(nil, uint32(w.cfg.MaxFrame)))
+	l.Send(wire.AppendShardWelcome(nil, uint32(w.cfg.MaxFrame)))
 	return nil
 }
 
@@ -436,7 +435,7 @@ func (w *Worker) alarmSink(t *wkTenant) func(wire.Alarm) {
 			w.alarmsBuffered.Add(1)
 			return
 		}
-		if l.trySend(frame) {
+		if l.TrySend(frame) {
 			w.alarms.Add(1)
 			return
 		}
@@ -461,7 +460,7 @@ func (t *wkTenant) pruneRingLocked(idx uint64) {
 // router dedups by alarm index, so a replay can never double-deliver; it
 // runs on resume (link recovery) and before a quiesce reply (so no alarm is
 // stranded banked at a migration boundary).
-func (w *Worker) replayRing(t *wkTenant, l *link) {
+func (w *Worker) replayRing(t *wkTenant, l *wire.Writer) {
 	t.alarmMu.Lock()
 	frames := make([][]byte, len(t.ring))
 	for i, ba := range t.ring {
@@ -470,13 +469,13 @@ func (w *Worker) replayRing(t *wkTenant, l *link) {
 	t.alarmMu.Unlock()
 	for _, f := range frames {
 		w.alarmReplays.Add(1)
-		l.send(f)
+		l.Send(f)
 	}
 }
 
 // ok replies TenantOK for op, carrying the tenant's current watermark and
 // alarm index (zero for tenant-less ops).
-func (w *Worker) ok(l *link, op wire.ShardOp, t *wkTenant, tenant string) {
+func (w *Worker) ok(l *wire.Writer, op wire.ShardOp, t *wkTenant, tenant string) {
 	reply := wire.TenantOK{Op: op, Tenant: tenant}
 	if t != nil {
 		t.evMu.Lock()
@@ -487,36 +486,30 @@ func (w *Worker) ok(l *link, op wire.ShardOp, t *wkTenant, tenant string) {
 		reply.AlarmIdx = t.alarmSeq
 		t.alarmMu.Unlock()
 	}
-	frame, err := wire.AppendTenantOK(nil, reply)
-	if err != nil {
-		return
+	if frame, err := wire.AppendTenantOK(nil, reply); err == nil {
+		l.Send(frame)
 	}
-	l.send(frame)
 }
 
-func (w *Worker) fail(l *link, op wire.ShardOp, tenant string, err error) {
-	frame, ferr := wire.AppendShardErr(nil, wire.ShardErr{Op: op, Tenant: tenant, Code: w.cfg.Classify(err), Detail: err.Error()})
-	if ferr != nil {
-		return
+func (w *Worker) fail(l *wire.Writer, op wire.ShardOp, tenant string, err error) {
+	if frame, ferr := wire.AppendShardErr(nil, wire.ShardErr{Op: op, Tenant: tenant, Code: w.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
+		l.Send(frame)
 	}
-	l.send(frame)
 }
 
 // failUnknown reports a control op against a tenant this worker does not
 // host. The code is fixed (not classified): the router's resume logic keys
 // on CodeUnknownTenant to tell a lost tenant from a transient failure.
-func (w *Worker) failUnknown(l *link, op wire.ShardOp, tenant string) {
-	frame, err := wire.AppendShardErr(nil, wire.ShardErr{Op: op, Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
-	if err != nil {
-		return
+func (w *Worker) failUnknown(l *wire.Writer, op wire.ShardOp, tenant string) {
+	if frame, err := wire.AppendShardErr(nil, wire.ShardErr{Op: op, Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"}); err == nil {
+		l.Send(frame)
 	}
-	l.send(frame)
 }
 
 // commitEnvelope applies a completed RegisterTenant envelope: a hot model
 // swap, or a registration (fresh or restore) that adopts the tenant onto
 // this link.
-func (w *Worker) commitEnvelope(l *link, pe *pendingEnvelope) {
+func (w *Worker) commitEnvelope(l *wire.Writer, pe *pendingEnvelope) {
 	name := pe.reg.Tenant
 	w.envelopeBytesIn.Add(uint64(pe.model.Len() + pe.state.Len()))
 	if pe.reg.Flags&wire.RegFlagSwap != 0 {
@@ -564,12 +557,12 @@ func (w *Worker) commitEnvelope(l *link, pe *pendingEnvelope) {
 // sequence is admitted exactly once across link incarnations; refusals come
 // back as ShardNack frames and still advance the watermark (decided), and
 // the AckEvery cadence emits cumulative ShardAcks.
-func (w *Worker) decideBatch(l *link, tenant string, evs []wire.BatchEvent) {
+func (w *Worker) decideBatch(l *wire.Writer, tenant string, evs []wire.BatchEvent) {
 	t := w.tenant(tenant)
 	if t == nil {
 		frame, err := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
 		if err == nil {
-			l.send(frame)
+			l.Send(frame)
 		}
 		return
 	}
@@ -598,20 +591,21 @@ func (w *Worker) decideBatch(l *link, tenant string, evs []wire.BatchEvent) {
 			w.nacks.Add(1)
 			frame, ferr := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Link: be.Link, Code: w.cfg.Classify(err), Detail: err.Error()})
 			if ferr == nil {
-				l.send(frame)
+				l.Send(frame)
 			}
 		} else {
 			w.events.Add(1)
 		}
 		if ack != nil {
-			l.send(ack)
+			l.Send(ack)
 		}
 	}
 }
 
-func (w *Worker) readLoop(l *link, r *wire.Reader) {
+func (w *Worker) readLoop(l *wire.Writer, r *wire.Reader) {
 	pending := make(map[string]*pendingEnvelope)
 	var scratch []wire.BatchEvent
+	var names wire.Names
 	idle := w.cfg.IdleTimeout
 	var deadlineAt time.Time
 	for {
@@ -620,7 +614,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 			now := time.Now()
 			if deadlineAt.Sub(now) <= idle/2 {
 				deadlineAt = now.Add(idle)
-				l.nc.SetReadDeadline(deadlineAt)
+				l.Conn().SetReadDeadline(deadlineAt)
 			}
 		}
 		t, p, err := r.Next()
@@ -628,18 +622,18 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: err.Error()})
 			}
-			if isTimeout(err) {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				w.evictedIdle.Add(1)
-				w.logf("cluster: evicting router %s: no frame in %v", l.nc.RemoteAddr(), idle)
+				w.logf("cluster: evicting router %s: no frame in %v", l.Conn().RemoteAddr(), idle)
 			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				w.logf("cluster: router link %s: %v", l.nc.RemoteAddr(), err)
+				w.logf("cluster: router link %s: %v", l.Conn().RemoteAddr(), err)
 			}
 			return
 		}
 		switch t {
 		case wire.FrameSubmitBatch:
 			scratch = scratch[:0]
-			tenant, evs, err := wire.ParseSubmitBatch(p, scratch)
+			tenant, evs, err := names.ParseSubmitBatch(p, scratch)
 			if err != nil {
 				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed submit-batch"})
 				return
@@ -786,7 +780,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				w.fail(l, wire.OpStats, "", err)
 				continue
 			}
-			l.send(wire.AppendShardStats(nil, doc))
+			l.Send(wire.AppendShardStats(nil, doc))
 		case wire.FrameAlarmStreamAck:
 			tenant, idx, err := wire.ParseAlarmStreamAck(p)
 			if err != nil {
@@ -820,10 +814,10 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 				ack, _ := wire.AppendShardAck(nil, tn.name, tn.watermark)
 				tn.evMu.Unlock()
 				if ack != nil {
-					l.send(ack)
+					l.Send(ack)
 				}
 			}
-			l.send(wire.AppendPong(nil))
+			l.Send(wire.AppendPong(nil))
 		case wire.FrameBye:
 			return
 		default:
@@ -836,7 +830,7 @@ func (w *Worker) readLoop(l *link, r *wire.Reader) {
 // sendEnvelope streams one checkpoint envelope to the router as chunks plus
 // the EnvelopeDone commit; false means an encode failure already closed the
 // link.
-func (w *Worker) sendEnvelope(l *link, tenant string, model, state []byte) bool {
+func (w *Worker) sendEnvelope(l *wire.Writer, tenant string, model, state []byte) bool {
 	for _, part := range []struct {
 		kind uint8
 		data []byte
@@ -845,17 +839,17 @@ func (w *Worker) sendEnvelope(l *link, tenant string, model, state []byte) bool 
 			frame, err := wire.AppendEnvelopeChunk(nil, wire.EnvelopeChunk{Tenant: tenant, Kind: part.kind, Data: piece})
 			if err != nil {
 				w.logf("cluster: encoding envelope chunk for %q: %v", tenant, err)
-				l.finish()
+				l.Finish()
 				return false
 			}
-			l.send(frame)
+			l.Send(frame)
 		}
 	}
 	frame, err := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, tenant)
 	if err != nil {
-		l.finish()
+		l.Finish()
 		return false
 	}
-	l.send(frame)
+	l.Send(frame)
 	return true
 }

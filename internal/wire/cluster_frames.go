@@ -372,21 +372,27 @@ func AppendSubmitBatch(dst []byte, tenant string, evs []BatchEvent) ([]byte, err
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(evs)))
 	for _, be := range evs {
-		dst = binary.BigEndian.AppendUint64(dst, be.Link)
-		dst = binary.BigEndian.AppendUint64(dst, be.Ev.Seq)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(be.Ev.Time.UnixNano()))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(be.Ev.Value))
-		if dst, err = appendString(dst, be.Ev.Device); err != nil {
+		if dst, err = appendBatchEvent(dst, be); err != nil {
 			return nil, err
 		}
 	}
 	return frame(dst, at), nil
 }
 
+// appendBatchEvent encodes one SubmitBatch entry onto dst.
+func appendBatchEvent(dst []byte, be BatchEvent) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint64(dst, be.Link)
+	dst = binary.BigEndian.AppendUint64(dst, be.Ev.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(be.Ev.Time.UnixNano()))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(be.Ev.Value))
+	return appendString(dst, be.Ev.Device)
+}
+
 // ParseSubmitBatch decodes a SubmitBatch payload, appending the events to
-// evs (reuse a scratch slice to keep the hot path allocation-light).
-func ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []BatchEvent, error) {
-	d := decoder{p: p}
+// evs (reuse a scratch slice to keep the hot path allocation-light), with
+// the tenant and device names taken from the table.
+func (names *Names) ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []BatchEvent, error) {
+	d := decoder{p: p, names: names}
 	tenant := d.str()
 	n := int(d.u16())
 	// Each entry costs at least 34 payload bytes; refuse counts that

@@ -96,7 +96,7 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tenant, out, err := ParseSubmitBatch(readClusterFrame(t, buf, FrameSubmitBatch), nil)
+		tenant, out, err := new(Names).ParseSubmitBatch(readClusterFrame(t, buf, FrameSubmitBatch), nil)
 		if err != nil || tenant != "home-3" || !reflect.DeepEqual(out, in) {
 			t.Fatalf("got tenant=%q %+v err=%v, want %+v", tenant, out, err, in)
 		}
@@ -232,7 +232,7 @@ func TestClusterFrameTruncation(t *testing.T) {
 		"envelope-chunk":   func(p []byte) error { _, err := ParseEnvelopeChunk(p); return err },
 		"tenant-ok":        func(p []byte) error { _, err := ParseTenantOK(p); return err },
 		"shard-err":        func(p []byte) error { _, err := ParseShardErr(p); return err },
-		"submit-batch":     func(p []byte) error { _, _, err := ParseSubmitBatch(p, nil); return err },
+		"submit-batch":     func(p []byte) error { _, _, err := new(Names).ParseSubmitBatch(p, nil); return err },
 		"shard-ack":        func(p []byte) error { _, _, err := ParseShardAck(p); return err },
 		"shard-nack":       func(p []byte) error { _, err := ParseShardNack(p); return err },
 		"alarm-stream":     func(p []byte) error { _, _, _, err := ParseAlarmStream(p); return err },

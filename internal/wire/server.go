@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,117 +319,49 @@ func (s *Server) Stats() ServerStats {
 }
 
 // srvConn is one accepted connection: a reader loop (this goroutine), a
-// writer goroutine serializing Nack and Alarm frames, and — once
+// Writer serializing Welcome, Ack, Nack and Alarm frames, and — once
 // authenticated — an alarm route claimed on the backend, either directly
 // (plain v1 connection) or through a durable session.
 type srvConn struct {
 	srv    *Server
 	nc     net.Conn
+	w      *Writer // outbound frames toward the producer
 	tenant string
 	sess   *session // attached by a Resume frame; nil on plain connections
 	clean  bool     // Bye received: teardown retires the session
 
-	out      chan outFrame // encoded frames toward the producer
-	done     chan struct{}
-	closeOne sync.Once
-
 	alarmDropLogged atomic.Bool
 }
 
-// outFrame is one queued outbound frame; wrote (when non-nil) is closed
-// after the frame reaches the socket (or the write path fails), letting a
-// final Nack be flushed before the connection is torn down.
-type outFrame struct {
-	b     []byte
-	wrote chan struct{}
-}
-
-func (c *srvConn) finish() {
-	c.closeOne.Do(func() { close(c.done) })
-	c.nc.Close()
-}
-
-// send queues one encoded frame for the writer; it blocks while the queue
-// is full (the reader applying transport backpressure) but never past the
-// connection's end.
-func (c *srvConn) send(frame []byte) {
-	select {
-	case c.out <- outFrame{b: frame}:
-	case <-c.done:
-	}
-}
-
-// trySend queues one encoded frame without blocking, reporting whether it
-// was accepted. Alarm push-back uses it: the sink runs on the tenant's
-// stream thread, which must never stall behind a slow producer.
-func (c *srvConn) trySend(frame []byte) bool {
-	select {
-	case c.out <- outFrame{b: frame}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *srvConn) writeLoop() {
-	bw := newFlushWriter(deadlineWriter{nc: c.nc, timeout: c.srv.cfg.WriteTimeout})
-	failed := false
-	for {
-		select {
-		case f := <-c.out:
-			if !failed {
-				if err := bw.write(f.b, len(c.out) == 0); err != nil {
-					failed = true
-					if isTimeout(err) {
-						c.srv.evictedIdle.Add(1)
-						c.srv.logf("wire: evicting %s (tenant %q): write stalled past %v",
-							c.nc.RemoteAddr(), c.tenant, c.srv.cfg.WriteTimeout)
-					}
-					c.nc.Close() // wake the reader; it finishes the conn
-				}
-			}
-			// After a failure, keep draining so senders never park on a
-			// dead conn; acknowledge regardless so nackClose cannot hang.
-			if f.wrote != nil {
-				close(f.wrote)
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 func (s *Server) handle(nc net.Conn) {
-	c := &srvConn{
-		srv:  s,
-		nc:   nc,
-		out:  make(chan outFrame, s.cfg.AlarmBuffer),
-		done: make(chan struct{}),
-	}
+	c := &srvConn{srv: s, nc: nc}
+	c.w = NewWriter(nc, s.cfg.AlarmBuffer, 0, s.cfg.WriteTimeout, func() {
+		s.evictedIdle.Add(1)
+		s.logf("wire: evicting %s (tenant %q): write stalled past %v", nc.RemoteAddr(), c.tenant, s.cfg.WriteTimeout)
+	})
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		nc.Close()
+		c.w.Finish()
 		return
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
-	go c.writeLoop()
 	defer func() {
-		c.finish()
+		c.w.Finish()
 		s.teardown(c)
 	}()
 
 	r := NewReader(nc, s.cfg.MaxFrame)
 	nc.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-	sessionIntent, err := s.hello(c, r)
+	sessionIntent, refusal, err := s.hello(c, r)
 	if err != nil {
+		// Count the refusal before its Nack is queued: a client that has
+		// read the Nack must find it in Stats.
 		s.authFailures.Add(1)
+		if refusal != nil {
+			c.nackClose(*refusal)
+		}
 		return
 	}
 	// The Hello deadline is cleared symmetrically: the read loop below
@@ -479,61 +412,48 @@ func (s *Server) teardown(c *srvConn) {
 // nackClose sends one final Nack and waits (bounded) for it to reach the
 // socket before the deferred close tears the connection down.
 func (c *srvConn) nackClose(n Nack) {
-	frame, err := AppendNack(nil, n)
-	if err != nil {
-		return
-	}
-	wrote := make(chan struct{})
-	select {
-	case c.out <- outFrame{b: frame, wrote: wrote}:
-	case <-c.done:
-		return
-	}
-	select {
-	case <-wrote:
-	case <-c.done:
-	case <-time.After(time.Second):
+	if frame, err := AppendNack(nil, n); err == nil {
+		c.w.SendWait(frame, time.Second)
 	}
 }
 
 // hello performs the authentication handshake; any error means the
-// connection is refused (a Nack with the reason was sent when possible).
-// sessionIntent reports a client that announced it will Resume: its alarm
-// route is claimed by the session attach instead of here, so no alarm can
-// slip past the session's replay ring between Welcome and Resume.
-func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, err error) {
-	t, p, err := s.nextFrame(c, r)
+// connection is refused, with refusal (when non-nil) the Nack to send
+// before closing. sessionIntent reports a client that announced it will
+// Resume: its alarm route is claimed by the session attach instead of
+// here, so no alarm can slip past the session's replay ring between
+// Welcome and Resume.
+func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, refusal *Nack, err error) {
+	t, p, err := r.Next()
 	if err != nil {
-		return false, err
+		if errors.Is(err, ErrFrameTooLarge) {
+			return false, &Nack{Code: CodeProtocol, Detail: err.Error()}, err
+		}
+		return false, nil, err
 	}
 	if t != FrameHello {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected hello, got %s", t)})
-		return false, fmt.Errorf("%w: first frame %s", ErrBadFrame, t)
+		return false, &Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected hello, got %s", t)}, fmt.Errorf("%w: first frame %s", ErrBadFrame, t)
 	}
 	ver, token, tenant, sessionIntent, err := ParseHello(p)
 	if err != nil {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed hello"})
-		return false, err
+		return false, &Nack{Code: CodeProtocol, Detail: "malformed hello"}, err
 	}
 	if ver != Version {
-		c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, Version)})
-		return false, fmt.Errorf("%w: version %d", ErrBadFrame, ver)
+		return false, &Nack{Code: CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, Version)}, fmt.Errorf("%w: version %d", ErrBadFrame, ver)
 	}
 	if err := s.cfg.Backend.Authenticate(token, tenant); err != nil {
-		c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: "authentication rejected"})
 		s.logf("wire: refused connection from %s for tenant %q: %v", c.nc.RemoteAddr(), tenant, err)
-		return false, err
+		return false, &Nack{Code: s.cfg.Classify(err), Detail: "authentication rejected"}, err
 	}
 	if !sessionIntent {
 		if err := s.claimAlarms(tenant, c); err != nil {
-			c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: err.Error()})
 			s.logf("wire: refused connection from %s: %v", c.nc.RemoteAddr(), err)
-			return false, err
+			return false, &Nack{Code: s.cfg.Classify(err), Detail: err.Error()}, err
 		}
 	}
 	c.tenant = tenant
-	c.send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
-	return sessionIntent, nil
+	c.w.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
+	return sessionIntent, nil, nil
 }
 
 // claimAlarms routes the tenant's alarms to this plain connection,
@@ -652,7 +572,7 @@ func (s *Server) sessionSink(sess *session) func(Alarm) {
 			s.alarmsBuffered.Add(1)
 			return
 		}
-		if c.trySend(frame) {
+		if c.w.TrySend(frame) {
 			s.alarms.Add(1)
 			return
 		}
@@ -675,7 +595,7 @@ func (s *Server) pushAlarm(c *srvConn, a Alarm) {
 		s.alarmsDropped.Add(1)
 		return
 	}
-	if c.trySend(frame) {
+	if c.w.TrySend(frame) {
 		s.alarms.Add(1)
 		return
 	}
@@ -684,19 +604,6 @@ func (s *Server) pushAlarm(c *srvConn, a Alarm) {
 		s.logf("wire: alarm queue full for tenant %q on %s; dropping (first drop — producer not reading, or raise AlarmBuffer)",
 			c.tenant, c.nc.RemoteAddr())
 	}
-}
-
-// nextFrame reads one frame, converting an oversized frame into a final
-// protocol Nack before failing the connection.
-func (s *Server) nextFrame(c *srvConn, r *Reader) (FrameType, []byte, error) {
-	t, p, err := r.Next()
-	if err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			c.nackClose(Nack{Code: CodeProtocol, Detail: err.Error()})
-		}
-		return 0, nil, err
-	}
-	return t, p, nil
 }
 
 // decideEvent runs one event frame through the session watermark (exactly
@@ -721,7 +628,7 @@ func (s *Server) decideEvent(c *srvConn, ev Event, retx bool) bool {
 			}
 			sess.evMu.Unlock()
 			if ack != nil {
-				c.send(ack)
+				c.w.Send(ack)
 			}
 			return true
 		}
@@ -740,7 +647,7 @@ func (s *Server) decideEvent(c *srvConn, ev Event, retx bool) bool {
 		sess.evMu.Unlock()
 		s.finishDecide(c, ev, err)
 		if ack != nil {
-			c.send(ack)
+			c.w.Send(ack)
 		}
 		return true
 	}
@@ -753,7 +660,7 @@ func (s *Server) finishDecide(c *srvConn, ev Event, err error) {
 		s.nacks.Add(1)
 		frame, ferr := AppendNack(nil, Nack{Seq: ev.Seq, Code: s.cfg.Classify(err), Detail: err.Error()})
 		if ferr == nil {
-			c.send(frame)
+			c.w.Send(frame)
 		}
 		return
 	}
@@ -761,6 +668,7 @@ func (s *Server) finishDecide(c *srvConn, ev Event, err error) {
 }
 
 func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
+	var names Names
 	idle := s.cfg.IdleTimeout
 	var deadlineAt time.Time
 	for {
@@ -774,9 +682,12 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				c.nc.SetReadDeadline(deadlineAt)
 			}
 		}
-		t, p, err := s.nextFrame(c, r)
+		t, p, err := r.Next()
 		if err != nil {
-			if isTimeout(err) {
+			if errors.Is(err, ErrFrameTooLarge) {
+				c.nackClose(Nack{Code: CodeProtocol, Detail: err.Error()})
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.evictedIdle.Add(1)
 				s.logf("wire: evicting %s (tenant %q): no frame in %v", c.nc.RemoteAddr(), c.tenant, idle)
 			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -792,7 +703,7 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 		}
 		switch t {
 		case FrameEvent, FrameEventRetx:
-			ev, err := ParseEvent(p)
+			ev, err := names.ParseEvent(p)
 			if err != nil {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event"})
 				return
@@ -817,10 +728,10 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 					c.nc.RemoteAddr(), c.tenant, name, err)
 				return
 			}
-			c.send(resumeOK)
+			c.w.Send(resumeOK)
 			for _, frame := range replay {
 				s.alarmReplays.Add(1)
-				c.send(frame)
+				c.w.Send(frame)
 			}
 		case FrameAlarmAck:
 			idx, err := ParseAlarmAck(p)
@@ -841,9 +752,9 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				sess.sinceAck = 0
 				ack := AppendAck(nil, sess.watermark)
 				sess.evMu.Unlock()
-				c.send(ack)
+				c.w.Send(ack)
 			}
-			c.send(AppendPong(nil))
+			c.w.Send(AppendPong(nil))
 		case FrameBye:
 			c.clean = true
 			return
@@ -852,39 +763,4 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 			return
 		}
 	}
-}
-
-// deadlineWriter arms a write deadline before every socket write so a peer
-// that stopped reading cannot wedge the writer goroutine forever.
-type deadlineWriter struct {
-	nc      net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	return w.nc.Write(p)
-}
-
-// flushWriter batches frame writes, flushing when the outbound queue goes
-// idle so a burst costs one syscall, not one per frame.
-type flushWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func newFlushWriter(w io.Writer) *flushWriter {
-	return &flushWriter{w: w, buf: make([]byte, 0, 32<<10)}
-}
-
-func (f *flushWriter) write(frame []byte, flush bool) error {
-	f.buf = append(f.buf, frame...)
-	if !flush && len(f.buf) < 32<<10 {
-		return nil
-	}
-	_, err := f.w.Write(f.buf)
-	f.buf = f.buf[:0]
-	return err
 }

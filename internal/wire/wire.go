@@ -404,8 +404,12 @@ func AppendEvent(dst []byte, ev Event) ([]byte, error) {
 }
 
 // ParseEvent decodes an Event payload.
-func ParseEvent(p []byte) (Event, error) {
-	d := decoder{p: p}
+func ParseEvent(p []byte) (Event, error) { return (*Names)(nil).ParseEvent(p) }
+
+// ParseEvent is the package-level ParseEvent with the device name taken
+// from the table.
+func (names *Names) ParseEvent(p []byte) (Event, error) {
+	d := decoder{p: p, names: names}
 	ev := Event{
 		Seq:   d.u64(),
 		Time:  time.Unix(0, int64(d.u64())).UTC(),
@@ -641,11 +645,46 @@ func AppendPong(dst []byte) []byte {
 	return frame(dst, at)
 }
 
+// A Names table holds at most maxNames names of at most maxNameLen bytes.
+// Any other name decodes into a fresh string as if there were no table, so
+// a producer cycling through endless distinct names cannot grow a
+// connection's memory.
+const (
+	maxNames   = 4096
+	maxNameLen = 64
+)
+
+// Names is a per-connection intern table for decoded names (devices,
+// tenants): a name already in the table decodes without an allocation,
+// because a map lookup keyed by string(b) does not copy b. A nil *Names
+// interns nothing. Not safe for concurrent use; give each reader its own.
+type Names struct {
+	m map[string]string
+}
+
+func (n *Names) str(b []byte) string {
+	if n == nil {
+		return string(b)
+	}
+	if s, ok := n.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(n.m) < maxNames && len(s) <= maxNameLen {
+		if n.m == nil {
+			n.m = make(map[string]string)
+		}
+		n.m[s] = s
+	}
+	return s
+}
+
 // decoder is a cursor over one frame payload; any out-of-bounds read flips
 // fail and every later read returns zero values, so parsers check one flag.
 type decoder struct {
-	p    []byte
-	fail bool
+	p     []byte
+	fail  bool
+	names *Names // interns decoded strings when non-nil
 }
 
 func (d *decoder) take(n int) []byte {
@@ -696,7 +735,7 @@ func (d *decoder) str() string {
 	if b == nil {
 		return ""
 	}
-	return string(b)
+	return d.names.str(b)
 }
 
 // Reader reads frames off a byte stream, enforcing the frame size limit
@@ -705,6 +744,7 @@ type Reader struct {
 	r   *bufio.Reader
 	max int
 	buf []byte
+	hdr [headerLen]byte // a field, not a local: io.ReadFull would move it to the heap
 }
 
 // NewReader wraps r; maxFrame <= 0 selects DefaultMaxFrame.
@@ -720,14 +760,13 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // clean end-of-stream between frames; a stream cut mid-frame returns
 // io.ErrUnexpectedEOF wrapped in ErrBadFrame.
 func (r *Reader) Next() (FrameType, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: header: %w", ErrBadFrame, err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(r.hdr[:]))
 	if n > r.max {
 		return 0, nil, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, r.max)
 	}

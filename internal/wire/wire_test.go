@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -321,5 +322,79 @@ func TestCodeAndFrameTypeStrings(t *testing.T) {
 		if strings.HasPrefix(ft.String(), "frame(") {
 			t.Errorf("frame type %d has no name", ft)
 		}
+	}
+}
+
+// loopReader serves the same bytes forever without allocating.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+func TestReaderNextZeroAllocs(t *testing.T) {
+	frame, err := AppendEvent(nil, Event{Seq: 1, Device: "light"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&loopReader{b: frame}, 0)
+	r.Next()
+	if n := testing.AllocsPerRun(1000, func() {
+		if ft, _, err := r.Next(); err != nil || ft != FrameEvent {
+			t.Fatalf("Next = %v, %v", ft, err)
+		}
+	}); n != 0 {
+		t.Fatalf("Reader.Next: %v allocs per frame, want 0", n)
+	}
+}
+
+func TestNamesDecodeZeroAllocs(t *testing.T) {
+	ev, err := AppendEvent(nil, Event{Seq: 1, Device: "light"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := []BatchEvent{{Link: 1, Ev: Event{Device: "light"}}, {Link: 2, Ev: Event{Device: "door"}}}
+	batch, err := AppendSubmitBatch(nil, "home-0", evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names Names
+	scratch := make([]BatchEvent, 0, len(evs))
+	if n := testing.AllocsPerRun(1000, func() {
+		if got, err := names.ParseEvent(ev[headerLen+1:]); err != nil || got.Device != "light" {
+			t.Fatalf("ParseEvent = %+v, %v", got, err)
+		}
+		tenant, got, err := names.ParseSubmitBatch(batch[headerLen+1:], scratch[:0])
+		if err != nil || tenant != "home-0" || len(got) != 2 || got[1].Ev.Device != "door" {
+			t.Fatalf("ParseSubmitBatch = %q %+v, %v", tenant, got, err)
+		}
+	}); n != 0 {
+		t.Fatalf("decoding repeated names: %v allocs per run, want 0", n)
+	}
+}
+
+func TestNamesCapped(t *testing.T) {
+	var names Names
+	decode := func(name string) {
+		t.Helper()
+		frame, _ := AppendEvent(nil, Event{Device: name})
+		if got, err := names.ParseEvent(frame[headerLen+1:]); err != nil || got.Device != name {
+			t.Fatalf("ParseEvent = %+v, %v; want device %q", got, err, name)
+		}
+	}
+	decode(strings.Repeat("x", maxNameLen+1))
+	if len(names.m) != 0 {
+		t.Fatalf("a name longer than %d bytes was interned", maxNameLen)
+	}
+	for i := 0; i < 2*maxNames; i++ {
+		decode(fmt.Sprintf("dev-%d", i))
+	}
+	if len(names.m) != maxNames {
+		t.Fatalf("table holds %d names, want the cap %d", len(names.m), maxNames)
 	}
 }
