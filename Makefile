@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo perfbench
+.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench bench-smoke bench-detect bench-adapt bench-fleet bench-serve bench-cluster bench-paper serve-demo perfbench perfbench-pairs
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -66,12 +66,14 @@ cluster-smoke:
 	$(GO) test -race -run 'TestCluster|TestWorker|TestProxy' -v . ./internal/cluster
 	$(GO) test -race -run 'TestServeCluster' -v ./cmd/causaliot
 
-# Short fuzz pass over the model and checkpoint deserializers (the
-# error-never-panic contract); extend -fuzztime for a deeper run.
+# Short fuzz pass over the model and checkpoint deserializers and the wire
+# frame decoders (the error-never-panic contract); extend -fuzztime for a
+# deeper run.
 fuzz:
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreMonitor -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreLifecycle -fuzztime 10s .
+	$(GO) test -fuzz FuzzWireFrames -fuzztime 10s ./internal/wire
 
 # Bench bitrot smoke: compile and run every benchmark exactly once (no
 # timing) so a refactor can't silently strand a benchmark that no longer
@@ -127,6 +129,26 @@ W ?= cluster-migrate
 SEED ?= 1
 perfbench:
 	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 16 --trace 0
+
+# Alternating pairs of one workload, base revision against this checkout:
+#   make perfbench-pairs BASE=<rev> W=cluster-migrate SEEDS="101 102 103"
+# BASE is exported with git archive into .bench_build/base-<rev> and built
+# there by its own run.sh. For each seed the base tree runs, then this
+# checkout, and each run prints one JSON line: the tree, the seed and the
+# run's result line. TRACE=1 adds the per-layer split.
+BASE ?= HEAD
+SEEDS ?= 1 2 3
+TRACE ?= 0
+perfbench-pairs:
+	@rev=$$(git rev-parse --short $(BASE)) && base=.bench_build/base-$$rev && \
+	if [ ! -d $$base ]; then mkdir -p $$base && git archive $$rev | tar -x -C $$base; fi && \
+	for seed in $(SEEDS); do \
+		for tree in $$base .; do \
+			res=$$(bash $$tree/perfbench/run.sh --workload $(W) --seed $$seed --seconds 16 --trace $(TRACE) | tail -n 1) || exit 1; \
+			name=change; [ $$tree = . ] || name=base-$$rev; \
+			echo "{\"tree\":\"$$name\",\"workload\":\"$(W)\",\"seed\":$$seed,\"result\":$$res}"; \
+		done; \
+	done
 
 # Full paper-reproduction benchmark suite (tables, figures, ablations).
 bench-paper:

@@ -12,6 +12,7 @@ import (
 
 	"github.com/causaliot/causaliot/internal/fleet"
 	"github.com/causaliot/causaliot/internal/hub"
+	"github.com/causaliot/causaliot/internal/wire"
 )
 
 // Fleet serving errors. ErrMigrationInFlight marks an operation refused
@@ -157,9 +158,9 @@ func (s *localShard) ExportEnvelope(tenant string) ([]byte, []byte, error) {
 	return model.Bytes(), state.Bytes(), nil
 }
 
-func (s *localShard) Quiesce(tenant string) error      { return s.h.inner.Quiesce(tenant) }
-func (s *localShard) Deregister(tenant string) error   { return s.h.Deregister(tenant) }
-func (s *localShard) Submit(tenant string, ev Event) error { return s.h.Submit(tenant, ev) }
+func (s *localShard) Quiesce(tenant string) error           { return s.h.inner.Quiesce(tenant) }
+func (s *localShard) Deregister(tenant string) error        { return s.h.Deregister(tenant) }
+func (s *localShard) Submit(tenant string, ev Event) error  { return s.h.Submit(tenant, ev) }
 func (s *localShard) Swap(tenant string, sys *System) error { return s.h.Swap(tenant, sys) }
 func (s *localShard) Export(tenant string, opts ExportOptions) error {
 	return s.h.Export(tenant, opts)
@@ -172,11 +173,11 @@ func (s *localShard) TenantStats(tenant string) (TenantStats, error) {
 	}
 	return convertTenantStats(ts), nil
 }
-func (s *localShard) Stats() HubStats                          { return s.h.Stats() }
+func (s *localShard) Stats() HubStats                           { return s.h.Stats() }
 func (s *localShard) LifecycleStats() map[string]LifecycleStats { return s.h.LifecycleStats() }
-func (s *localShard) Health() ShardHealth                      { return ShardHealth{Link: "local"} }
-func (s *localShard) Close() error                             { return s.h.Close() }
-func (s *localShard) CloseWithin(d time.Duration) error        { return s.h.CloseWithin(d) }
+func (s *localShard) Health() ShardHealth                       { return ShardHealth{Link: "local"} }
+func (s *localShard) Close() error                              { return s.h.Close() }
+func (s *localShard) CloseWithin(d time.Duration) error         { return s.h.CloseWithin(d) }
 
 // FleetConfig tunes a sharded serving fleet. The zero value selects one
 // shard with default hub settings.
@@ -495,15 +496,27 @@ func (f *Fleet) Deregister(tenant string) error {
 }
 
 // submitTo builds a home's shard enqueue sink, created once per
-// registration and stored on the router's route entry — the per-event
-// Submit path then closes over nothing and allocates nothing.
-func (f *Fleet) submitTo(tenant string) func(shard int, hev hub.Event) error {
-	return func(shard int, hev hub.Event) error {
-		s := f.shard(shard)
-		if s == nil {
-			return fmt.Errorf("%w %d", ErrUnknownShard, shard)
+// registration and stored on the router's route entry — the event path
+// then closes over nothing and allocates nothing. A batch reaches a local
+// or remote shard whole; any other Shard implementation gets one Submit
+// per event.
+func (f *Fleet) submitTo(tenant string) fleet.Sink {
+	return func(shard int, hevs []hub.Event) (int, error) {
+		switch s := f.shard(shard).(type) {
+		case nil:
+			return 0, fmt.Errorf("%w %d", ErrUnknownShard, shard)
+		case *localShard:
+			return s.h.inner.SubmitBatch(tenant, hevs)
+		case *remoteShard:
+			return s.submitBatch(tenant, hevs)
+		default:
+			for i, hev := range hevs {
+				if err := s.Submit(tenant, Event{Device: hev.Device, Value: hev.Value, Time: hev.Time, Seq: hev.Seq}); err != nil {
+					return i, err
+				}
+			}
+			return len(hevs), nil
 		}
-		return s.Submit(tenant, Event{Device: hev.Device, Value: hev.Value, Time: hev.Time, Seq: hev.Seq})
 	}
 }
 
@@ -515,7 +528,22 @@ func (f *Fleet) Submit(tenant string, ev Event) error {
 	if f.closed.Load() {
 		return ErrHubClosed
 	}
-	return f.router.Dispatch(tenant, hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq})
+	buf := hubBatches.Get().(*[wire.MaxEventBatch]hub.Event)
+	buf[0] = hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq}
+	_, err := f.router.DispatchBatch(tenant, buf[:1])
+	hubBatches.Put(buf)
+	return err
+}
+
+// submitWire enqueues a batch of wire events for a home: one route lookup
+// and one hold of the route per wire.MaxEventBatch events.
+func (f *Fleet) submitWire(tenant string, evs []wire.Event) (int, error) {
+	if f.closed.Load() {
+		return 0, ErrHubClosed
+	}
+	return submitChunks(&hubBatches, evs, hubEventOfWire, func(chunk []hub.Event) (int, error) {
+		return f.router.DispatchBatch(tenant, chunk)
+	})
 }
 
 // control runs fn against the home's serving shard with migrations

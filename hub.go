@@ -11,6 +11,7 @@ import (
 
 	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/timeseries"
+	"github.com/causaliot/causaliot/internal/wire"
 )
 
 // BackpressurePolicy selects what Hub.Submit does when a home's ingestion
@@ -503,6 +504,15 @@ func (h *Hub) Snapshot(tenant string, model, state io.Writer) error {
 // with ErrBackpressure.
 func (h *Hub) Submit(tenant string, ev Event) error {
 	return h.inner.Submit(tenant, hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq})
+}
+
+// submitWire enqueues a batch of wire events for a home: one tenant lookup
+// and one queue lock per wire.MaxEventBatch events, each event meeting the
+// home's backpressure policy as if submitted alone.
+func (h *Hub) submitWire(tenant string, evs []wire.Event) (int, error) {
+	return submitChunks(&hubBatches, evs, hubEventOfWire, func(chunk []hub.Event) (int, error) {
+		return h.inner.SubmitBatch(tenant, chunk)
+	})
 }
 
 // Swap hot-swaps a home's model: the retrained (or Extend-ed and reloaded)

@@ -81,27 +81,29 @@ func (b *fakeBackend) Deregister(tenant string) error {
 	return nil
 }
 
-func (b *fakeBackend) Submit(tenant string, ev wire.Event) error {
+func (b *fakeBackend) SubmitBatch(tenant string, evs []wire.Event) (int, error) {
 	b.mu.Lock()
 	t := b.tenants[tenant]
 	submitErr := b.submitErr
 	onSubmit := b.onSubmit
 	b.mu.Unlock()
 	if t == nil {
-		return errors.New("no such tenant")
+		return 0, errors.New("no such tenant")
 	}
-	if submitErr != nil {
-		if err := submitErr(tenant, ev); err != nil {
-			return err
+	for i, ev := range evs {
+		if submitErr != nil {
+			if err := submitErr(tenant, ev); err != nil {
+				return i, err
+			}
+		}
+		b.mu.Lock()
+		t.events = append(t.events, ev)
+		b.mu.Unlock()
+		if onSubmit != nil {
+			onSubmit(tenant, ev)
 		}
 	}
-	b.mu.Lock()
-	t.events = append(t.events, ev)
-	b.mu.Unlock()
-	if onSubmit != nil {
-		onSubmit(tenant, ev)
-	}
-	return nil
+	return len(evs), nil
 }
 
 func (b *fakeBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) error {
@@ -127,9 +129,9 @@ func (b *fakeBackend) Export(tenant string) (model, state []byte, err error) {
 	return append([]byte(nil), t.model...), append([]byte(nil), t.state...), nil
 }
 
-func (b *fakeBackend) Flush(tenant string) error        { return nil }
-func (b *fakeBackend) Drain(d time.Duration) error      { return nil }
-func (b *fakeBackend) StatsJSON() ([]byte, error)       { return []byte(`{"fake":true}`), nil }
+func (b *fakeBackend) Flush(tenant string) error   { return nil }
+func (b *fakeBackend) Drain(d time.Duration) error { return nil }
+func (b *fakeBackend) StatsJSON() ([]byte, error)  { return []byte(`{"fake":true}`), nil }
 func (b *fakeBackend) raise(tenant string, a wire.Alarm) {
 	b.mu.Lock()
 	t := b.tenants[tenant]

@@ -20,7 +20,7 @@ type LinkState int
 const (
 	// LinkConnected: a live link is attached and resumed.
 	LinkConnected LinkState = iota
-	// LinkDegraded: the link died; reconnects are running and Submit
+	// LinkDegraded: the link died; reconnects are running and SubmitBatch
 	// banks events in the per-tenant windows meanwhile.
 	LinkDegraded
 	// LinkGaveUp: MaxAttempts consecutive reconnects failed; the proxy is
@@ -359,20 +359,27 @@ func (p *Proxy) install(l *wire.Writer) error {
 }
 
 // flushTailLocked sends every window event above the tenant's sent mark and
-// advances the mark. On the hot path the tail is the one event Submit just
+// advances the mark. On the hot path the tail is the batch SubmitBatch just
 // added, and the link writer appends it to the tenant's open SubmitBatch
 // frame. Callers hold t.mu, which keeps the tail contiguous with any
-// concurrent Submit.
+// concurrent SubmitBatch.
 func (p *Proxy) flushTailLocked(l *wire.Writer, t *pxTenant) {
 	at := len(t.window)
 	for at > 0 && t.window[at-1].Link > t.sent {
 		at--
 	}
-	for _, be := range t.window[at:] {
-		if l.SendEvent(t.name, be, p.cfg.Batch) != nil {
-			return
-		}
-		t.sent = be.Link
+	if n, _ := l.SendEvents(t.name, t.window[at:], p.cfg.Batch); n > 0 {
+		t.sent = t.window[at+n-1].Link
+	}
+}
+
+// streamLocked sends the tenant's unsent tail when a live link of the
+// tenant's generation is attached. Callers hold t.mu.
+func (p *Proxy) streamLocked(t *pxTenant) {
+	if l, gen := p.current(); l != nil && gen == t.gen {
+		// A dropped send here is not a loss: the events stay in the window
+		// and the next resume retransmits them.
+		p.flushTailLocked(l, t)
 	}
 }
 
@@ -838,19 +845,46 @@ func (p *Proxy) Swap(tenant string, model []byte) error {
 	return nil
 }
 
-// Submit accepts one event into the tenant's window and, when the link is
-// live, streams it. While degraded the event banks and is delivered by the
-// resume retransmit. A full window blocks (Block policy) until acks drain
-// it, or returns wire backpressure (Reject).
+// Submit accepts one event: SubmitBatch with a batch of one.
 func (p *Proxy) Submit(tenant string, ev wire.Event) error {
+	evs := [1]wire.Event{ev}
+	_, err := p.SubmitBatch(tenant, evs[:])
+	return err
+}
+
+// SubmitBatch accepts evs into the tenant's window in order, under one hold
+// of the tenant lock, and when the link is live streams them. While
+// degraded the events bank and are delivered by the resume retransmit. A
+// full window blocks (Block policy) until acks drain it, or refuses the
+// event with wire backpressure (Reject). It returns how many events were
+// accepted and, when that is fewer than len(evs), the error refusing
+// evs[accepted].
+func (p *Proxy) SubmitBatch(tenant string, evs []wire.Event) (accepted int, err error) {
 	p.mu.Lock()
 	t := p.tenants[tenant]
 	p.mu.Unlock()
 	if t == nil {
-		return ErrUnknownTenant
+		return 0, ErrUnknownTenant
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i, ev := range evs {
+		if err := p.roomLocked(t); err != nil {
+			p.streamLocked(t)
+			return i, err
+		}
+		t.nextLink++
+		t.window = append(t.window, wire.BatchEvent{Link: t.nextLink, Ev: ev})
+	}
+	p.streamLocked(t)
+	return len(evs), nil
+}
+
+// roomLocked waits until the tenant's window has a free slot, or reports
+// why the next event is refused. Before a Block wait it streams the
+// batch's events already banked: the acks that free the window answer
+// them. Callers hold t.mu.
+func (p *Proxy) roomLocked(t *pxTenant) error {
 	for len(t.window) >= p.cfg.Window {
 		if t.dropped {
 			return ErrUnknownTenant
@@ -865,19 +899,13 @@ func (p *Proxy) Submit(tenant string, ev wire.Event) error {
 			return ErrLinkGaveUp
 		}
 		if t.reject {
-			return wire.ShardNack{Tenant: tenant, Code: wire.CodeBackpressure, Detail: "shard link window full"}
+			return wire.ShardNack{Tenant: t.name, Code: wire.CodeBackpressure, Detail: "shard link window full"}
 		}
+		p.streamLocked(t)
 		t.cond.Wait()
 	}
 	if t.dropped {
 		return ErrUnknownTenant
-	}
-	t.nextLink++
-	t.window = append(t.window, wire.BatchEvent{Link: t.nextLink, Ev: ev})
-	if l, gen := p.current(); l != nil && gen == t.gen {
-		// A dropped send here is not a loss: the event stays in the window
-		// and the next resume retransmits it.
-		p.flushTailLocked(l, t)
 	}
 	return nil
 }

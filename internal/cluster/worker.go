@@ -29,9 +29,12 @@ type Backend interface {
 	Swap(tenant string, model []byte) error
 	// Deregister removes a tenant.
 	Deregister(tenant string) error
-	// Submit enqueues one event. Errors are classified into ShardNack
-	// codes; they never stop the link.
-	Submit(tenant string, ev wire.Event) error
+	// SubmitBatch enqueues evs in order, stopping at the first refusal:
+	// it returns how many events were admitted and, when that is fewer
+	// than len(evs), the error refusing evs[admitted]. The events after it
+	// are not attempted. Errors are classified into ShardNack codes; they
+	// never stop the link.
+	SubmitBatch(tenant string, evs []wire.Event) (admitted int, err error)
 	// RouteAlarms directs the tenant's alarms into sink until replaced or
 	// cleared with a nil sink. The sink runs on the tenant's stream
 	// thread and must not block.
@@ -158,8 +161,8 @@ type bankedAlarm struct {
 // wkTenant is the durable per-tenant state that outlives any one link: the
 // decided watermark for exactly-once admission and the unconfirmed-alarm
 // replay ring. The two mutexes split the two concerns exactly like the wire
-// server's session: evMu is held across Backend.Submit (which may block
-// under a Block policy); the alarm sink takes only alarmMu.
+// server's session: evMu is held across Backend.SubmitBatch (which may
+// block under a Block policy); the alarm sink takes only alarmMu.
 type wkTenant struct {
 	name string
 
@@ -553,58 +556,86 @@ func (w *Worker) commitEnvelope(l *wire.Writer, pe *pendingEnvelope) {
 	w.ok(l, wire.OpRegister, t, name)
 }
 
-// decideBatch runs one SubmitBatch through the tenant watermark: each link
-// sequence is admitted exactly once across link incarnations; refusals come
-// back as ShardNack frames and still advance the watermark (decided), and
-// the AckEvery cadence emits cumulative ShardAcks.
-func (w *Worker) decideBatch(l *wire.Writer, tenant string, evs []wire.BatchEvent) {
+// linkScratch is a link reader's reusable decode and reply buffers.
+type linkScratch struct {
+	bes []wire.BatchEvent
+	evs []wire.Event
+	out []byte // ShardNack and ShardAck frames answering one batch
+}
+
+// decideBatch is the one admission path of a SubmitBatch frame, held in
+// sc.bes. Under one hold of the tenant's evMu it counts the prefix at or
+// below the watermark as duplicates (a retransmit overlap), admits the rest
+// in link order with one Backend.SubmitBatch call per refusal, and answers
+// each refused event with a ShardNack; every decided event advances the
+// watermark, and the frame earns at most one cumulative ShardAck. It
+// returns false only when the link must close.
+func (w *Worker) decideBatch(l *wire.Writer, tenant string, sc *linkScratch) bool {
 	t := w.tenant(tenant)
 	if t == nil {
 		frame, err := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
 		if err == nil {
 			l.Send(frame)
 		}
-		return
+		return true
 	}
-	for _, be := range evs {
-		t.evMu.Lock()
-		if be.Link <= t.watermark {
-			// Already decided by a previous delivery (retransmit overlap).
-			w.duplicates.Add(1)
+	t.evMu.Lock()
+	dup := 0
+	for dup < len(sc.bes) && sc.bes[dup].Link <= t.watermark {
+		dup++
+	}
+	fresh := sc.bes[dup:]
+	for i := 1; i < len(fresh); i++ {
+		if fresh[i].Link <= fresh[i-1].Link {
 			t.evMu.Unlock()
-			continue
+			w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "link sequence not increasing"})
+			return false
 		}
-		// evMu stays held across Submit: a zombie link racing the resumed
-		// one serializes here, keeping admission exactly-once and in link
-		// order. The alarm path never takes evMu, so a Block policy
-		// waiting out a full queue cannot deadlock the stream thread.
-		err := w.cfg.Backend.Submit(tenant, be.Ev)
-		t.watermark = be.Link
-		t.sinceAck++
-		var ack []byte
+	}
+	w.duplicates.Add(uint64(dup))
+	sc.evs = sc.evs[:0]
+	for _, be := range fresh {
+		sc.evs = append(sc.evs, be.Ev)
+	}
+	sc.out = sc.out[:0]
+	// evMu stays held across SubmitBatch: a zombie link racing the resumed
+	// one serializes here, keeping admission exactly-once and in link
+	// order. The alarm path never takes evMu, so a Block policy waiting out
+	// a full queue cannot deadlock the stream thread.
+	for evs, links := sc.evs, fresh; len(evs) > 0; {
+		n, err := w.cfg.Backend.SubmitBatch(tenant, evs)
+		if err == nil {
+			w.events.Add(uint64(len(evs)))
+			break
+		}
+		n = min(n, len(evs)-1)
+		w.events.Add(uint64(n))
+		w.nacks.Add(1)
+		if out, ferr := wire.AppendShardNack(sc.out, wire.ShardNack{Tenant: tenant, Link: links[n].Link, Code: w.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
+			sc.out = out
+		}
+		evs, links = evs[n+1:], links[n+1:]
+	}
+	if len(fresh) > 0 {
+		t.watermark = fresh[len(fresh)-1].Link
+		t.sinceAck += len(fresh)
 		if t.sinceAck >= w.cfg.AckEvery {
 			t.sinceAck = 0
-			ack, _ = wire.AppendShardAck(nil, tenant, t.watermark)
-		}
-		t.evMu.Unlock()
-		if err != nil {
-			w.nacks.Add(1)
-			frame, ferr := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Link: be.Link, Code: w.cfg.Classify(err), Detail: err.Error()})
-			if ferr == nil {
-				l.Send(frame)
+			if out, err := wire.AppendShardAck(sc.out, tenant, t.watermark); err == nil {
+				sc.out = out
 			}
-		} else {
-			w.events.Add(1)
-		}
-		if ack != nil {
-			l.Send(ack)
 		}
 	}
+	t.evMu.Unlock()
+	if len(sc.out) > 0 {
+		l.Send(sc.out)
+	}
+	return true
 }
 
 func (w *Worker) readLoop(l *wire.Writer, r *wire.Reader) {
 	pending := make(map[string]*pendingEnvelope)
-	var scratch []wire.BatchEvent
+	var sc linkScratch
 	var names wire.Names
 	idle := w.cfg.IdleTimeout
 	var deadlineAt time.Time
@@ -632,14 +663,14 @@ func (w *Worker) readLoop(l *wire.Writer, r *wire.Reader) {
 		}
 		switch t {
 		case wire.FrameSubmitBatch:
-			scratch = scratch[:0]
-			tenant, evs, err := names.ParseSubmitBatch(p, scratch)
-			if err != nil {
+			var tenant string
+			if tenant, sc.bes, err = names.ParseSubmitBatch(p, sc.bes[:0]); err != nil {
 				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed submit-batch"})
 				return
 			}
-			scratch = evs[:0]
-			w.decideBatch(l, tenant, evs)
+			if !w.decideBatch(l, tenant, &sc) {
+				return
+			}
 		case wire.FrameRegisterTenant:
 			reg, err := wire.ParseRegisterTenant(p)
 			if err != nil {

@@ -41,14 +41,21 @@ type entry struct {
 	gapCap    int
 	policy    hub.Policy
 	// submit is the tenant's shard enqueue sink, fixed at Activate. Storing
-	// it on the entry (instead of taking a closure per Dispatch call) keeps
-	// the per-event path allocation-free.
-	submit func(shard int, ev hub.Event) error
+	// it on the entry (instead of taking a closure per DispatchBatch call)
+	// keeps the event path allocation-free. It admits evs in order and
+	// reports, like hub.Hub.SubmitBatch, how many were admitted before the
+	// first refusal.
+	submit Sink
 }
+
+// Sink enqueues a batch of one tenant's events on a shard: it returns how
+// many were admitted and, when that is fewer than len(evs), the error
+// refusing evs[admitted]. The events after it are not attempted.
+type Sink func(shard int, evs []hub.Event) (admitted int, err error)
 
 // Router is the tenant→shard route table with live-migration support. All
 // methods are safe for concurrent use. One tenant's operations serialize on
-// its route entry: an event submission holds the entry across the shard
+// its route entry: an event batch holds the entry across the shard
 // enqueue, so a migration observes a clean cut — every event is either
 // enqueued on the source before the quiesce, buffered in the gap, or
 // submitted to the target after the flip. Nothing is lost and nothing runs
@@ -87,9 +94,9 @@ func (r *Router) Owner(tenant string) (int, bool) { return r.ring.Owner(tenant) 
 // Activate routes a tenant to a shard. The caller registers the tenant on
 // the shard's hub first, then activates the route, so a dispatched event
 // never reaches a hub that does not yet host the tenant. submit is the
-// tenant's enqueue sink: Dispatch and migration gap replay deliver events
-// through it to whichever shard currently serves the tenant.
-func (r *Router) Activate(tenant string, shard int, policy hub.Policy, gapCap int, submit func(shard int, ev hub.Event) error) error {
+// tenant's enqueue sink: DispatchBatch and migration gap replay deliver
+// events through it to whichever shard currently serves the tenant.
+func (r *Router) Activate(tenant string, shard int, policy hub.Policy, gapCap int, submit Sink) error {
 	if gapCap <= 0 {
 		gapCap = 1024
 	}
@@ -132,7 +139,8 @@ func (r *Router) Remove(tenant string) (shard int, ok bool) {
 
 // Route returns the shard currently serving a tenant; ok is false for an
 // unrouted tenant. The answer is advisory — a migration may flip it the
-// moment the lock is released; use Dispatch/Control for serialized access.
+// moment the lock is released; use DispatchBatch/Control for serialized
+// access.
 func (r *Router) Route(tenant string) (shard int, ok bool) {
 	r.mu.RLock()
 	e := r.entries[tenant]
@@ -185,42 +193,50 @@ func (r *Router) lookup(tenant string) (*entry, error) {
 	return e, nil
 }
 
-// Dispatch routes one event: when the tenant is serving, its Activate-time
-// submit sink is called with the owning shard while the route is held, so a
-// migration cannot flip it mid-enqueue. During a migration the event lands
-// in the gap buffer; a full gap applies the tenant's backpressure policy
-// (Block waits for the migration to finish, DropOldest evicts the oldest
-// buffered event, Reject fails with hub.ErrBackpressure).
-func (r *Router) Dispatch(tenant string, ev hub.Event) error {
+// DispatchBatch routes a batch of one tenant's events with one route lookup
+// and one hold of the route: when the tenant is serving, its Activate-time
+// submit sink is called once with the owning shard while the route is
+// held, so a migration cannot flip it mid-enqueue. During a migration each
+// event lands in the gap buffer on its own; a full gap applies the tenant's
+// backpressure policy (Block waits for the migration to finish and sends
+// the rest to the new shard, DropOldest evicts the oldest buffered event,
+// Reject fails with hub.ErrBackpressure). It returns how many events were
+// admitted and, when that is fewer than len(evs), the error refusing
+// evs[admitted].
+func (r *Router) DispatchBatch(tenant string, evs []hub.Event) (admitted int, err error) {
 	e, err := r.lookup(tenant)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for e.migrating {
+		if admitted == len(evs) {
+			return admitted, nil
+		}
+		ev := evs[admitted]
 		if len(e.gap) < e.gapCap {
 			e.gap = append(e.gap, ev)
-			e.mu.Unlock()
-			return nil
+			admitted++
+			continue
 		}
 		switch e.policy {
 		case hub.DropOldest:
 			copy(e.gap, e.gap[1:])
 			e.gap[len(e.gap)-1] = ev
 			r.gapDropped.Add(1)
-			e.mu.Unlock()
-			return nil
+			admitted++
 		case hub.Reject:
-			e.mu.Unlock()
-			return fmt.Errorf("%w: %q (migration gap)", hub.ErrBackpressure, tenant)
+			return admitted, fmt.Errorf("%w: %q (migration gap)", hub.ErrBackpressure, tenant)
 		default: // Block: wait for the migration to finish, then re-route
 			e.cond.Wait()
 		}
 	}
-	shard := e.shard
-	err = e.submit(shard, ev)
-	e.mu.Unlock()
-	return err
+	if admitted == len(evs) {
+		return admitted, nil
+	}
+	n, err := e.submit(e.shard, evs[admitted:])
+	return admitted + n, err
 }
 
 // Control runs fn against the tenant's serving shard with migration
@@ -288,12 +304,17 @@ func (r *Router) Migrate(tenant string, to int, handoff func(from int) error) (i
 		target = from // abort: resume serving on the source
 	}
 	var rerr error
-	for _, ev := range e.gap {
-		// Replay every buffered event even after a failure so at most a
-		// suffix is affected, and surface the first error.
-		if err := e.submit(target, ev); err != nil && rerr == nil {
+	for rest := e.gap; len(rest) > 0; {
+		// Replay every buffered event even past a refusal, so only the
+		// refused events are affected, and surface the first error.
+		n, err := e.submit(target, rest)
+		if err == nil {
+			break
+		}
+		if rerr == nil {
 			rerr = err
 		}
+		rest = rest[min(n, len(rest)-1)+1:]
 	}
 	replayed := len(e.gap)
 	r.replayed.Add(uint64(replayed))

@@ -19,11 +19,17 @@ type sink struct {
 
 func newSink() *sink { return &sink{events: make(map[int][]hub.Event)} }
 
-func (s *sink) submit(shard int, ev hub.Event) error {
+func (s *sink) submit(shard int, evs []hub.Event) (int, error) {
 	s.mu.Lock()
-	s.events[shard] = append(s.events[shard], ev)
+	s.events[shard] = append(s.events[shard], evs...)
 	s.mu.Unlock()
-	return nil
+	return len(evs), nil
+}
+
+// dispatch routes one event as a batch of one.
+func dispatch(r *Router, tenant string, e hub.Event) error {
+	_, err := r.DispatchBatch(tenant, []hub.Event{e})
+	return err
 }
 
 func (s *sink) count(shard int) int {
@@ -44,13 +50,13 @@ func TestRouterDispatchRoutes(t *testing.T) {
 	if err := r.Activate("a", 1, hub.Block, 8, s.submit); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Dispatch("a", ev(1)); err != nil {
+	if err := dispatch(r, "a", ev(1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.count(1) != 1 || s.count(0) != 0 {
 		t.Fatalf("event landed on wrong shard: %v", s.events)
 	}
-	if err := r.Dispatch("nobody", ev(1)); !errors.Is(err, hub.ErrUnknownTenant) {
+	if err := dispatch(r, "nobody", ev(1)); !errors.Is(err, hub.ErrUnknownTenant) {
 		t.Fatalf("unrouted dispatch error = %v", err)
 	}
 	if err := r.Activate("a", 0, hub.Block, 8, s.submit); !errors.Is(err, ErrDuplicateTenant) {
@@ -85,7 +91,7 @@ func TestRouterMigrateReplaysGap(t *testing.T) {
 	<-entered
 	// Mid-migration submissions buffer in the gap, not on any shard.
 	for i := 0; i < 5; i++ {
-		if err := r.Dispatch("a", ev(i)); err != nil {
+		if err := dispatch(r, "a", ev(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +143,7 @@ func TestRouterMigrateAbortRollsBack(t *testing.T) {
 	}()
 	<-entered
 	for i := 0; i < 3; i++ {
-		if err := r.Dispatch("a", ev(i)); err != nil {
+		if err := dispatch(r, "a", ev(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,11 +190,11 @@ func TestRouterGapPolicies(t *testing.T) {
 	t.Run("reject", func(t *testing.T) {
 		r, release, done, s := start(hub.Reject, 2)
 		for i := 0; i < 2; i++ {
-			if err := r.Dispatch("a", ev(i)); err != nil {
+			if err := dispatch(r, "a", ev(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := r.Dispatch("a", ev(2)); !errors.Is(err, hub.ErrBackpressure) {
+		if err := dispatch(r, "a", ev(2)); !errors.Is(err, hub.ErrBackpressure) {
 			t.Fatalf("full reject gap error = %v", err)
 		}
 		close(release)
@@ -203,7 +209,7 @@ func TestRouterGapPolicies(t *testing.T) {
 	t.Run("drop-oldest", func(t *testing.T) {
 		r, release, done, s := start(hub.DropOldest, 2)
 		for i := 0; i < 4; i++ {
-			if err := r.Dispatch("a", ev(i)); err != nil {
+			if err := dispatch(r, "a", ev(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -223,12 +229,12 @@ func TestRouterGapPolicies(t *testing.T) {
 	t.Run("block", func(t *testing.T) {
 		r, release, done, s := start(hub.Block, 2)
 		for i := 0; i < 2; i++ {
-			if err := r.Dispatch("a", ev(i)); err != nil {
+			if err := dispatch(r, "a", ev(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		unblocked := make(chan error, 1)
-		go func() { unblocked <- r.Dispatch("a", ev(2)) }()
+		go func() { unblocked <- dispatch(r, "a", ev(2)) }()
 		select {
 		case err := <-unblocked:
 			t.Fatalf("block-policy dispatch returned early: %v", err)
@@ -253,7 +259,7 @@ func TestRouterControlExcludesMigration(t *testing.T) {
 	r := NewRouter(0)
 	r.AddShard(0)
 	r.AddShard(1)
-	if err := r.Activate("a", 0, hub.Block, 8, func(int, hub.Event) error { return nil }); err != nil {
+	if err := r.Activate("a", 0, hub.Block, 8, func(_ int, evs []hub.Event) (int, error) { return len(evs), nil }); err != nil {
 		t.Fatal(err)
 	}
 	entered := make(chan struct{})
@@ -301,7 +307,7 @@ func TestRouterRemoveWaitsOutMigration(t *testing.T) {
 	r := NewRouter(0)
 	r.AddShard(0)
 	r.AddShard(1)
-	if err := r.Activate("a", 0, hub.Block, 8, func(int, hub.Event) error { return nil }); err != nil {
+	if err := r.Activate("a", 0, hub.Block, 8, func(_ int, evs []hub.Event) (int, error) { return len(evs), nil }); err != nil {
 		t.Fatal(err)
 	}
 	entered := make(chan struct{})
@@ -355,7 +361,7 @@ func TestRouterConcurrentDispatchMigrate(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if err := r.Dispatch("a", ev(p*perProducer+i)); err != nil {
+				if err := dispatch(r, "a", ev(p*perProducer+i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -396,7 +402,7 @@ func TestRouterConcurrentDispatchMigrateDropOldest(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if err := r.Dispatch("a", ev(p*perProducer+i)); err != nil {
+				if err := dispatch(r, "a", ev(p*perProducer+i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -439,7 +445,7 @@ func TestRouterConcurrentDispatchMigrateReject(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				err := r.Dispatch("a", ev(p*perProducer+i))
+				err := dispatch(r, "a", ev(p*perProducer+i))
 				if errors.Is(err, hub.ErrBackpressure) {
 					rej.Add(1)
 					continue
@@ -477,11 +483,13 @@ func TestRouterMigrateOrderPreserved(t *testing.T) {
 	r.AddShard(1)
 	var mu sync.Mutex
 	var arrivals []float64
-	submit := func(shard int, e hub.Event) error {
+	submit := func(shard int, evs []hub.Event) (int, error) {
 		mu.Lock()
-		arrivals = append(arrivals, e.Value)
+		for _, e := range evs {
+			arrivals = append(arrivals, e.Value)
+		}
 		mu.Unlock()
-		return nil
+		return len(evs), nil
 	}
 	if err := r.Activate("a", 0, hub.Block, 4096, submit); err != nil {
 		t.Fatal(err)
@@ -491,7 +499,7 @@ func TestRouterMigrateOrderPreserved(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			if err := r.Dispatch("a", ev(i)); err != nil {
+			if err := dispatch(r, "a", ev(i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -526,5 +534,53 @@ func TestRouterMigrateOrderPreserved(t *testing.T) {
 	}
 	if flips == 0 {
 		t.Fatal("no migration raced the stream")
+	}
+}
+
+// TestRouterDispatchBatch pins the batch path: a serving route hands the
+// whole batch to its sink in one call, and a migrating route gap-buffers
+// each event on its own, refusing (under Reject) the first that overflows
+// the gap and attempting none after it. A refusal in the gap replay skips
+// only the refused event.
+func TestRouterDispatchBatch(t *testing.T) {
+	r := NewRouter(0)
+	r.AddShard(0)
+	r.AddShard(1)
+	var calls []int
+	refuse := -1.0 // Value of the event the sink refuses
+	submit := func(shard int, evs []hub.Event) (int, error) {
+		calls = append(calls, len(evs))
+		for i, e := range evs {
+			if e.Value == refuse {
+				return i, hub.ErrBackpressure
+			}
+		}
+		return len(evs), nil
+	}
+	if err := r.Activate("a", 0, hub.Reject, 4, submit); err != nil {
+		t.Fatal(err)
+	}
+	batch := []hub.Event{ev(0), ev(1), ev(2), ev(3), ev(4), ev(5)}
+	if n, err := r.DispatchBatch("a", batch); n != 6 || err != nil {
+		t.Fatalf("serving DispatchBatch = %d, %v", n, err)
+	}
+	if fmt.Sprint(calls) != "[6]" {
+		t.Fatalf("sink calls %v, want one call with the whole batch", calls)
+	}
+	calls = nil
+	refuse = 1
+	replayed, err := r.Migrate("a", 1, func(int) error {
+		n, err := r.DispatchBatch("a", batch)
+		if n != 4 || !errors.Is(err, hub.ErrBackpressure) {
+			t.Errorf("migrating DispatchBatch = %d, %v; want 4, ErrBackpressure", n, err)
+		}
+		return nil
+	})
+	if replayed != 4 || !errors.Is(err, hub.ErrBackpressure) {
+		t.Fatalf("Migrate = %d, %v; want 4 replayed and the refusal surfaced", replayed, err)
+	}
+	// The gap [0 1 2 3] replays as one call, refused at 1, then [2 3].
+	if fmt.Sprint(calls) != "[4 2]" {
+		t.Fatalf("replay sink calls %v, want [4 2]", calls)
 	}
 }

@@ -1,0 +1,190 @@
+package hub
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+)
+
+func batchOf(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Device: "d", Value: float64(i), Seq: uint64(i + 1)}
+	}
+	return evs
+}
+
+// queued reads a tenant's queue in FIFO order.
+func queued(t *testing.T, h *Hub, name string) []float64 {
+	t.Helper()
+	tn, err := h.lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	out := make([]float64, tn.n)
+	for i := range out {
+		out[i] = tn.buf[(tn.head+i)%len(tn.buf)].Value
+	}
+	return out
+}
+
+// TestChaosSubmitBatchBlockOverflow submits, under Block, a batch ten times
+// the tenant's queue on a one-worker hub. The producer must schedule the
+// tenant before it waits for room, or nobody drains the events it already
+// queued and the batch never completes.
+func TestChaosSubmitBatchBlockOverflow(t *testing.T) {
+	h := New(Config{Workers: 1, QueueSize: 4, Policy: Block})
+	defer h.Close()
+	rec := &recorder{}
+	if err := h.Register("home", rec, TenantConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	evs := batchOf(40)
+	done := make(chan error, 1)
+	go func() {
+		n, err := h.SubmitBatch("home", evs)
+		if err == nil && n != len(evs) {
+			err = fmt.Errorf("admitted %d of %d", n, len(evs))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitBatch larger than the queue never completed")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rec.seen()) < len(evs) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	got := rec.seen()
+	if len(got) != len(evs) {
+		t.Fatalf("processed %d events, want %d", len(got), len(evs))
+	}
+	for i, v := range got {
+		if v != float64(i) {
+			t.Fatalf("event %d processed as %v: order broken", i, v)
+		}
+	}
+}
+
+// TestChaosSubmitBatchRejectPrefix pins Reject on a batch: the events that
+// fit are admitted, the first that does not is refused with
+// ErrBackpressure, and the rest are not attempted.
+func TestChaosSubmitBatchRejectPrefix(t *testing.T) {
+	h := workerlessHub(Config{QueueSize: 4, Policy: Reject})
+	if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := h.SubmitBatch("home", batchOf(7))
+	if n != 4 || !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("SubmitBatch = %d, %v; want 4, ErrBackpressure", n, err)
+	}
+	ts, _ := h.TenantStats("home")
+	if ts.Ingested != 4 || ts.Rejected != 1 {
+		t.Fatalf("ingested %d rejected %d, want 4 and 1", ts.Ingested, ts.Rejected)
+	}
+	if got := fmt.Sprint(queued(t, h, "home")); got != "[0 1 2 3]" {
+		t.Fatalf("queue = %s", got)
+	}
+}
+
+// TestChaosSubmitBatchDropOldestParity checks that a DropOldest batch
+// evicts exactly what the same events submitted one at a time evict.
+func TestChaosSubmitBatchDropOldestParity(t *testing.T) {
+	batch := workerlessHub(Config{QueueSize: 4, Policy: DropOldest})
+	single := workerlessHub(Config{QueueSize: 4, Policy: DropOldest})
+	for _, h := range []*Hub{batch, single} {
+		if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.SubmitBatch("home", batchOf(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := batchOf(11)
+	if n, err := batch.SubmitBatch("home", evs); n != len(evs) || err != nil {
+		t.Fatalf("SubmitBatch = %d, %v", n, err)
+	}
+	for _, ev := range evs {
+		if err := single.Submit("home", ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bq, sq := fmt.Sprint(queued(t, batch, "home")), fmt.Sprint(queued(t, single, "home"))
+	if bq != sq || bq != "[7 8 9 10]" {
+		t.Fatalf("batch queue %s, per-event queue %s, want both [7 8 9 10]", bq, sq)
+	}
+	bs, _ := batch.TenantStats("home")
+	ss, _ := single.TenantStats("home")
+	if bs.Dropped != ss.Dropped || bs.Ingested != ss.Ingested || bs.Dropped != 9 {
+		t.Fatalf("batch dropped %d ingested %d, per-event dropped %d ingested %d",
+			bs.Dropped, bs.Ingested, ss.Dropped, ss.Ingested)
+	}
+}
+
+// TestQuarantineProbeOneEventPerBatch pins the readmission probe on a
+// batch: a quarantined tenant whose backoff elapsed admits exactly one
+// event as the probe and refuses the next with ErrQuarantined.
+func TestQuarantineProbeOneEventPerBatch(t *testing.T) {
+	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	h := workerlessHub(Config{Clock: func() time.Time { return now }})
+	if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	tn, _ := h.lookup("home")
+	tn.mu.Lock()
+	tn.health, tn.quarantineUntil = Quarantined, now.Add(-time.Second)
+	tn.mu.Unlock()
+	n, err := h.SubmitBatch("home", batchOf(5))
+	if n != 1 || !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("SubmitBatch = %d, %v; want the probe admitted, then ErrQuarantined", n, err)
+	}
+	if n, err := h.SubmitBatch("home", batchOf(5)); n != 0 || !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("SubmitBatch while probing = %d, %v; want 0, ErrQuarantined", n, err)
+	}
+	ts, _ := h.TenantStats("home")
+	if ts.Health != Probing || ts.Ingested != 1 || ts.Shed != 2 {
+		t.Fatalf("health %s ingested %d shed %d, want probing, 1, 2", ts.Health, ts.Ingested, ts.Shed)
+	}
+}
+
+// TestChaosHubSubmitZeroAlloc pins Submit, a batch of one, and a full
+// SubmitBatch at zero steady-state allocations. The queue is emptied in
+// place between runs and the tenant stays scheduled, so the measurement
+// covers the submit path alone.
+func TestChaosHubSubmitZeroAlloc(t *testing.T) {
+	h := workerlessHub(Config{QueueSize: 128})
+	if err := h.Register("home", &keyedProc{}, TenantConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	ev := Event{Device: "d", Value: 1}
+	if err := h.Submit("home", ev); err != nil {
+		t.Fatal(err)
+	}
+	tn, _ := h.lookup("home")
+	evs := batchOf(64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := h.Submit("home", ev); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.SubmitBatch("home", evs); err != nil {
+			t.Fatal(err)
+		}
+		tn.mu.Lock()
+		tn.head, tn.n = 0, 0
+		tn.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Errorf("Submit + SubmitBatch allocate %.1f allocs/op steady-state, want 0", allocs)
+	}
+	if ts, _ := h.TenantStats("home"); ts.Ingested < 1000*65 {
+		t.Fatalf("ingested %d events; measurement was vacuous", ts.Ingested)
+	}
+}

@@ -395,18 +395,29 @@ func (h *Hub) lookup(name string) (*tenant, error) {
 	return t, nil
 }
 
-// Submit enqueues one event for a tenant. Under a full queue the tenant's
-// backpressure policy decides: Block waits, DropOldest evicts, Reject fails
-// with ErrBackpressure.
+// Submit enqueues one event for a tenant: SubmitBatch with a batch of one.
 func (h *Hub) Submit(name string, ev Event) error {
+	evs := [1]Event{ev}
+	_, err := h.SubmitBatch(name, evs[:])
+	return err
+}
+
+// SubmitBatch enqueues evs for a tenant in order, with one tenant lookup and
+// one acquisition of its queue lock. Each event meets the circuit breaker
+// and, under a full queue, the tenant's backpressure policy exactly as if it
+// were submitted alone: Block waits, DropOldest evicts, Reject fails with
+// ErrBackpressure. It returns how many events were admitted and, when that
+// is fewer than len(evs), the error refusing evs[admitted]; the events after
+// it are not attempted.
+func (h *Hub) SubmitBatch(name string, evs []Event) (admitted int, err error) {
 	if h.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	t, err := h.lookup(name)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return t.enqueue(ev)
+	return t.enqueue(evs)
 }
 
 // admitLocked applies the tenant's circuit breaker to one submission; the
@@ -428,10 +439,38 @@ func (t *tenant) admitLocked() error {
 	return fmt.Errorf("%w: %q", ErrQuarantined, t.name)
 }
 
-func (t *tenant) enqueue(ev Event) error {
+func (t *tenant) enqueue(evs []Event) (admitted int, err error) {
 	t.mu.Lock()
+	for i := range evs {
+		// A healthy tenant with room admits without consulting the
+		// breaker or the policy.
+		if t.health != Healthy || t.n == len(t.buf) || t.closed {
+			if err = t.admitOneLocked(); err != nil {
+				break
+			}
+		}
+		t.buf[(t.head+t.n)%len(t.buf)] = evs[i]
+		t.n++
+		admitted++
+	}
+	t.ingested.Add(uint64(admitted))
+	wake := admitted > 0 && !t.scheduled
+	if wake {
+		t.scheduled = true
+	}
+	t.mu.Unlock()
+	if wake {
+		t.hub.schedule(t)
+	}
+	return admitted, err
+}
+
+// admitOneLocked decides one event of a batch: the circuit breaker, then
+// the backpressure policy until the queue has a free slot. Under Block the
+// tenant is scheduled before the producer waits, so the events this batch
+// already queued drain and free the slot. The caller holds t.mu.
+func (t *tenant) admitOneLocked() error {
 	if err := t.admitLocked(); err != nil {
-		t.mu.Unlock()
 		return err
 	}
 	for t.n == len(t.buf) && !t.closed {
@@ -442,36 +481,26 @@ func (t *tenant) enqueue(ev Event) error {
 			t.dropped.Add(1)
 		case Reject:
 			t.rejected.Add(1)
-			t.mu.Unlock()
 			return fmt.Errorf("%w: %q", ErrBackpressure, t.name)
 		default: // Block
+			if !t.scheduled {
+				// Lock order is t.mu before qmu.
+				t.scheduled = true
+				t.hub.schedule(t)
+			}
 			t.notFull.Wait()
 			if t.hub.closed.Load() {
-				t.mu.Unlock()
 				return ErrClosed
 			}
 			// A quarantine trip while this producer was parked flushed
 			// the queue and woke it; the breaker decides again.
 			if err := t.admitLocked(); err != nil {
-				t.mu.Unlock()
 				return err
 			}
 		}
 	}
 	if t.closed {
-		t.mu.Unlock()
 		return fmt.Errorf("%w (tenant %q)", ErrClosed, t.name)
-	}
-	t.buf[(t.head+t.n)%len(t.buf)] = ev
-	t.n++
-	t.ingested.Add(1)
-	wake := !t.scheduled
-	if wake {
-		t.scheduled = true
-	}
-	t.mu.Unlock()
-	if wake {
-		t.hub.schedule(t)
 	}
 	return nil
 }

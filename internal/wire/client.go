@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -51,9 +52,15 @@ type ClientConfig struct {
 	OnSessionAlarm func(idx uint64, a Alarm)
 }
 
-// Client is one producer connection: Send streams event frames (buffered;
-// call Flush to push a partial batch), while a reader goroutine dispatches
-// the server's Nack and Alarm frames to the configured callbacks.
+// Client is one producer connection: Send streams events (buffered; call
+// Flush to push a partial batch), while a reader goroutine dispatches the
+// server's Nack and Alarm frames to the configured callbacks.
+//
+// A server whose Welcome announces CapEventBatch receives the events packed
+// into EventBatch frames: the client keeps one batch open and closes it on
+// Flush, at MaxEventBatch events, before it would outgrow the server's
+// frame limit, and before any other frame. Any other server receives one
+// Event frame per event.
 //
 // Send/Flush/Close are safe for concurrent use; the callbacks run on the
 // single reader goroutine.
@@ -65,6 +72,13 @@ type Client struct {
 	bw      *bufio.Writer
 	scratch []byte
 	closed  bool
+
+	// batchMax is the server's frame limit when it accepts EventBatch
+	// frames, 0 when it does not; batch holds the open EventBatch frame
+	// and batchN its event count (0: no batch open).
+	batchMax int
+	batch    []byte
+	batchN   int
 
 	readDone chan struct{}
 	errMu    sync.Mutex
@@ -140,9 +154,13 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	switch t {
 	case FrameWelcome:
-		if _, _, err := ParseWelcome(p); err != nil {
+		_, maxFrame, caps, err := ParseWelcome(p)
+		if err != nil {
 			nc.Close()
 			return nil, err
+		}
+		if caps&CapEventBatch != 0 {
+			c.batchMax = int(maxFrame)
 		}
 	case FrameNack:
 		n, perr := ParseNack(p)
@@ -279,30 +297,92 @@ func (c *Client) ResumeState() (watermark, alarmIdx uint64) {
 	return c.resumeWatermark, c.resumeAlarmIdx
 }
 
-// Send buffers one event frame toward the server. Frames are flushed when
-// the buffer fills; call Flush to push a partial batch (e.g. when pacing).
+// Send buffers one event toward the server. Frames are flushed when the
+// buffer fills; call Flush to push a partial batch (e.g. when pacing).
 // After the connection dies, Send returns the terminal error instead of
 // buffering into a dead pipe.
 func (c *Client) Send(ev Event) error {
-	return c.sendEvent(ev, AppendEvent)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.usableLocked(); err != nil {
+		return err
+	}
+	if c.batchMax == 0 {
+		return c.writeEventLocked(ev, AppendEvent)
+	}
+	if c.batchN > 0 {
+		buf, err := appendEventBody(c.batch, ev)
+		if err != nil {
+			return err
+		}
+		if len(buf)-headerLen <= c.batchMax {
+			c.batch = buf
+			return c.addedLocked()
+		}
+		if err := c.closeBatchLocked(); err != nil {
+			return err
+		}
+	}
+	buf, _ := begin(c.batch[:0], FrameEventBatch)
+	buf, err := appendEventBody(append(buf, 0, 0), ev)
+	if err != nil {
+		return err
+	}
+	if len(buf)-headerLen > c.batchMax {
+		// Too large even alone in a batch: a plain Event frame, which the
+		// server's limit refuses exactly as it would a v1 client's.
+		return c.writeEventLocked(ev, AppendEvent)
+	}
+	c.batch = buf
+	return c.addedLocked()
+}
+
+// addedLocked counts the event just appended to the open batch and closes
+// the batch once it holds MaxEventBatch events.
+func (c *Client) addedLocked() error {
+	c.batchN++
+	if c.batchN < MaxEventBatch {
+		return nil
+	}
+	return c.closeBatchLocked()
+}
+
+// closeBatchLocked patches the open EventBatch frame's length and count and
+// hands it to the buffered writer; a no-op when no batch is open.
+func (c *Client) closeBatchLocked() error {
+	if c.batchN == 0 {
+		return nil
+	}
+	binary.BigEndian.PutUint16(c.batch[headerLen+1:], uint16(c.batchN))
+	c.batchN = 0
+	_, err := c.bw.Write(frame(c.batch, headerLen))
+	c.batch = c.batch[:0]
+	return err
 }
 
 // SendRetx buffers one retransmitted event frame — identical payload to
-// Send under the EventRetx type, so the server's retransmit accounting
-// stays honest.
+// an Event frame under the EventRetx type, so the server's retransmit
+// accounting stays honest.
 func (c *Client) SendRetx(ev Event) error {
-	return c.sendEvent(ev, AppendEventRetx)
-}
-
-func (c *Client) sendEvent(ev Event, enc func([]byte, Event) ([]byte, error)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.usableLocked(); err != nil {
+		return err
+	}
+	if err := c.closeBatchLocked(); err != nil {
+		return err
+	}
+	return c.writeEventLocked(ev, AppendEventRetx)
+}
+
+func (c *Client) usableLocked() error {
 	if c.closed {
 		return ErrClientClosed
 	}
-	if err := c.Err(); err != nil {
-		return err
-	}
+	return c.Err()
+}
+
+func (c *Client) writeEventLocked(ev Event, enc func([]byte, Event) ([]byte, error)) error {
 	frame, err := enc(c.scratch[:0], ev)
 	if err != nil {
 		return err
@@ -324,13 +404,14 @@ func (c *Client) AckAlarm(idx uint64) error {
 	return c.sendRaw(AppendAlarmAck(nil, idx))
 }
 
+// sendRaw closes the open batch, then writes frame and flushes.
 func (c *Client) sendRaw(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
+	if err := c.usableLocked(); err != nil {
+		return err
 	}
-	if err := c.Err(); err != nil {
+	if err := c.closeBatchLocked(); err != nil {
 		return err
 	}
 	if _, err := c.bw.Write(frame); err != nil {
@@ -339,14 +420,15 @@ func (c *Client) sendRaw(frame []byte) error {
 	return c.bw.Flush()
 }
 
-// Flush pushes any buffered event frames onto the wire.
+// Flush closes the open batch and pushes every buffered frame onto the
+// wire.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClientClosed
+	if err := c.usableLocked(); err != nil {
+		return err
 	}
-	if err := c.Err(); err != nil {
+	if err := c.closeBatchLocked(); err != nil {
 		return err
 	}
 	return c.bw.Flush()
@@ -363,6 +445,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.closeBatchLocked()
 	c.bw.Write(AppendBye(nil))
 	err := c.bw.Flush()
 	c.mu.Unlock()

@@ -381,11 +381,7 @@ func AppendSubmitBatch(dst []byte, tenant string, evs []BatchEvent) ([]byte, err
 
 // appendBatchEvent encodes one SubmitBatch entry onto dst.
 func appendBatchEvent(dst []byte, be BatchEvent) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint64(dst, be.Link)
-	dst = binary.BigEndian.AppendUint64(dst, be.Ev.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(be.Ev.Time.UnixNano()))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(be.Ev.Value))
-	return appendString(dst, be.Ev.Device)
+	return appendEventBody(binary.BigEndian.AppendUint64(dst, be.Link), be.Ev)
 }
 
 // ParseSubmitBatch decodes a SubmitBatch payload, appending the events to
@@ -397,9 +393,10 @@ func (names *Names) ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []Batc
 	n := int(d.u16())
 	// Each entry costs at least 34 payload bytes; refuse counts that
 	// cannot fit the remaining payload before allocating.
-	if n > len(d.p)/34+1 {
+	if d.fail || n > len(d.p)/(8+eventBodyMin) {
 		return "", evs, fmt.Errorf("%w: submit-batch", ErrBadFrame)
 	}
+	start := len(evs)
 	for i := 0; i < n && !d.fail; i++ {
 		be := BatchEvent{Link: d.u64()}
 		be.Ev.Seq = d.u64()
@@ -409,7 +406,7 @@ func (names *Names) ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []Batc
 		evs = append(evs, be)
 	}
 	if d.fail || tenant == "" {
-		return "", evs, fmt.Errorf("%w: submit-batch", ErrBadFrame)
+		return "", evs[:start], fmt.Errorf("%w: submit-batch", ErrBadFrame)
 	}
 	return tenant, evs, nil
 }

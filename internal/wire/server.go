@@ -18,10 +18,13 @@ type Backend interface {
 	// refuses the connection (classified into the Nack code by the
 	// server's Classify hook).
 	Authenticate(token, tenant string) error
-	// Submit enqueues one event for a tenant. Errors are classified and
+	// SubmitBatch enqueues evs for a tenant in order, stopping at the
+	// first refusal: it returns how many events were admitted and, when
+	// that is fewer than len(evs), the error refusing evs[admitted]. The
+	// events after it are not attempted. Errors are classified and
 	// surfaced to the producer as Nack frames; they never stop the
 	// connection.
-	Submit(tenant string, ev Event) error
+	SubmitBatch(tenant string, evs []Event) (admitted int, err error)
 	// RouteAlarms directs the tenant's alarms into sink until replaced or
 	// cleared with a nil sink. The sink is invoked on the tenant's stream
 	// thread and must not block.
@@ -57,8 +60,9 @@ type ServerConfig struct {
 	// goroutine. Defaults to 30s.
 	WriteTimeout time.Duration
 	// AckEvery is the cumulative-acknowledgement cadence for session
-	// connections: one Ack frame per this many decided events. Defaults
-	// to 32.
+	// connections: an Ack frame once at least this many events were
+	// decided since the last one. It is a floor, as a frame gets at most
+	// one Ack. Defaults to 32.
 	AckEvery int
 	// SessionAlarmBuffer caps each session's undelivered-alarm replay
 	// ring. Overflow evicts the oldest unconfirmed alarm and counts it in
@@ -147,9 +151,9 @@ type ServerStats struct {
 // bounded ring of unconfirmed alarms replayed on resume.
 //
 // Two mutexes split the two concerns deliberately: evMu is held across
-// Backend.Submit (which may block under a Block backpressure policy), and
-// the alarm sink — invoked on the tenant's stream thread, which must never
-// wait behind a blocked Submit — takes only alarmMu.
+// Backend.SubmitBatch (which may block under a Block backpressure policy),
+// and the alarm sink — invoked on the tenant's stream thread, which must
+// never wait behind a blocked SubmitBatch — takes only alarmMu.
 type session struct {
 	tenant, name string
 
@@ -330,6 +334,11 @@ type srvConn struct {
 	sess   *session // attached by a Resume frame; nil on plain connections
 	clean  bool     // Bye received: teardown retires the session
 
+	// Reader-loop scratch, reused for every event frame: the decoded
+	// events and the Nack and Ack frames one decision answers with.
+	evs []Event
+	out []byte
+
 	alarmDropLogged atomic.Bool
 }
 
@@ -347,9 +356,15 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	s.conns[c] = struct{}{}
 	s.mu.Unlock()
+	authed := false
 	defer func() {
 		c.w.Finish()
 		s.teardown(c)
+		// Only now has the connection let go of its session: a caller
+		// that saw ActiveConns drop finds alarms banked, not pushed.
+		if authed {
+			s.active.Add(-1)
+		}
 	}()
 
 	r := NewReader(nc, s.cfg.MaxFrame)
@@ -368,7 +383,7 @@ func (s *Server) handle(nc net.Conn) {
 	// re-arms its own idle deadline before every read.
 	nc.SetReadDeadline(time.Time{})
 	s.active.Add(1)
-	defer s.active.Add(-1)
+	authed = true
 	s.readLoop(c, r, sessionIntent)
 }
 
@@ -452,7 +467,7 @@ func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, refusal *Nack
 		}
 	}
 	c.tenant = tenant
-	c.w.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame)))
+	c.w.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame), CapEventBatch))
 	return sessionIntent, nil, nil
 }
 
@@ -606,65 +621,77 @@ func (s *Server) pushAlarm(c *srvConn, a Alarm) {
 	}
 }
 
-// decideEvent runs one event frame through the session watermark (exactly
-// once per sequence number) or straight to the backend for plain
-// connections. It returns false only when the connection must close.
-func (s *Server) decideEvent(c *srvConn, ev Event, retx bool) bool {
+// decide is the one admission path of every event frame (Event, EventRetx
+// and EventBatch alike). On a session connection it takes evMu once for the
+// frame, counts the prefix at or below the watermark as duplicates
+// (acknowledged, never re-admitted), and admits the rest in order; every
+// decided event advances the watermark, and the frame earns at most one
+// cumulative Ack. It returns false only when the connection must close.
+func (s *Server) decide(c *srvConn, evs []Event, retx bool) bool {
 	if retx {
-		s.retransmits.Add(1)
+		s.retransmits.Add(uint64(len(evs)))
 	}
+	c.out = c.out[:0]
 	sess := c.sess
-	var ack []byte
-	if sess != nil {
-		sess.evMu.Lock()
-		if ev.Seq <= sess.watermark {
-			// Already decided by a previous delivery: acknowledged (the
-			// cumulative ack below covers it) but never re-admitted.
-			s.duplicates.Add(1)
-			sess.sinceAck++
-			if sess.sinceAck >= s.cfg.AckEvery {
-				sess.sinceAck = 0
-				ack = AppendAck(nil, sess.watermark)
-			}
-			sess.evMu.Unlock()
-			if ack != nil {
-				c.w.Send(ack)
-			}
-			return true
-		}
-		// evMu stays held across Submit: a zombie connection racing the
-		// resumed one serializes here, keeping admission exactly-once and
-		// in sequence order. The alarm path never takes evMu, so a Block
-		// policy waiting out a full queue cannot deadlock the stream
-		// thread.
-		err := s.cfg.Backend.Submit(c.tenant, ev)
-		sess.watermark = ev.Seq
-		sess.sinceAck++
-		if sess.sinceAck >= s.cfg.AckEvery {
-			sess.sinceAck = 0
-			ack = AppendAck(nil, ev.Seq)
-		}
-		sess.evMu.Unlock()
-		s.finishDecide(c, ev, err)
-		if ack != nil {
-			c.w.Send(ack)
+	if sess == nil {
+		s.submit(c, evs)
+		if len(c.out) > 0 {
+			c.w.Send(c.out)
 		}
 		return true
 	}
-	s.finishDecide(c, ev, s.cfg.Backend.Submit(c.tenant, ev))
+	sess.evMu.Lock()
+	dup := 0
+	for dup < len(evs) && evs[dup].Seq <= sess.watermark {
+		dup++
+	}
+	fresh := evs[dup:]
+	for i := 1; i < len(fresh); i++ {
+		if fresh[i].Seq <= fresh[i-1].Seq {
+			sess.evMu.Unlock()
+			c.nackClose(Nack{Code: CodeProtocol, Detail: ErrSeqOrder.Error()})
+			return false
+		}
+	}
+	s.duplicates.Add(uint64(dup))
+	// evMu stays held across SubmitBatch: a zombie connection racing the
+	// resumed one serializes here, keeping admission exactly-once and in
+	// sequence order. The alarm path never takes evMu, so a Block policy
+	// waiting out a full queue cannot deadlock the stream thread.
+	s.submit(c, fresh)
+	if len(fresh) > 0 {
+		sess.watermark = fresh[len(fresh)-1].Seq
+	}
+	sess.sinceAck += len(evs)
+	if sess.sinceAck >= s.cfg.AckEvery {
+		sess.sinceAck = 0
+		c.out = AppendAck(c.out, sess.watermark)
+	}
+	sess.evMu.Unlock()
+	if len(c.out) > 0 {
+		c.w.Send(c.out)
+	}
 	return true
 }
 
-func (s *Server) finishDecide(c *srvConn, ev Event, err error) {
-	if err != nil {
-		s.nacks.Add(1)
-		frame, ferr := AppendNack(nil, Nack{Seq: ev.Seq, Code: s.cfg.Classify(err), Detail: err.Error()})
-		if ferr == nil {
-			c.w.Send(frame)
+// submit hands evs to the backend, resuming past each refusal, and appends
+// one Nack per refused event to c.out. Counters move before the frames are
+// sent, so a producer that has read a Nack finds it in Stats.
+func (s *Server) submit(c *srvConn, evs []Event) {
+	for len(evs) > 0 {
+		n, err := s.cfg.Backend.SubmitBatch(c.tenant, evs)
+		if err == nil {
+			s.events.Add(uint64(len(evs)))
+			return
 		}
-		return
+		n = min(n, len(evs)-1)
+		s.events.Add(uint64(n))
+		s.nacks.Add(1)
+		if out, ferr := AppendNack(c.out, Nack{Seq: evs[n].Seq, Code: s.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
+			c.out = out
+		}
+		evs = evs[n+1:]
 	}
-	s.events.Add(1)
 }
 
 func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
@@ -708,7 +735,16 @@ func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
 				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event"})
 				return
 			}
-			if !s.decideEvent(c, ev, t == FrameEventRetx) {
+			c.evs = append(c.evs[:0], ev)
+			if !s.decide(c, c.evs, t == FrameEventRetx) {
+				return
+			}
+		case FrameEventBatch:
+			if c.evs, err = names.ParseEventBatch(p, c.evs[:0]); err != nil {
+				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event batch"})
+				return
+			}
+			if !s.decide(c, c.evs, false) {
 				return
 			}
 		case FrameResume:

@@ -18,7 +18,8 @@ type fakeBackend struct {
 	mu     sync.Mutex
 	events []Event
 	sinks  map[string]func(Alarm)
-	reject error // when non-nil, every Submit fails with this
+	reject error             // when non-nil, every event is refused with this
+	refuse func(Event) error // when non-nil, refuses the events it errors on
 }
 
 var errFakeUnknownTenant = errors.New("fake: unknown tenant")
@@ -39,14 +40,21 @@ func (b *fakeBackend) Authenticate(token, tenant string) error {
 	return nil
 }
 
-func (b *fakeBackend) Submit(tenant string, ev Event) error {
+func (b *fakeBackend) SubmitBatch(tenant string, evs []Event) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.reject != nil {
-		return b.reject
+		return 0, b.reject
 	}
-	b.events = append(b.events, ev)
-	return nil
+	for i, ev := range evs {
+		if b.refuse != nil {
+			if err := b.refuse(ev); err != nil {
+				return i, err
+			}
+		}
+		b.events = append(b.events, ev)
+	}
+	return len(evs), nil
 }
 
 func (b *fakeBackend) RouteAlarms(tenant string, sink func(Alarm)) error {

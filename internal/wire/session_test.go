@@ -219,7 +219,7 @@ func runKillServer(t *testing.T, point killPoint) string {
 		if _, _, err := r.Next(); err != nil { // the Hello
 			return
 		}
-		nc.Write(AppendWelcome(nil, DefaultMaxFrame))
+		nc.Write(AppendWelcome(nil, DefaultMaxFrame, CapEventBatch))
 		switch point {
 		case killPostHello:
 			return

@@ -120,7 +120,18 @@ const (
 	// server prunes its replay ring up to the carried index, so ring
 	// evictions only ever discard alarms the client has not confirmed.
 	FrameAlarmAck FrameType = 14
+	// FrameEventBatch carries several events in one frame: a u16 count,
+	// then each event as an Event payload. A client sends it only to a
+	// server whose Welcome announced CapEventBatch.
+	FrameEventBatch FrameType = 15
 )
+
+// CapEventBatch is the Welcome capability bit announcing that the server
+// accepts FrameEventBatch. It rides a trailing byte that v1 clients ignore.
+const CapEventBatch = 1 << 0
+
+// MaxEventBatch caps the events a Client packs into one FrameEventBatch.
+const MaxEventBatch = 64
 
 func (t FrameType) String() string {
 	switch t {
@@ -152,6 +163,8 @@ func (t FrameType) String() string {
 		return "session-alarm"
 	case FrameAlarmAck:
 		return "alarm-ack"
+	case FrameEventBatch:
+		return "event-batch"
 	case FrameShardHello:
 		return "shard-hello"
 	case FrameShardWelcome:
@@ -371,36 +384,61 @@ func ParseHello(p []byte) (version uint8, token, tenant string, session bool, er
 	return version, token, tenant, session, nil
 }
 
-// AppendWelcome encodes a Welcome frame onto dst.
-func AppendWelcome(dst []byte, maxFrame uint32) []byte {
+// AppendWelcome encodes a Welcome frame onto dst: the v1 payload plus a
+// trailing byte of capability bits (CapEventBatch).
+func AppendWelcome(dst []byte, maxFrame uint32, caps uint8) []byte {
 	dst, at := begin(dst, FrameWelcome)
 	dst = append(dst, Version)
 	dst = binary.BigEndian.AppendUint32(dst, maxFrame)
+	dst = append(dst, caps)
 	return frame(dst, at)
 }
 
-// ParseWelcome decodes a Welcome payload.
-func ParseWelcome(p []byte) (version uint8, maxFrame uint32, err error) {
+// ParseWelcome decodes a Welcome payload. caps is zero for a server that
+// sends no capability byte.
+func ParseWelcome(p []byte) (version uint8, maxFrame uint32, caps uint8, err error) {
 	d := decoder{p: p}
 	version = d.u8()
 	maxFrame = d.u32()
 	if d.fail {
-		return 0, 0, fmt.Errorf("%w: welcome", ErrBadFrame)
+		return 0, 0, 0, fmt.Errorf("%w: welcome", ErrBadFrame)
 	}
-	return version, maxFrame, nil
+	if len(d.p) > 0 {
+		caps = d.p[0]
+	}
+	return version, maxFrame, caps, nil
 }
 
 // AppendEvent encodes an Event frame onto dst.
 func AppendEvent(dst []byte, ev Event) ([]byte, error) {
 	dst, at := begin(dst, FrameEvent)
-	dst = binary.BigEndian.AppendUint64(dst, ev.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(ev.Time.UnixNano()))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(ev.Value))
-	var err error
-	if dst, err = appendString(dst, ev.Device); err != nil {
+	dst, err := appendEventBody(dst, ev)
+	if err != nil {
 		return nil, err
 	}
 	return frame(dst, at), nil
+}
+
+// eventBodyMin is the smallest encoded event: seq, time and value plus an
+// empty device name's length prefix.
+const eventBodyMin = 8 + 8 + 8 + 2
+
+// appendEventBody encodes one Event payload, the entry codec of both the
+// Event and the EventBatch frame.
+func appendEventBody(dst []byte, ev Event) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint64(dst, ev.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ev.Time.UnixNano()))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(ev.Value))
+	return appendString(dst, ev.Device)
+}
+
+// event decodes one Event payload into ev, in place: batch decoders fill
+// the slice element they appended instead of copying a returned struct.
+func (d *decoder) event(ev *Event) {
+	ev.Seq = d.u64()
+	ev.Time = time.Unix(0, int64(d.u64())).UTC()
+	ev.Value = math.Float64frombits(d.u64())
+	ev.Device = d.str()
 }
 
 // ParseEvent decodes an Event payload.
@@ -410,16 +448,34 @@ func ParseEvent(p []byte) (Event, error) { return (*Names)(nil).ParseEvent(p) }
 // from the table.
 func (names *Names) ParseEvent(p []byte) (Event, error) {
 	d := decoder{p: p, names: names}
-	ev := Event{
-		Seq:   d.u64(),
-		Time:  time.Unix(0, int64(d.u64())).UTC(),
-		Value: math.Float64frombits(d.u64()),
-	}
-	ev.Device = d.str()
+	var ev Event
+	d.event(&ev)
 	if d.fail {
 		return Event{}, fmt.Errorf("%w: event", ErrBadFrame)
 	}
 	return ev, nil
+}
+
+// ParseEventBatch decodes an EventBatch payload, appending the events to
+// evs (reuse a scratch slice to keep the decode allocation-free), with the
+// device names taken from the table. Client.Send encodes the frame.
+func (names *Names) ParseEventBatch(p []byte, evs []Event) ([]Event, error) {
+	d := decoder{p: p, names: names}
+	n := int(d.u16())
+	// A count the remaining payload cannot hold is malformed; refuse it
+	// before appending anything.
+	if d.fail || n > len(d.p)/eventBodyMin {
+		return evs, fmt.Errorf("%w: event-batch", ErrBadFrame)
+	}
+	start := len(evs)
+	for i := 0; i < n && !d.fail; i++ {
+		evs = append(evs, Event{})
+		d.event(&evs[len(evs)-1])
+	}
+	if d.fail {
+		return evs[:start], fmt.Errorf("%w: event-batch", ErrBadFrame)
+	}
+	return evs, nil
 }
 
 // AppendNack encodes a Nack frame onto dst.

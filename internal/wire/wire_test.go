@@ -213,13 +213,17 @@ func TestAlarmRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeByeRoundTrip(t *testing.T) {
-	ft, p := readOne(t, AppendWelcome(nil, 12345), 0)
+	ft, p := readOne(t, AppendWelcome(nil, 12345, CapEventBatch), 0)
 	if ft != FrameWelcome {
 		t.Fatalf("type = %v", ft)
 	}
-	ver, max, err := ParseWelcome(p)
-	if err != nil || ver != Version || max != 12345 {
-		t.Fatalf("welcome = %d %d %v", ver, max, err)
+	ver, max, caps, err := ParseWelcome(p)
+	if err != nil || ver != Version || max != 12345 || caps != CapEventBatch {
+		t.Fatalf("welcome = %d %d %d %v", ver, max, caps, err)
+	}
+	// A v1 Welcome (no capability byte) parses with no capabilities.
+	if _, _, caps, err := ParseWelcome(p[:5]); err != nil || caps != 0 {
+		t.Fatalf("v1 welcome caps = %d, %v", caps, err)
 	}
 	if ft, _ := readOne(t, AppendBye(nil), 0); ft != FrameBye {
 		t.Fatalf("bye type = %v", ft)
@@ -318,7 +322,7 @@ func TestCodeAndFrameTypeStrings(t *testing.T) {
 	if Code(200).String() != "code(200)" {
 		t.Errorf("unknown code string = %q", Code(200).String())
 	}
-	for ft := FrameHello; ft <= FrameAlarmAck; ft++ {
+	for ft := FrameHello; ft <= FrameEventBatch; ft++ {
 		if strings.HasPrefix(ft.String(), "frame(") {
 			t.Errorf("frame type %d has no name", ft)
 		}

@@ -17,7 +17,7 @@ const maxRetainedBuf = 64 << 10
 // Writer is a connection's single outbound path. Senders append encoded
 // frames under a mutex into one pending buffer; one goroutine swaps the
 // buffer out and writes it whole, so whatever accumulated while the
-// previous write was in flight costs one syscall. SendEvent extends the
+// previous write was in flight costs one syscall. SendEvents extends the
 // open SubmitBatch frame in place, so a burst of one tenant's events
 // travels as one frame. Frames reach the socket in the order they were
 // sent. All methods are safe for concurrent use.
@@ -101,6 +101,7 @@ func (w *Writer) send(frame []byte, block bool) bool {
 	}
 	if w.waitLocked() {
 		w.commitLocked(append(w.buf, frame...), -1)
+		w.mu.Unlock()
 	}
 	return true
 }
@@ -117,6 +118,7 @@ func (w *Writer) SendWait(frame []byte, timeout time.Duration) {
 	}
 	wrote := w.wrote
 	w.commitLocked(append(w.buf, frame...), -1)
+	w.mu.Unlock()
 	select {
 	case <-wrote:
 	case <-w.closed:
@@ -124,37 +126,43 @@ func (w *Writer) SendWait(frame []byte, timeout time.Duration) {
 	}
 }
 
-// SendEvent queues one event for tenant inside a SubmitBatch frame. When
-// the open batch is the last pending frame, belongs to tenant, holds fewer
-// than maxBatch events and stays within the peer's frame limit with this
-// event added, the event is appended to it in place and its length and
-// count are patched; otherwise a new batch opens (blocking like Send at the
-// frame cap). Every other kind of frame closes the open batch, so events
-// never overtake, or are overtaken by, a frame sent between them.
-func (w *Writer) SendEvent(tenant string, be BatchEvent, maxBatch int) error {
+// SendEvents queues events for tenant inside SubmitBatch frames under one
+// acquisition of the writer's lock. An event joins the open batch when that
+// batch is the last pending frame, belongs to tenant, holds fewer than
+// maxBatch events and stays within the peer's frame limit with the event
+// added; the batch's length and count are patched in place. Otherwise a new
+// batch opens, blocking like Send at the frame cap. Every other kind of
+// frame closes the open batch, so events never overtake, or are overtaken
+// by, a frame sent between them. It returns how many events were queued,
+// fewer than len(bes) only with the error of an event that cannot be
+// encoded; a failed or finished writer accepts and discards them all.
+func (w *Writer) SendEvents(tenant string, bes []BatchEvent, maxBatch int) (int, error) {
+	limit := min(maxBatch, math.MaxUint16)
 	w.mu.Lock()
-	if w.batch >= 0 && w.tenant == tenant && w.events < min(maxBatch, math.MaxUint16) {
-		if buf, err := appendBatchEvent(w.buf, be); err == nil && len(buf)-w.batch-headerLen <= w.peerMax {
-			w.events++
-			// The count follows the length, the type byte and the tenant.
-			binary.BigEndian.PutUint16(buf[w.batch+headerLen+3+len(tenant):], uint16(w.events))
-			w.buf = frame(buf, w.batch+headerLen)
-			w.mu.Unlock()
-			return nil
+	for i, be := range bes {
+		if w.batch >= 0 && w.tenant == tenant && w.events < limit {
+			if buf, err := appendBatchEvent(w.buf, be); err == nil && len(buf)-w.batch-headerLen <= w.peerMax {
+				w.events++
+				// The count follows the length, the type byte and the tenant.
+				binary.BigEndian.PutUint16(buf[w.batch+headerLen+3+len(tenant):], uint16(w.events))
+				w.buf = frame(buf, w.batch+headerLen)
+				continue
+			}
 		}
+		if !w.waitLocked() {
+			return len(bes), nil
+		}
+		at := len(w.buf)
+		buf, err := AppendSubmitBatch(w.buf, tenant, bes[i:i+1])
+		if err != nil {
+			w.mu.Unlock()
+			return i, err
+		}
+		w.tenant, w.events = tenant, 1
+		w.commitLocked(buf, at)
 	}
-	if !w.waitLocked() {
-		return nil
-	}
-	at := len(w.buf)
-	buf, err := AppendSubmitBatch(w.buf, tenant, []BatchEvent{be})
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.tenant, w.events = tenant, 1
-	w.commitLocked(buf, at)
-	return nil
+	w.mu.Unlock()
+	return len(bes), nil
 }
 
 // waitLocked blocks while the frame cap is reached and reports whether the
@@ -172,13 +180,12 @@ func (w *Writer) waitLocked() bool {
 
 // commitLocked installs buf, the pending buffer with one more frame
 // appended, and batch, the offset of that frame if it is an open
-// SubmitBatch (-1 otherwise); it releases w.mu and wakes the writer
-// goroutine if the buffer was empty.
+// SubmitBatch (-1 otherwise), and wakes the writer goroutine if the buffer
+// was empty. The kick never blocks, so it is sent under w.mu.
 func (w *Writer) commitLocked(buf []byte, batch int) {
 	wake := len(w.buf) == 0
 	w.buf, w.batch = buf, batch
 	w.frames++
-	w.mu.Unlock()
 	if wake {
 		select {
 		case w.kick <- struct{}{}:

@@ -118,14 +118,14 @@ func TestWireWriterMergesInSendOrder(t *testing.T) {
 	const n, batch = 19, 8
 	w, r := pluggedWriter(t, 64, DefaultMaxFrame)
 	for i := uint64(1); i <= n; i++ {
-		if err := w.SendEvent("A", batchEvent(i, "light"), batch); err != nil {
+		if err := sendEvent(w, "A", batchEvent(i, "light"), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	quiesce, _ := AppendTenantFrame(nil, FrameQuiesce, "A")
 	w.Send(quiesce)
 	for i := uint64(1); i <= 3; i++ {
-		if err := w.SendEvent("B", batchEvent(i, "door"), batch); err != nil {
+		if err := sendEvent(w, "B", batchEvent(i, "door"), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestWireWriterBatchLimits(t *testing.T) {
 	} {
 		w, r := pluggedWriter(t, 64, tc.peerMax)
 		for i := uint64(1); i <= 7; i++ {
-			if err := w.SendEvent("T", batchEvent(i, dev), tc.batch); err != nil {
+			if err := sendEvent(w, "T", batchEvent(i, dev), tc.batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -172,31 +172,31 @@ func TestWireWriterCapCountsFrames(t *testing.T) {
 	w, r := pluggedWriter(t, 3, DefaultMaxFrame)
 	w.Send(AppendPong(nil))
 	w.Send(AppendPong(nil))
-	if err := w.SendEvent("A", batchEvent(1, "light"), 8); err != nil {
+	if err := sendEvent(w, "A", batchEvent(1, "light"), 8); err != nil {
 		t.Fatal(err)
 	}
 	// At the cap: merging into the open batch adds no frame, so it still
 	// goes through; a new frame is refused or blocks.
-	assertReturns(t, "merging SendEvent", returned(func() { w.SendEvent("A", batchEvent(2, "light"), 8) }))
+	assertReturns(t, "merging SendEvents", returned(func() { sendEvent(w, "A", batchEvent(2, "light"), 8) }))
 	if w.TrySend(AppendPong(nil)) {
 		t.Fatal("TrySend accepted a frame at the cap")
 	}
 	send := returned(func() { w.Send(AppendPong(nil)) })
 	assertBlocked(t, "Send at the cap", send)
-	event := returned(func() { w.SendEvent("B", batchEvent(1, "light"), 8) })
-	assertBlocked(t, "SendEvent opening a batch at the cap", event)
+	event := returned(func() { sendEvent(w, "B", batchEvent(1, "light"), 8) })
+	assertBlocked(t, "SendEvents opening a batch at the cap", event)
 	var got []FrameType
 	for i := 0; i < 6; i++ {
 		ft, _ := nextFrame(t, r)
 		got = append(got, ft)
 	}
-	// The blocked Send and SendEvent race for the room the read frees.
+	// The blocked Send and SendEvents race for the room the read frees.
 	want := fmt.Sprint([]FrameType{FramePing, FramePong, FramePong, FrameSubmitBatch})
 	if fmt.Sprint(got[:4]) != want || got[4] == got[5] || got[4]+got[5] != FramePong+FrameSubmitBatch {
 		t.Fatalf("frames = %v, want %s then a pong and a submit-batch", got, want)
 	}
 	assertReturns(t, "Send after the peer read", send)
-	assertReturns(t, "SendEvent after the peer read", event)
+	assertReturns(t, "SendEvents after the peer read", event)
 }
 
 func TestWireWriterSendWaitReachesSocket(t *testing.T) {
@@ -217,12 +217,12 @@ func TestWireWriterFinishReleasesSenders(t *testing.T) {
 	w, _ := pluggedWriter(t, 1, 0)
 	w.Send(AppendPong(nil))
 	send := returned(func() { w.Send(AppendPong(nil)) })
-	event := returned(func() { w.SendEvent("A", batchEvent(1, "light"), 8) })
+	event := returned(func() { sendEvent(w, "A", batchEvent(1, "light"), 8) })
 	wait := returned(func() { w.SendWait(AppendPong(nil), time.Minute) })
 	assertBlocked(t, "Send at the cap", send)
 	w.Finish()
 	assertReturns(t, "Send after Finish", send)
-	assertReturns(t, "SendEvent after Finish", event)
+	assertReturns(t, "SendEvents after Finish", event)
 	assertReturns(t, "SendWait after Finish", wait)
 }
 
@@ -247,7 +247,7 @@ func TestWireWriterDiscardsAfterFailure(t *testing.T) {
 			if !w.TrySend(AppendPong(nil)) {
 				t.Fatal("TrySend refused on a failed writer")
 			}
-			if err := w.SendEvent("A", batchEvent(uint64(i+1), "light"), 8); err != nil {
+			if err := sendEvent(w, "A", batchEvent(uint64(i+1), "light"), 8); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -260,5 +260,26 @@ func TestWireWriterDiscardsAfterFailure(t *testing.T) {
 		}
 		w.Finish()
 		b.Close()
+	}
+}
+
+// sendEvent queues one event through SendEvents.
+func sendEvent(w *Writer, tenant string, be BatchEvent, maxBatch int) error {
+	_, err := w.SendEvents(tenant, []BatchEvent{be}, maxBatch)
+	return err
+}
+
+func TestWireWriterSendEventsSplitsOneCall(t *testing.T) {
+	w, r := pluggedWriter(t, 64, DefaultMaxFrame)
+	bes := make([]BatchEvent, 19)
+	for i := range bes {
+		bes[i] = batchEvent(uint64(i+1), "light")
+	}
+	if n, err := w.SendEvents("A", bes, 8); n != len(bes) || err != nil {
+		t.Fatalf("SendEvents = %d, %v", n, err)
+	}
+	nextFrame(t, r)
+	if sizes := readBatches(t, r, "A", len(bes), 0); fmt.Sprint(sizes) != "[8 8 3]" {
+		t.Fatalf("batch sizes = %v, want [8 8 3]", sizes)
 	}
 }

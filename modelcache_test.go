@@ -389,7 +389,7 @@ func TestExportSwapStress(t *testing.T) {
 // router dispatch through the stored shard sink into the tenant queue — at
 // zero steady-state allocations per submitted event. Occasional amortized
 // run-queue growth is tolerated by AllocsPerRun's integer averaging; a per-
-// event allocation (e.g. a closure rebuilt per Dispatch) fails immediately.
+// event allocation (e.g. a closure rebuilt per DispatchBatch) fails immediately.
 func TestFleetSubmitZeroAlloc(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
 	fl := NewFleet(FleetConfig{Shards: 1, Hub: HubConfig{Workers: 1, QueueSize: 1 << 15}})

@@ -114,12 +114,14 @@ func TestNetchaosSessionSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, ws := startWireServer(t, h, WireConfig{Token: "tok", AckEvery: 16})
+	// The fault window counts frames, and the client packs each flushed
+	// run of up to 20 events into one EventBatch frame.
 	proxy, err := netchaos.New(netchaos.Config{
 		Target:    addr,
 		Seed:      1234,
 		Weights:   netchaos.Weights{Kill: 0.5, Corrupt: 0.15, Trickle: 0.15},
-		MinFrames: 20,
-		MaxFrames: 120,
+		MinFrames: 2,
+		MaxFrames: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
