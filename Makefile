@@ -31,7 +31,7 @@ race:
 # router/migration suite, and the wire-protocol server tests, all under the
 # race detector.
 chaos: fleet-soak serve-smoke cluster-smoke netchaos
-	$(GO) test -race -run 'Chaos|Checkpoint|Quarantine|Wedged|Panic|CloseRace|Stress|SIGTERM|Adaptive|Soak|Fleet|Migrat|Router|Ring|Wire|Server|Session' \
+	$(GO) test -race -run 'Chaos|Checkpoint|Quarantine|Wedged|Panic|CloseRace|Stress|SIGTERM|Adaptive|Soak|Fleet|Migrat|Router|Ring|Wire|Server|Session|Stream' \
 		./internal/hub ./internal/faults ./internal/fleet ./internal/wire ./cmd/causaliot .
 
 # Network-chaos tier: the seeded TCP fault proxy (internal/netchaos) driving

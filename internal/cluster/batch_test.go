@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -161,5 +162,72 @@ func TestProxySubmitBatchLargerThanWindow(t *testing.T) {
 		if s != uint64(i+1) {
 			t.Fatalf("event %d has seq %d: order or loss", i, s)
 		}
+	}
+}
+
+// TestWorkerAckCountsDuplicates: a retransmitted batch entirely at or
+// below the watermark counts toward AckEvery like fresh events, so it
+// earns a ShardAck of its own.
+func TestWorkerAckCountsDuplicates(t *testing.T) {
+	backend := newFakeBackend("")
+	w, addr := startWorker(t, WorkerConfig{Backend: backend, AckEvery: 3})
+	l := dialRaw(t, addr)
+	reg, _ := wire.AppendRegisterTenant(nil, wire.RegisterTenant{Tenant: "t1"})
+	done, _ := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, "t1")
+	l.write(append(reg, done...))
+	if ft, _ := l.next(); ft != wire.FrameTenantOK {
+		t.Fatalf("register: got %s", ft)
+	}
+	for _, round := range []string{"fresh", "duplicate"} {
+		l.batch("t1", 1, 3)
+		if got := fmt.Sprint(l.reply()); got != "[ack 3]" {
+			t.Fatalf("%s batch replies %s, want [ack 3]", round, got)
+		}
+	}
+	if st := w.Stats(); st.Events != 3 || st.Duplicates != 3 {
+		t.Fatalf("events %d duplicates %d, want 3 and 3", st.Events, st.Duplicates)
+	}
+}
+
+// admitAll is a backend that admits every event without recording it.
+type admitAll struct{ *fakeBackend }
+
+func (admitAll) SubmitBatch(_ string, evs []wire.Event) (int, error) { return len(evs), nil }
+
+// TestWorkerDecideZeroAlloc pins the worker's decide — one SubmitBatch
+// frame through its tenant's watermark, the backend call and the
+// cumulative ShardAck — at zero steady-state allocations.
+func TestWorkerDecideZeroAlloc(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Backend: admitAll{newFakeBackend("")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tenants["t1"] = &wkTenant{name: "t1"}
+	a, peer := net.Pipe()
+	defer a.Close()
+	go io.Copy(io.Discard, peer)
+	k := &link{w: w, l: wire.NewWriter(a, 1024, 0, 0, nil)}
+	defer k.l.Finish()
+	k.bes = make([]wire.BatchEvent, wire.MaxEventBatch)
+	for i := range k.bes {
+		k.bes[i].Ev = testEvent(uint64(i + 1))
+	}
+	var seq uint64
+	run := func() {
+		for i := range k.bes {
+			seq++
+			k.bes[i].Link = seq
+		}
+		k.tenant = "t1"
+		if err := k.decide(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(1000, run); n != 0 {
+		t.Fatalf("worker decide: %v allocs per %d-event batch, want 0", n, wire.MaxEventBatch)
+	}
+	if st := w.Stats(); st.Events != seq || st.Duplicates != 0 {
+		t.Fatalf("events %d duplicates %d, want %d admitted", st.Events, st.Duplicates, seq)
 	}
 }

@@ -192,17 +192,7 @@ func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
 
 // killLinks severs every live worker-side connection, simulating a network
 // cut without stopping the worker.
-func (w *Worker) killLinks() {
-	w.mu.Lock()
-	links := make([]*wire.Writer, 0, len(w.links))
-	for l := range w.links {
-		links = append(links, l)
-	}
-	w.mu.Unlock()
-	for _, l := range links {
-		l.Conn().Close()
-	}
-}
+func (w *Worker) killLinks() { w.ep.CloseConns() }
 
 func waitCond(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -595,9 +585,7 @@ func TestWorkerHalfOpenReap(t *testing.T) {
 		t.Fatal("half-open connection was not closed by the worker")
 	}
 	waitCond(t, 5*time.Second, "link reap", func() bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return len(w.links) == 0
+		return w.ep.Conns() == 0
 	})
 	if st := w.Stats(); st.AuthFailures == 0 {
 		t.Fatalf("half-open eviction not counted: %+v", st)
@@ -715,7 +703,7 @@ func TestClusterResumeAfterWorkerRestart(t *testing.T) {
 	defer func() { w2.Close(); <-done2 }()
 
 	waitCond(t, 10*time.Second, "link recovery", func() bool {
-		return p.Stats().Reconnects >= 1 && p.State() == LinkConnected
+		return p.Stats().Reconnects >= 1 && p.State() == wire.StateConnected
 	})
 	// The tenant is stranded (the new worker never saw it) but the link is
 	// healthy: a fresh registration works.
@@ -751,15 +739,15 @@ func TestChunked(t *testing.T) {
 
 // TestLinkStateString pins the state names used in health JSON.
 func TestLinkStateString(t *testing.T) {
-	want := map[LinkState]string{LinkConnected: "connected", LinkDegraded: "degraded", LinkGaveUp: "gave-up"}
+	want := map[wire.SessionState]string{wire.StateConnected: "connected", wire.StateDegraded: "degraded", wire.StateGaveUp: "gave-up"}
 	keys := make([]int, 0, len(want))
 	for k := range want {
 		keys = append(keys, int(k))
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		if got := LinkState(k).String(); got != want[LinkState(k)] {
-			t.Errorf("LinkState(%d).String() = %q, want %q", k, got, want[LinkState(k)])
+		if got := wire.SessionState(k).String(); got != want[wire.SessionState(k)] {
+			t.Errorf("SessionState(%d).String() = %q, want %q", k, got, want[wire.SessionState(k)])
 		}
 	}
 }

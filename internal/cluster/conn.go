@@ -8,7 +8,11 @@
 // §11 for the protocol and the handoff state machine.
 package cluster
 
-import "errors"
+import (
+	"errors"
+
+	"github.com/causaliot/causaliot/internal/wire"
+)
 
 // Cluster link errors.
 var (
@@ -40,4 +44,27 @@ func chunked(b []byte, size int) [][]byte {
 		out = append(out, b)
 	}
 	return out
+}
+
+// envelopeFrames appends to frames one checkpoint envelope as EnvelopeChunk
+// frames of at most size bytes, model before state, then the EnvelopeDone
+// commit.
+func envelopeFrames(frames [][]byte, tenant string, model, state []byte, size int) ([][]byte, error) {
+	for _, part := range []struct {
+		kind uint8
+		data []byte
+	}{{wire.EnvModel, model}, {wire.EnvState, state}} {
+		for _, piece := range chunked(part.data, size) {
+			f, err := wire.AppendEnvelopeChunk(nil, wire.EnvelopeChunk{Tenant: tenant, Kind: part.kind, Data: piece})
+			if err != nil {
+				return nil, err
+			}
+			frames = append(frames, f)
+		}
+	}
+	done, err := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, tenant)
+	if err != nil {
+		return nil, err
+	}
+	return append(frames, done), nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -13,33 +12,6 @@ import (
 
 	"github.com/causaliot/causaliot/internal/wire"
 )
-
-// LinkState is a proxy's shard-link health.
-type LinkState int
-
-const (
-	// LinkConnected: a live link is attached and resumed.
-	LinkConnected LinkState = iota
-	// LinkDegraded: the link died; reconnects are running and SubmitBatch
-	// banks events in the per-tenant windows meanwhile.
-	LinkDegraded
-	// LinkGaveUp: MaxAttempts consecutive reconnects failed; the proxy is
-	// terminally down.
-	LinkGaveUp
-)
-
-func (s LinkState) String() string {
-	switch s {
-	case LinkConnected:
-		return "connected"
-	case LinkDegraded:
-		return "degraded"
-	case LinkGaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // ProxyConfig tunes a remote shard proxy.
 type ProxyConfig struct {
@@ -59,8 +31,6 @@ type ProxyConfig struct {
 	Window int
 	// OutBuffer sizes the outbound frame queue. Defaults to 1024.
 	OutBuffer int
-	// Batch caps events per SubmitBatch retransmit frame. Defaults 256.
-	Batch int
 	// DialTimeout bounds each dial plus handshake. Defaults to 5s.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each socket write. Defaults to 30s.
@@ -86,7 +56,7 @@ type ProxyConfig struct {
 	// from the reader goroutine; must not call back into the proxy.
 	OnNack func(wire.ShardNack)
 	// OnStateChange observes link state transitions; same restrictions.
-	OnStateChange func(LinkState)
+	OnStateChange func(wire.SessionState)
 	// Logf receives operational log lines; nil disables logging.
 	Logf func(format string, args ...any)
 }
@@ -101,9 +71,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	if c.OutBuffer <= 0 {
 		c.OutBuffer = 1024
 	}
-	if c.Batch <= 0 {
-		c.Batch = 256
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
@@ -116,24 +83,12 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = 20 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
-	}
 	return c
 }
 
 // ProxyStats snapshots a proxy's fault-tolerance counters.
 type ProxyStats struct {
-	State LinkState
+	State wire.SessionState
 	// Reconnects counts successful link recoveries; Attempts every dial
 	// tried; Resumes per-tenant resume ops completed.
 	Reconnects uint64
@@ -154,25 +109,26 @@ type ProxyStats struct {
 	EnvelopeBytesIn  uint64
 }
 
-// pxTenant is the proxy-side per-tenant state: the link-sequence window of
-// sent-but-unacknowledged events (the retransmit source after a link death)
-// and the alarm dedup index.
+// maxBatch caps the events the link writer merges into one SubmitBatch
+// frame.
+const maxBatch = 256
+
+// pxTenant is the proxy-side per-tenant sending end: the link-sequence
+// window of sent-but-unacknowledged events (the retransmit source after a
+// link death) and the alarm receipt cursor.
 type pxTenant struct {
 	name string
+	sink func(wire.Alarm)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	nextLink uint64
-	window   []wire.BatchEvent // unacked, ascending Link
-	acked    uint64
-	sent     uint64 // highest link written to the current generation's link
-	gen      uint64 // link generation this tenant last resumed on
-	reject   bool   // Reject policy: full window refuses instead of blocking
-	dropped  bool   // deregistered; blocked Submits must bail
+	mu      sync.Mutex
+	cond    *sync.Cond
+	window  wire.Window
+	sent    uint64       // highest link written to t.link
+	link    *wire.Writer // link this tenant was last resumed on
+	reject  bool         // Reject policy: full window refuses instead of blocking
+	dropped bool         // deregistered; blocked Submits must bail
 
-	alarmMu  sync.Mutex
-	alarmIdx uint64 // highest alarm index dispatched
-	sink     func(wire.Alarm)
+	alarms wire.AlarmCursor
 }
 
 // ctlResult is one control op's outcome.
@@ -195,24 +151,19 @@ type pendingCtl struct {
 
 // Proxy is the router-side remote shard: it multiplexes many tenants'
 // events, alarms, and control ops over one worker link, reconnecting with
-// per-tenant resume when the link dies. All methods are safe for concurrent
-// use.
+// per-tenant resume when the link dies — the shard-link vocabulary's
+// sending end over wire.Link, wire.Window and wire.AlarmCursor. All
+// methods are safe for concurrent use.
 type Proxy struct {
-	cfg ProxyConfig
+	cfg  ProxyConfig
+	link *wire.Link[*wire.Writer]
 
 	mu      sync.Mutex
-	conn    *wire.Writer
-	gen     uint64 // increments per installed connection
-	state   LinkState
-	closed  bool
-	gaveUp  bool
 	tenants map[string]*pxTenant
 	ctl     *pendingCtl
 
 	ctlMu sync.Mutex // serializes user control ops
 
-	reconnects       uint64
-	attempts         uint64
 	resumes          uint64
 	retransmits      uint64
 	nacksReceived    uint64
@@ -220,11 +171,6 @@ type Proxy struct {
 	duplicateAlarms  uint64
 	envBytesOut      uint64
 	envBytesIn       uint64
-
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	wg     sync.WaitGroup
-	closeC chan struct{}
 }
 
 // Open dials the worker and performs the ShardHello handshake. The initial
@@ -234,22 +180,14 @@ func Open(cfg ProxyConfig) (*Proxy, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("cluster: proxy with empty address")
 	}
-	p := &Proxy{
-		cfg:     cfg,
-		state:   LinkDegraded,
-		tenants: make(map[string]*pxTenant),
-		rng:     rand.New(rand.NewSource(cfg.JitterSeed)),
-		closeC:  make(chan struct{}),
-	}
-	l, err := p.dial()
-	if err != nil {
+	p := &Proxy{cfg: cfg, tenants: make(map[string]*pxTenant)}
+	p.link = wire.NewLink(wire.LinkVocab[*wire.Writer]{Dial: p.dial, Resume: p.resumeAll, GaveUp: p.gaveUp,
+		ErrClosed: ErrProxyClosed, ErrGaveUp: ErrLinkGaveUp},
+		cfg.MaxAttempts, wire.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed), cfg.OnStateChange)
+	if err := p.link.Open(); err != nil {
 		return nil, err
 	}
-	if err := p.install(l); err != nil {
-		return nil, err
-	}
-	p.wg.Add(1)
-	go p.keepalive()
+	p.link.Go(p.keepalive)
 	return p, nil
 }
 
@@ -259,46 +197,15 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-func (p *Proxy) notify(st LinkState) {
-	if p.cfg.OnStateChange != nil {
-		p.cfg.OnStateChange(st)
-	}
-}
-
 // dial opens one connection and completes the hello handshake
-// synchronously; the reader goroutine is not yet running.
+// synchronously, then starts its reader.
 func (p *Proxy) dial() (*wire.Writer, error) {
-	p.mu.Lock()
-	p.attempts++
-	p.mu.Unlock()
-	nc, err := net.DialTimeout("tcp", p.cfg.Addr, p.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if p.cfg.TLS != nil {
-		tc := tls.Client(nc, p.cfg.TLS)
-		tc.SetDeadline(time.Now().Add(p.cfg.DialTimeout))
-		if err := tc.Handshake(); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("cluster: tls handshake with %s: %w", p.cfg.Addr, err)
-		}
-		tc.SetDeadline(time.Time{})
-		nc = tc
-	}
 	hello, err := wire.AppendShardHello(nil, p.cfg.Token, p.cfg.Router)
 	if err != nil {
-		nc.Close()
 		return nil, err
 	}
-	nc.SetDeadline(time.Now().Add(p.cfg.DialTimeout))
-	if _, err := nc.Write(hello); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	r := wire.NewReader(nc, p.cfg.MaxFrame)
-	t, payload, err := r.Next()
+	nc, r, t, payload, err := wire.DialStream(p.cfg.Addr, p.cfg.TLS, p.cfg.DialTimeout, hello, p.cfg.MaxFrame)
 	if err != nil {
-		nc.Close()
 		return nil, err
 	}
 	var peerMax uint32
@@ -323,39 +230,86 @@ func (p *Proxy) dial() (*wire.Writer, error) {
 	l := wire.NewWriter(nc, p.cfg.OutBuffer, int(peerMax), p.cfg.WriteTimeout, func() {
 		p.logf("cluster: shard %s: write stalled past %v", p.cfg.Addr, p.cfg.WriteTimeout)
 	})
-	p.wg.Add(1)
-	go p.readLoop(l, r)
+	p.link.Go(func() { p.readLoop(l, r) })
 	return l, nil
 }
 
-// install publishes a fresh, fully handshaken link. For the first link
-// there are no tenants to resume; reconnects go through resumeAll first.
-// Any window tail banked after a tenant's resume retransmit but before this
-// publish is flushed here, so no event strands unsent until the next link
-// death. A link that already died is refused: linkDied skips a link that is
-// not installed, so nothing else would notice it.
-func (p *Proxy) install(l *wire.Writer) error {
-	p.mu.Lock()
-	select {
-	case <-l.Done():
-		p.mu.Unlock()
-		return ErrLinkDown
-	default:
+// resumeAll re-adopts every tenant on a fresh link: ResumeTenant returns
+// the worker's watermark; the window prunes to it and retransmits the tail
+// in order. Only after every tenant resumes is the link published for new
+// Submits, so retransmitted tails and new events cannot interleave out of
+// link order. On the first link there are no tenants to resume.
+func (p *Proxy) resumeAll(l *wire.Writer) error {
+	err := p.resumeTenants(l)
+	if err == nil {
+		err = p.link.Publish(l)
 	}
-	p.conn = l
-	p.gen++
-	gen := p.gen
-	p.state = LinkConnected
-	tenants := p.tenantListLocked()
-	p.mu.Unlock()
-	for _, t := range tenants {
+	if err != nil {
+		l.Finish()
+		return err
+	}
+	// Flush any window tail banked after a tenant's resume retransmit but
+	// before the publish, so no event strands unsent until the next link
+	// death.
+	for _, t := range p.tenantList() {
 		t.mu.Lock()
 		p.flushTailLocked(l, t)
-		t.gen = gen
+		t.link = l
 		t.mu.Unlock()
 	}
-	p.notify(LinkConnected)
+	if st := p.link.Stats(); st.Reconnects > 0 {
+		p.logf("cluster: shard %s link resumed after %v", p.cfg.Addr, st.Recoveries[len(st.Recoveries)-1].Round(time.Millisecond))
+	}
 	return nil
+}
+
+func (p *Proxy) resumeTenants(l *wire.Writer) error {
+	for _, t := range p.tenantList() {
+		frame, err := wire.AppendResumeTenant(nil, t.name, t.alarms.Index())
+		if err != nil {
+			return err
+		}
+		res, err := p.roundTrip(l, &pendingCtl{op: wire.OpResume, tenant: t.name, ch: make(chan ctlResult, 1)}, frame)
+		if err != nil {
+			var se wire.ShardErr
+			if errors.As(err, &se) && se.Code == wire.CodeUnknownTenant {
+				// The worker lost this tenant (restarted process): count
+				// the orphan and keep the rest of the shard serving. The
+				// facade surfaces it through window pressure and logs.
+				p.logf("cluster: shard %s: tenant %q unknown on resume (worker restarted?); its window is stranded", p.cfg.Addr, t.name)
+				continue
+			}
+			return err
+		}
+		t.mu.Lock()
+		t.window.Confirm(res.ok.Watermark)
+		// Retransmit the whole unacked window, still under t.mu so a
+		// concurrent Submit cannot interleave ahead of the tail.
+		t.sent = 0
+		p.flushTailLocked(l, t)
+		retransmits := t.window.Len()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+		p.mu.Lock()
+		p.retransmits += uint64(retransmits)
+		p.resumes++
+		p.mu.Unlock()
+	}
+	return nil
+}
+
+// gaveUp wakes Submits blocked on full windows; they fail typed.
+func (p *Proxy) gaveUp() {
+	p.wakeAll()
+	p.logf("cluster: shard %s link gave up reconnecting", p.cfg.Addr)
+}
+
+func (p *Proxy) wakeAll() {
+	for _, t := range p.tenantList() {
+		t.mu.Lock()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	}
 }
 
 // flushTailLocked sends every window event above the tenant's sent mark and
@@ -364,26 +318,35 @@ func (p *Proxy) install(l *wire.Writer) error {
 // frame. Callers hold t.mu, which keeps the tail contiguous with any
 // concurrent SubmitBatch.
 func (p *Proxy) flushTailLocked(l *wire.Writer, t *pxTenant) {
-	at := len(t.window)
-	for at > 0 && t.window[at-1].Link > t.sent {
+	w := t.window.Items()
+	at := len(w)
+	for at > 0 && w[at-1].Link > t.sent {
 		at--
 	}
-	if n, _ := l.SendEvents(t.name, t.window[at:], p.cfg.Batch); n > 0 {
-		t.sent = t.window[at+n-1].Link
+	if n, _ := l.SendEvents(t.name, w[at:], maxBatch); n > 0 {
+		t.sent = w[at+n-1].Link
 	}
 }
 
-// streamLocked sends the tenant's unsent tail when a live link of the
-// tenant's generation is attached. Callers hold t.mu.
+// streamLocked sends the tenant's unsent tail when the link it was resumed
+// on is live. Callers hold t.mu.
 func (p *Proxy) streamLocked(t *pxTenant) {
-	if l, gen := p.current(); l != nil && gen == t.gen {
+	if l, ok := p.link.Current(); ok && l == t.link {
 		// A dropped send here is not a loss: the events stay in the window
 		// and the next resume retransmits them.
 		p.flushTailLocked(l, t)
 	}
 }
 
-func (p *Proxy) tenantListLocked() []*pxTenant {
+func (p *Proxy) tenant(name string) *pxTenant {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tenants[name]
+}
+
+func (p *Proxy) tenantList() []*pxTenant {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make([]*pxTenant, 0, len(p.tenants))
 	for _, t := range p.tenants {
 		out = append(out, t)
@@ -392,43 +355,31 @@ func (p *Proxy) tenantListLocked() []*pxTenant {
 	return out
 }
 
-// current returns the live link and its generation, or nil while degraded.
-func (p *Proxy) current() (*wire.Writer, uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state != LinkConnected {
-		return nil, p.gen
-	}
-	return p.conn, p.gen
-}
-
 // keepalive pings the link on a cadence: holds the worker's idle deadline
 // open and flushes cumulative ack tails for quiet tenants.
 func (p *Proxy) keepalive() {
-	defer p.wg.Done()
 	tick := time.NewTicker(p.cfg.KeepAlive)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
 			p.Ping()
-		case <-p.closeC:
+		case <-p.link.Closing():
 			return
 		}
 	}
 }
 
-// readLoop dispatches inbound frames until the link dies, then hands off
-// to the reconnect machinery.
+// readLoop dispatches inbound frames until the link dies; finishing the
+// writer hands the death to the link's reconnect loop.
 func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
-	defer p.wg.Done()
+	defer l.Finish()
 	for {
 		t, payload, err := r.Next()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !p.isClosed() {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && p.link.Err() == nil {
 				p.logf("cluster: shard %s link: %v", p.cfg.Addr, err)
 			}
-			p.linkDied(l)
 			return
 		}
 		switch t {
@@ -448,9 +399,7 @@ func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 			p.mu.Unlock()
 			// A nack is decided: the worker's watermark advanced to n.Link,
 			// so the window prunes through it like an ack.
-			if n.Link > 0 {
-				p.ackTenant(n.Tenant, n.Link)
-			}
+			p.ackTenant(n.Tenant, n.Link)
 			if p.cfg.OnNack != nil {
 				p.cfg.OnNack(n)
 			}
@@ -514,61 +463,35 @@ func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 	}
 }
 
-func (p *Proxy) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // ackTenant prunes a tenant's window through the cumulative watermark and
 // wakes Submits blocked on a full window.
 func (p *Proxy) ackTenant(tenant string, wm uint64) {
-	p.mu.Lock()
-	t := p.tenants[tenant]
-	p.mu.Unlock()
+	t := p.tenant(tenant)
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if wm > t.acked {
-		t.acked = wm
-		t.pruneLocked(wm)
+	if t.window.Confirm(wm) {
 		t.cond.Broadcast()
 	}
 	t.mu.Unlock()
 }
 
-func (t *pxTenant) pruneLocked(wm uint64) {
-	keep := 0
-	for ; keep < len(t.window) && t.window[keep].Link <= wm; keep++ {
-	}
-	if keep > 0 {
-		t.window = append(t.window[:0], t.window[keep:]...)
-	}
-}
-
-// dispatchAlarm dedups by alarm index (ring replays may overlap confirmed
+// dispatchAlarm dedups by alarm index (bank replays may overlap confirmed
 // deliveries), hands the alarm to the tenant sink, and confirms receipt.
 func (p *Proxy) dispatchAlarm(l *wire.Writer, tenant string, idx uint64, a wire.Alarm) {
-	p.mu.Lock()
-	t := p.tenants[tenant]
-	p.mu.Unlock()
+	t := p.tenant(tenant)
 	if t == nil {
 		return
 	}
-	t.alarmMu.Lock()
-	if idx <= t.alarmIdx {
-		t.alarmMu.Unlock()
+	if !t.alarms.Receive(idx) {
 		p.mu.Lock()
 		p.duplicateAlarms++
 		p.mu.Unlock()
 		return
 	}
-	t.alarmIdx = idx
-	sink := t.sink
-	t.alarmMu.Unlock()
-	if sink != nil {
-		sink(a)
+	if t.sink != nil {
+		t.sink(a)
 	}
 	p.mu.Lock()
 	p.alarmsDispatched++
@@ -576,24 +499,6 @@ func (p *Proxy) dispatchAlarm(l *wire.Writer, tenant string, idx uint64, a wire.
 	if frame, err := wire.AppendAlarmStreamAck(nil, tenant, idx); err == nil {
 		l.TrySend(frame) // a lost receipt only means a bigger replay later
 	}
-}
-
-// linkDied marks the link degraded, fails the in-flight control op, and
-// starts the reconnect loop (unless the proxy is closing).
-func (p *Proxy) linkDied(l *wire.Writer) {
-	l.Finish()
-	p.mu.Lock()
-	if p.closed || p.conn != l {
-		p.mu.Unlock()
-		return
-	}
-	p.conn = nil
-	p.state = LinkDegraded
-	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrLinkDown})
-	p.notify(LinkDegraded)
-	p.wg.Add(1)
-	go p.reconnect()
 }
 
 // completeCtl resolves the pending control op, including one whose frames
@@ -608,104 +513,6 @@ func (p *Proxy) completeCtl(res ctlResult) {
 	p.ctl = nil
 	p.mu.Unlock()
 	pc.ch <- res
-}
-
-// reconnect runs capped exponential backoff until a dial plus full resume
-// succeeds, the proxy closes, or MaxAttempts consecutive failures give up.
-func (p *Proxy) reconnect() {
-	defer p.wg.Done()
-	died := time.Now()
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-time.After(p.backoff(attempt)):
-		case <-p.closeC:
-			return
-		}
-		l, err := p.dial()
-		if err == nil {
-			if err = p.resumeAll(l); err == nil {
-				p.mu.Lock()
-				p.reconnects++
-				p.mu.Unlock()
-				p.logf("cluster: shard %s link resumed after %v", p.cfg.Addr, time.Since(died).Round(time.Millisecond))
-				return
-			}
-			l.Finish()
-		}
-		if p.isClosed() {
-			return
-		}
-		if attempt+1 >= p.cfg.MaxAttempts {
-			p.mu.Lock()
-			p.gaveUp = true
-			p.state = LinkGaveUp
-			tenants := p.tenantListLocked()
-			p.mu.Unlock()
-			// Wake Submits blocked on full windows; they fail typed.
-			for _, t := range tenants {
-				t.mu.Lock()
-				t.cond.Broadcast()
-				t.mu.Unlock()
-			}
-			p.notify(LinkGaveUp)
-			p.logf("cluster: shard %s link gave up after %d attempts", p.cfg.Addr, p.cfg.MaxAttempts)
-			return
-		}
-	}
-}
-
-// resumeAll re-adopts every tenant on a fresh link: ResumeTenant returns
-// the worker's watermark; the window prunes to it and retransmits the tail
-// in order. Only after every tenant resumes is the link published for new
-// Submits, so retransmitted tails and new events cannot interleave out of
-// link order.
-func (p *Proxy) resumeAll(l *wire.Writer) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrProxyClosed
-	}
-	tenants := p.tenantListLocked()
-	p.mu.Unlock()
-	for _, t := range tenants {
-		t.alarmMu.Lock()
-		aidx := t.alarmIdx
-		t.alarmMu.Unlock()
-		frame, err := wire.AppendResumeTenant(nil, t.name, aidx)
-		if err != nil {
-			return err
-		}
-		res, err := p.roundTrip(l, &pendingCtl{op: wire.OpResume, tenant: t.name, ch: make(chan ctlResult, 1)}, frame)
-		if err != nil {
-			var se wire.ShardErr
-			if errors.As(err, &se) && se.Code == wire.CodeUnknownTenant {
-				// The worker lost this tenant (restarted process): count
-				// the orphan and keep the rest of the shard serving. The
-				// facade surfaces it through window pressure and logs.
-				p.logf("cluster: shard %s: tenant %q unknown on resume (worker restarted?); its window is stranded", p.cfg.Addr, t.name)
-				continue
-			}
-			return err
-		}
-		t.mu.Lock()
-		if res.ok.Watermark > t.acked {
-			t.acked = res.ok.Watermark
-			t.pruneLocked(res.ok.Watermark)
-		}
-		// Retransmit the whole unacked window, still under t.mu so a
-		// concurrent Submit cannot interleave ahead of the tail.
-		t.sent = 0
-		p.flushTailLocked(l, t)
-		retransmits := len(t.window)
-		t.cond.Broadcast()
-		t.mu.Unlock()
-		p.mu.Lock()
-		p.retransmits += uint64(retransmits)
-		p.resumes++
-		p.mu.Unlock()
-	}
-	// Publish: new Submits may now stream on this link.
-	return p.install(l)
 }
 
 // roundTrip registers pc as the in-flight control op, sends its frames, and
@@ -737,7 +544,7 @@ func (p *Proxy) roundTrip(l *wire.Writer, pc *pendingCtl, frames ...[]byte) (ctl
 		p.completeCtl(ctlResult{err: ErrLinkDown})
 		res := <-pc.ch
 		return res, res.err
-	case <-p.closeC:
+	case <-p.link.Closing():
 		return ctlResult{}, ErrProxyClosed
 	}
 }
@@ -746,21 +553,13 @@ func (p *Proxy) roundTrip(l *wire.Writer, pc *pendingCtl, frames ...[]byte) (ctl
 func (p *Proxy) control(op wire.ShardOp, tenant string, frames ...[]byte) (ctlResult, error) {
 	p.ctlMu.Lock()
 	defer p.ctlMu.Unlock()
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ctlResult{}, ErrProxyClosed
+	if err := p.link.Err(); err != nil {
+		return ctlResult{}, err
 	}
-	if p.gaveUp {
-		p.mu.Unlock()
-		return ctlResult{}, ErrLinkGaveUp
-	}
-	if p.state != LinkConnected || p.conn == nil {
-		p.mu.Unlock()
+	l, ok := p.link.Current()
+	if !ok {
 		return ctlResult{}, ErrLinkDown
 	}
-	l := p.conn
-	p.mu.Unlock()
 	return p.roundTrip(l, &pendingCtl{op: op, tenant: tenant, ch: make(chan ctlResult, 1)}, frames...)
 }
 
@@ -769,19 +568,22 @@ func (p *Proxy) control(op wire.ShardOp, tenant string, frames ...[]byte) (ctlRe
 // (model only); reject selects refuse-on-full-window backpressure for this
 // tenant's Submits (otherwise they block until the window drains).
 func (p *Proxy) Register(tenant string, model, state []byte, queue uint32, policy uint8, reject bool, sink func(wire.Alarm)) error {
-	frames, err := p.envelopeFrames(tenant, 0, model, state, queue, policy)
+	frames, err := p.registerFrames(tenant, 0, model, state, queue, policy)
 	if err != nil {
 		return err
 	}
-	t := &pxTenant{name: tenant, reject: reject, sink: sink}
+	t := &pxTenant{name: tenant, reject: reject, sink: sink,
+		window: wire.NewWindow(p.cfg.Window)}
 	t.cond = sync.NewCond(&t.mu)
 	p.mu.Lock()
 	if _, dup := p.tenants[tenant]; dup {
 		p.mu.Unlock()
 		return fmt.Errorf("cluster: tenant %q already registered on this proxy", tenant)
 	}
+	// Read under p.mu: a resume publishing a new link either sees this
+	// tenant in its list or is seen here.
+	t.link, _ = p.link.Current()
 	p.tenants[tenant] = t
-	t.gen = p.gen
 	p.mu.Unlock()
 	if _, err := p.control(wire.OpRegister, tenant, frames...); err != nil {
 		p.mu.Lock()
@@ -795,9 +597,9 @@ func (p *Proxy) Register(tenant string, model, state []byte, queue uint32, polic
 	return nil
 }
 
-// envelopeFrames builds the RegisterTenant announce + chunk + commit
-// sequence. extraFlags adds RegFlagSwap for model swaps.
-func (p *Proxy) envelopeFrames(tenant string, extraFlags uint8, model, state []byte, queue uint32, policy uint8) ([][]byte, error) {
+// registerFrames builds the RegisterTenant announce plus the envelope.
+// extraFlags adds RegFlagSwap for model swaps.
+func (p *Proxy) registerFrames(tenant string, extraFlags uint8, model, state []byte, queue uint32, policy uint8) ([][]byte, error) {
 	flags := extraFlags
 	if state != nil {
 		flags |= wire.RegFlagHasState
@@ -806,33 +608,12 @@ func (p *Proxy) envelopeFrames(tenant string, extraFlags uint8, model, state []b
 	if err != nil {
 		return nil, err
 	}
-	frames := [][]byte{reg}
-	chunkSize := p.cfg.MaxFrame - 1024
-	if chunkSize > 128<<10 {
-		chunkSize = 128 << 10
-	}
-	for _, part := range []struct {
-		kind uint8
-		data []byte
-	}{{wire.EnvModel, model}, {wire.EnvState, state}} {
-		for _, piece := range chunked(part.data, chunkSize) {
-			f, err := wire.AppendEnvelopeChunk(nil, wire.EnvelopeChunk{Tenant: tenant, Kind: part.kind, Data: piece})
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, f)
-		}
-	}
-	done, err := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, tenant)
-	if err != nil {
-		return nil, err
-	}
-	return append(frames, done), nil
+	return envelopeFrames([][]byte{reg}, tenant, model, state, min(p.cfg.MaxFrame-1024, 128<<10))
 }
 
 // Swap hot-swaps the model under a running tenant.
 func (p *Proxy) Swap(tenant string, model []byte) error {
-	frames, err := p.envelopeFrames(tenant, wire.RegFlagSwap, model, nil, 0, 0)
+	frames, err := p.registerFrames(tenant, wire.RegFlagSwap, model, nil, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -860,9 +641,7 @@ func (p *Proxy) Submit(tenant string, ev wire.Event) error {
 // accepted and, when that is fewer than len(evs), the error refusing
 // evs[accepted].
 func (p *Proxy) SubmitBatch(tenant string, evs []wire.Event) (accepted int, err error) {
-	p.mu.Lock()
-	t := p.tenants[tenant]
-	p.mu.Unlock()
+	t := p.tenant(tenant)
 	if t == nil {
 		return 0, ErrUnknownTenant
 	}
@@ -873,8 +652,7 @@ func (p *Proxy) SubmitBatch(tenant string, evs []wire.Event) (accepted int, err 
 			p.streamLocked(t)
 			return i, err
 		}
-		t.nextLink++
-		t.window = append(t.window, wire.BatchEvent{Link: t.nextLink, Ev: ev})
+		t.window.Add(wire.BatchEvent{Link: t.window.Last() + 1, Ev: ev})
 	}
 	p.streamLocked(t)
 	return len(evs), nil
@@ -885,18 +663,12 @@ func (p *Proxy) SubmitBatch(tenant string, evs []wire.Event) (accepted int, err 
 // batch's events already banked: the acks that free the window answer
 // them. Callers hold t.mu.
 func (p *Proxy) roomLocked(t *pxTenant) error {
-	for len(t.window) >= p.cfg.Window {
+	for t.window.Full() {
 		if t.dropped {
 			return ErrUnknownTenant
 		}
-		if p.isClosed() {
-			return ErrProxyClosed
-		}
-		p.mu.Lock()
-		gaveUp := p.gaveUp
-		p.mu.Unlock()
-		if gaveUp {
-			return ErrLinkGaveUp
+		if err := p.link.Err(); err != nil {
+			return err
 		}
 		if t.reject {
 			return wire.ShardNack{Tenant: t.name, Code: wire.CodeBackpressure, Detail: "shard link window full"}
@@ -915,45 +687,26 @@ func (p *Proxy) roomLocked(t *pxTenant) error {
 // watermark pruned the window) and every alarm those events raised has been
 // dispatched — the link-ordered prelude to a migration export.
 func (p *Proxy) Quiesce(tenant string) error {
-	frame, err := wire.AppendTenantFrame(nil, wire.FrameQuiesce, tenant)
-	if err != nil {
-		return err
-	}
-	_, err = p.control(wire.OpQuiesce, tenant, frame)
+	_, err := p.tenantControl(wire.OpQuiesce, wire.FrameQuiesce, tenant)
 	return err
 }
 
 // Export fetches the tenant's checkpoint envelope from the worker.
 func (p *Proxy) Export(tenant string) (model, state []byte, err error) {
-	frame, err := wire.AppendTenantFrame(nil, wire.FrameExportEnvelope, tenant)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := p.control(wire.OpExport, tenant, frame)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.model, res.state, nil
+	res, err := p.tenantControl(wire.OpExport, wire.FrameExportEnvelope, tenant)
+	return res.model, res.state, err
 }
 
 // Flush force-closes the tenant's open anomaly chains; resulting abrupt
 // alarms are dispatched before the reply arrives.
 func (p *Proxy) Flush(tenant string) error {
-	frame, err := wire.AppendTenantFrame(nil, wire.FrameFlushTenant, tenant)
-	if err != nil {
-		return err
-	}
-	_, err = p.control(wire.OpFlush, tenant, frame)
+	_, err := p.tenantControl(wire.OpFlush, wire.FrameFlushTenant, tenant)
 	return err
 }
 
 // Deregister removes the tenant from the worker and the proxy table.
 func (p *Proxy) Deregister(tenant string) error {
-	frame, err := wire.AppendTenantFrame(nil, wire.FrameDeregisterTenant, tenant)
-	if err != nil {
-		return err
-	}
-	if _, err := p.control(wire.OpDeregister, tenant, frame); err != nil {
+	if _, err := p.tenantControl(wire.OpDeregister, wire.FrameDeregisterTenant, tenant); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -967,6 +720,16 @@ func (p *Proxy) Deregister(tenant string) error {
 		t.mu.Unlock()
 	}
 	return nil
+}
+
+// tenantControl runs control op through a request frame of type ft that
+// names only its tenant.
+func (p *Proxy) tenantControl(op wire.ShardOp, ft wire.FrameType, tenant string) (ctlResult, error) {
+	frame, err := wire.AppendTenantFrame(nil, ft, tenant)
+	if err != nil {
+		return ctlResult{}, err
+	}
+	return p.control(op, tenant, frame)
 }
 
 // Drain asks the worker to quiesce every tenant it hosts; d bounds the
@@ -991,41 +754,35 @@ func (p *Proxy) StatsDoc() ([]byte, error) {
 
 // Ping nudges the live link (keepalive + ack flush); a no-op while down.
 func (p *Proxy) Ping() {
-	if l, _ := p.current(); l != nil {
+	if l, ok := p.link.Current(); ok {
 		l.TrySend(wire.AppendPing(nil))
 	}
 }
 
 // Pending reports the total event count banked across tenant windows.
 func (p *Proxy) Pending() int {
-	p.mu.Lock()
-	tenants := p.tenantListLocked()
-	p.mu.Unlock()
 	n := 0
-	for _, t := range tenants {
+	for _, t := range p.tenantList() {
 		t.mu.Lock()
-		n += len(t.window)
+		n += t.window.Len()
 		t.mu.Unlock()
 	}
 	return n
 }
 
 // State reports the link state.
-func (p *Proxy) State() LinkState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
-}
+func (p *Proxy) State() wire.SessionState { return p.link.Stats().State }
 
 // Stats snapshots the proxy's counters.
 func (p *Proxy) Stats() ProxyStats {
 	pending := p.Pending()
+	ls := p.link.Stats()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return ProxyStats{
-		State:            p.state,
-		Reconnects:       p.reconnects,
-		Attempts:         p.attempts,
+		State:            ls.State,
+		Reconnects:       ls.Reconnects,
+		Attempts:         ls.Attempts,
 		Resumes:          p.resumes,
 		Retransmits:      p.retransmits,
 		Nacks:            p.nacksReceived,
@@ -1037,49 +794,19 @@ func (p *Proxy) Stats() ProxyStats {
 	}
 }
 
-// backoff computes the wait before reconnect attempt n: BackoffMin doubled
-// per attempt, capped at BackoffMax, plus up to 50% deterministic jitter.
-func (p *Proxy) backoff(attempt int) time.Duration {
-	d := p.cfg.BackoffMin
-	for i := 0; i < attempt && d < p.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > p.cfg.BackoffMax {
-		d = p.cfg.BackoffMax
-	}
-	p.rngMu.Lock()
-	j := time.Duration(p.rng.Int63n(int64(d)/2 + 1))
-	p.rngMu.Unlock()
-	return d + j
-}
-
 // Close tears the proxy down: stops the reconnect machinery, closes the
 // live link, wakes blocked Submits, and waits for all goroutines.
 // Idempotent.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return nil
+	if l, ok := p.link.Close(); ok {
+		p.completeCtl(ctlResult{err: ErrProxyClosed})
+		if l != nil {
+			// Finish discards what is pending: let it and the Bye out first.
+			l.SendWait(wire.AppendBye(nil), time.Second)
+			l.Finish()
+		}
+		p.wakeAll()
 	}
-	p.closed = true
-	l := p.conn
-	p.conn = nil
-	tenants := p.tenantListLocked()
-	close(p.closeC)
-	p.mu.Unlock()
-	p.completeCtl(ctlResult{err: ErrProxyClosed})
-	if l != nil {
-		// Finish discards what is pending: let it and the Bye out first.
-		l.SendWait(wire.AppendBye(nil), time.Second)
-		l.Finish()
-	}
-	for _, t := range tenants {
-		t.mu.Lock()
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	}
-	p.wg.Wait()
+	p.link.Wait()
 	return nil
 }

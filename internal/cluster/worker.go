@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,18 +90,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.OutBuffer <= 0 {
 		c.OutBuffer = 1024
 	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 32
-	}
 	if c.AlarmRing <= 0 {
 		c.AlarmRing = 256
 	}
@@ -151,30 +137,16 @@ type WorkerStats struct {
 	Backend json.RawMessage `json:"backend,omitempty"`
 }
 
-// bankedAlarm is one ring entry: alarm index plus the pre-encoded
-// AlarmStream frame, so replay is a straight enqueue.
-type bankedAlarm struct {
-	idx   uint64
-	frame []byte
-}
-
-// wkTenant is the durable per-tenant state that outlives any one link: the
-// decided watermark for exactly-once admission and the unconfirmed-alarm
-// replay ring. The two mutexes split the two concerns exactly like the wire
-// server's session: evMu is held across Backend.SubmitBatch (which may
-// block under a Block policy); the alarm sink takes only alarmMu.
+// wkTenant is the durable per-tenant receiving end that outlives any one
+// link: the decided watermark and the alarm bank.
 type wkTenant struct {
 	name string
+	rx   wire.Receiver
+}
 
-	evMu      sync.Mutex
-	watermark uint64 // highest link sequence decided (admitted or nacked)
-	sinceAck  int
-
-	alarmMu  sync.Mutex
-	link     *wire.Writer // link currently attached; nil while orphaned
-	alarmSeq uint64
-	ring     []bankedAlarm
-	ringCap  int
+// appendAlarm is the tenant's AlarmStream encoder.
+func (t *wkTenant) appendAlarm(dst []byte, idx uint64, a wire.Alarm) ([]byte, error) {
+	return wire.AppendAlarmStream(dst, t.name, idx, a)
 }
 
 // pendingEnvelope accumulates RegisterTenant chunks until EnvelopeDone.
@@ -184,31 +156,19 @@ type pendingEnvelope struct {
 	state bytes.Buffer
 }
 
-// Worker serves one process's shard over cluster links. All methods are
-// safe for concurrent use.
+// Worker serves one process's shard over cluster links: the shard-link
+// vocabulary over the resumable-stream core (wire.Endpoint,
+// wire.Receiver). All methods are safe for concurrent use.
 type Worker struct {
 	cfg WorkerConfig
+	ep  *wire.Endpoint
 
 	mu      sync.Mutex
-	lns     map[net.Listener]struct{}
-	links   map[*wire.Writer]struct{}
 	tenants map[string]*wkTenant
-	closed  bool
 
-	active           atomic.Int64
-	totalLinks       atomic.Uint64
-	events           atomic.Uint64
-	nacks            atomic.Uint64
-	duplicates       atomic.Uint64
 	resumes          atomic.Uint64
-	alarms           atomic.Uint64
-	alarmsBuffered   atomic.Uint64
-	alarmReplays     atomic.Uint64
-	alarmsDropped    atomic.Uint64
 	envelopeBytesIn  atomic.Uint64
 	envelopeBytesOut atomic.Uint64
-	evictedIdle      atomic.Uint64
-	authFailures     atomic.Uint64
 }
 
 // NewWorker creates a shard worker over a backend; call Serve with a
@@ -217,81 +177,30 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("cluster: worker with nil backend")
 	}
+	cfg = cfg.withDefaults()
 	return &Worker{
-		cfg:     cfg.withDefaults(),
-		lns:     make(map[net.Listener]struct{}),
-		links:   make(map[*wire.Writer]struct{}),
+		cfg: cfg,
+		ep: (&wire.Endpoint{Name: "cluster", HelloTimeout: cfg.HelloTimeout, IdleTimeout: cfg.IdleTimeout,
+			WriteTimeout: cfg.WriteTimeout, MaxFrame: cfg.MaxFrame, OutBuffer: cfg.OutBuffer,
+			AckEvery: cfg.AckEvery, AlarmRing: cfg.AlarmRing, Logf: cfg.Logf}).WithDefaults(),
 		tenants: make(map[string]*wkTenant),
 	}, nil
-}
-
-func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Logf != nil {
-		w.cfg.Logf(format, args...)
-	}
 }
 
 // Serve accepts router links on ln until the listener fails or the worker
 // is closed; a clean Close returns nil.
 func (w *Worker) Serve(ln net.Listener) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		ln.Close()
-		return errors.New("cluster: worker closed")
-	}
-	w.lns[ln] = struct{}{}
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.lns, ln)
-		w.mu.Unlock()
-		ln.Close()
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			w.mu.Lock()
-			closed := w.closed
-			w.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		w.totalLinks.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.handle(nc)
-		}()
-	}
+	return w.ep.Serve(ln, func(l *wire.Writer) wire.Handler {
+		return &link{w: w, l: l, pending: make(map[string]*pendingEnvelope)}
+	})
 }
 
-// Close stops accepting, closes every live link (including half-open ones
-// still waiting for their ShardHello), and drops tenant link state. The
-// backend and its tenants keep running — a worker restart or router
-// reconnect resumes them. Idempotent.
+// Close stops accepting and closes every live link (including half-open
+// ones still waiting for their ShardHello). The backend and its tenants
+// keep running — a worker restart or router reconnect resumes them.
+// Idempotent.
 func (w *Worker) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	for ln := range w.lns {
-		ln.Close()
-	}
-	links := make([]*wire.Writer, 0, len(w.links))
-	for l := range w.links {
-		links = append(links, l)
-	}
-	w.mu.Unlock()
-	for _, l := range links {
-		l.Conn().Close()
-	}
+	w.ep.Close()
 	return nil
 }
 
@@ -301,107 +210,24 @@ func (w *Worker) Stats() WorkerStats {
 	w.mu.Lock()
 	nt := len(w.tenants)
 	w.mu.Unlock()
+	e := w.ep
 	return WorkerStats{
-		ActiveLinks:      int(w.active.Load()),
-		Links:            w.totalLinks.Load(),
+		ActiveLinks:      int(e.Active.Load()),
+		Links:            e.Accepted.Load(),
 		Tenants:          nt,
-		Events:           w.events.Load(),
-		Nacks:            w.nacks.Load(),
-		Duplicates:       w.duplicates.Load(),
+		Events:           e.Events.Load(),
+		Nacks:            e.Nacks.Load(),
+		Duplicates:       e.Duplicates.Load(),
 		Resumes:          w.resumes.Load(),
-		Alarms:           w.alarms.Load(),
-		AlarmsBuffered:   w.alarmsBuffered.Load(),
-		AlarmReplays:     w.alarmReplays.Load(),
-		AlarmsDropped:    w.alarmsDropped.Load(),
+		Alarms:           e.Alarms.Load(),
+		AlarmsBuffered:   e.AlarmsBuffered.Load(),
+		AlarmReplays:     e.AlarmReplays.Load(),
+		AlarmsDropped:    e.AlarmsDropped.Load(),
 		EnvelopeBytesIn:  w.envelopeBytesIn.Load(),
 		EnvelopeBytesOut: w.envelopeBytesOut.Load(),
-		EvictedIdle:      w.evictedIdle.Load(),
-		AuthFailures:     w.authFailures.Load(),
+		EvictedIdle:      e.EvictedIdle.Load(),
+		AuthFailures:     e.AuthFailures.Load(),
 	}
-}
-
-func (w *Worker) handle(nc net.Conn) {
-	l := wire.NewWriter(nc, w.cfg.OutBuffer, 0, w.cfg.WriteTimeout, func() {
-		w.evictedIdle.Add(1)
-		w.logf("cluster: evicting router %s: write stalled past %v", nc.RemoteAddr(), w.cfg.WriteTimeout)
-	})
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		l.Finish()
-		return
-	}
-	w.links[l] = struct{}{}
-	w.mu.Unlock()
-	defer func() {
-		l.Finish()
-		w.teardown(l)
-	}()
-
-	r := wire.NewReader(nc, w.cfg.MaxFrame)
-	nc.SetReadDeadline(time.Now().Add(w.cfg.HelloTimeout))
-	if err := w.hello(l, r); err != nil {
-		w.authFailures.Add(1)
-		return
-	}
-	nc.SetReadDeadline(time.Time{})
-	w.active.Add(1)
-	defer w.active.Add(-1)
-	w.readLoop(l, r)
-}
-
-// teardown detaches the link from every tenant it was serving; tenants and
-// their watermarks survive for the router's resume.
-func (w *Worker) teardown(l *wire.Writer) {
-	w.mu.Lock()
-	delete(w.links, l)
-	tenants := make([]*wkTenant, 0, len(w.tenants))
-	for _, t := range w.tenants {
-		tenants = append(tenants, t)
-	}
-	w.mu.Unlock()
-	for _, t := range tenants {
-		t.alarmMu.Lock()
-		if t.link == l {
-			t.link = nil
-		}
-		t.alarmMu.Unlock()
-	}
-}
-
-// errClose sends one final ShardErr and waits for it to reach the socket
-// before the deferred teardown.
-func (w *Worker) errClose(l *wire.Writer, e wire.ShardErr) {
-	if frame, err := wire.AppendShardErr(nil, e); err == nil {
-		l.SendWait(frame, time.Second)
-	}
-}
-
-func (w *Worker) hello(l *wire.Writer, r *wire.Reader) error {
-	t, p, err := r.Next()
-	if err != nil {
-		return err
-	}
-	if t != wire.FrameShardHello {
-		w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: fmt.Sprintf("expected shard-hello, got %s", t)})
-		return fmt.Errorf("%w: first frame %s", wire.ErrBadFrame, t)
-	}
-	ver, token, router, err := wire.ParseShardHello(p)
-	if err != nil {
-		w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed shard-hello"})
-		return err
-	}
-	if ver != wire.Version {
-		w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, wire.Version)})
-		return fmt.Errorf("%w: version %d", wire.ErrBadFrame, ver)
-	}
-	if err := w.cfg.Backend.Authenticate(token); err != nil {
-		w.errClose(l, wire.ShardErr{Code: wire.CodeBadAuth, Detail: "authentication rejected"})
-		w.logf("cluster: refused router link from %s (%q): %v", l.Conn().RemoteAddr(), router, err)
-		return err
-	}
-	l.Send(wire.AppendShardWelcome(nil, uint32(w.cfg.MaxFrame)))
-	return nil
 }
 
 // tenant looks up durable tenant state.
@@ -411,83 +237,78 @@ func (w *Worker) tenant(name string) *wkTenant {
 	return w.tenants[name]
 }
 
-// alarmSink banks every alarm in the tenant's replay ring and pushes it on
-// the attached link when one is listening. Runs on the tenant's stream
-// thread: never blocks, never touches evMu.
-func (w *Worker) alarmSink(t *wkTenant) func(wire.Alarm) {
-	return func(a wire.Alarm) {
-		t.alarmMu.Lock()
-		t.alarmSeq++
-		idx := t.alarmSeq
-		frame, err := wire.AppendAlarmStream(nil, t.name, idx, a)
-		if err != nil {
-			t.alarmMu.Unlock()
-			w.alarmsDropped.Add(1)
-			return
-		}
-		if len(t.ring) >= t.ringCap {
-			// Every ring entry is unconfirmed, so an eviction is a real,
-			// counted loss — never silent.
-			t.ring = append(t.ring[:0], t.ring[1:]...)
-			w.alarmsDropped.Add(1)
-		}
-		t.ring = append(t.ring, bankedAlarm{idx: idx, frame: frame})
-		l := t.link
-		t.alarmMu.Unlock()
-		if l == nil {
-			w.alarmsBuffered.Add(1)
-			return
-		}
-		if l.TrySend(frame) {
-			w.alarms.Add(1)
-			return
-		}
-		// Queue full on a live link: stays banked, replayed on the next
-		// resume or quiesce.
-		w.alarmsBuffered.Add(1)
+func (w *Worker) tenantList() []*wkTenant {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]*wkTenant, 0, len(w.tenants))
+	for _, t := range w.tenants {
+		out = append(out, t)
+	}
+	return out
+}
+
+// link is one accepted router link: the shard-link vocabulary's Handler
+// and, for the SubmitBatch frame being decided, its wire.Vocab.
+type link struct {
+	w       *Worker
+	l       *wire.Writer
+	pending map[string]*pendingEnvelope
+
+	// Reader scratch reused for every SubmitBatch frame: the name table,
+	// the decoded batch and its events, the ShardNack and ShardAck frames
+	// answering it, and its tenant.
+	names  wire.Names
+	bes    []wire.BatchEvent
+	evs    []wire.Event
+	out    []byte
+	tenant string
+}
+
+func (k *link) String() string { return "router " + k.l.Conn().RemoteAddr().String() }
+
+// Teardown detaches the link from every tenant it was serving; tenants and
+// their watermarks survive for the router's resume.
+func (k *link) Teardown() {
+	for _, t := range k.w.tenantList() {
+		t.rx.Detach(k.l)
 	}
 }
 
-// pruneRingLocked drops ring entries the router has confirmed. Callers
-// hold alarmMu.
-func (t *wkTenant) pruneRingLocked(idx uint64) {
-	keep := 0
-	for ; keep < len(t.ring) && t.ring[keep].idx <= idx; keep++ {
-	}
-	if keep > 0 {
-		t.ring = append(t.ring[:0], t.ring[keep:]...)
-	}
+// ErrorFrame answers a refusal with a ShardErr.
+func (k *link) ErrorFrame(r wire.Refusal) ([]byte, error) {
+	return wire.AppendShardErr(nil, wire.ShardErr{Code: r.Code, Detail: r.Detail})
 }
 
-// replayRing re-pushes every unconfirmed ring alarm on l in order. The
-// router dedups by alarm index, so a replay can never double-deliver; it
-// runs on resume (link recovery) and before a quiesce reply (so no alarm is
-// stranded banked at a migration boundary).
-func (w *Worker) replayRing(t *wkTenant, l *wire.Writer) {
-	t.alarmMu.Lock()
-	frames := make([][]byte, len(t.ring))
-	for i, ba := range t.ring {
-		frames[i] = ba.frame
+func (k *link) Hello(r *wire.Reader) error {
+	t, p, err := r.Next()
+	if err != nil {
+		return err
 	}
-	t.alarmMu.Unlock()
-	for _, f := range frames {
-		w.alarmReplays.Add(1)
-		l.Send(f)
+	if t != wire.FrameShardHello {
+		return wire.Protocolf("expected shard-hello, got %s", t)
 	}
+	ver, token, router, err := wire.ParseShardHello(p)
+	if err != nil {
+		return wire.Protocolf("malformed shard-hello")
+	}
+	if ver != wire.Version {
+		return wire.Protocolf("protocol version %d, want %d", ver, wire.Version)
+	}
+	if err := k.w.cfg.Backend.Authenticate(token); err != nil {
+		k.w.ep.Printf("refused router link from %s (%q): %v", k.l.Conn().RemoteAddr(), router, err)
+		return wire.Refusal{Code: wire.CodeBadAuth, Detail: "authentication rejected"}
+	}
+	k.l.Send(wire.AppendShardWelcome(nil, uint32(k.w.cfg.MaxFrame)))
+	return nil
 }
 
-// ok replies TenantOK for op, carrying the tenant's current watermark and
-// alarm index (zero for tenant-less ops).
+// ok replies TenantOK for op, carrying the tenant's current watermark (the
+// reply doubles as a cumulative ack) and alarm index (zero for tenant-less
+// ops).
 func (w *Worker) ok(l *wire.Writer, op wire.ShardOp, t *wkTenant, tenant string) {
 	reply := wire.TenantOK{Op: op, Tenant: tenant}
 	if t != nil {
-		t.evMu.Lock()
-		reply.Watermark = t.watermark
-		t.sinceAck = 0 // the reply doubles as a cumulative ack
-		t.evMu.Unlock()
-		t.alarmMu.Lock()
-		reply.AlarmIdx = t.alarmSeq
-		t.alarmMu.Unlock()
+		reply.Watermark, reply.AlarmIdx = t.rx.Ack()
 	}
 	if frame, err := wire.AppendTenantOK(nil, reply); err == nil {
 		l.Send(frame)
@@ -523,19 +344,14 @@ func (w *Worker) commitEnvelope(l *wire.Writer, pe *pendingEnvelope) {
 		w.ok(l, wire.OpSwap, w.tenant(name), name)
 		return
 	}
-	w.mu.Lock()
-	if t := w.tenants[name]; t != nil {
+	if t := w.tenant(name); t != nil {
 		// Already registered through this worker: a register retry after a
 		// link cut that swallowed the reply. Adopt, don't re-create — the
 		// router never re-registers a live tenant with a different payload.
-		w.mu.Unlock()
-		t.alarmMu.Lock()
-		t.link = l
-		t.alarmMu.Unlock()
 		w.ok(l, wire.OpRegister, t, name)
+		t.rx.Attach(w.ep, l, 0)
 		return
 	}
-	w.mu.Unlock()
 	var state []byte
 	if pe.reg.Flags&wire.RegFlagHasState != 0 {
 		state = pe.state.Bytes()
@@ -544,8 +360,9 @@ func (w *Worker) commitEnvelope(l *wire.Writer, pe *pendingEnvelope) {
 		w.fail(l, wire.OpRegister, name, err)
 		return
 	}
-	t := &wkTenant{name: name, link: l, ringCap: w.cfg.AlarmRing}
-	if err := w.cfg.Backend.RouteAlarms(name, w.alarmSink(t)); err != nil {
+	t := &wkTenant{name: name}
+	t.rx.Attach(w.ep, l, 0)
+	if err := w.cfg.Backend.RouteAlarms(name, func(a wire.Alarm) { t.rx.Push(w.ep, a, t.appendAlarm) }); err != nil {
 		_ = w.cfg.Backend.Deregister(name)
 		w.fail(l, wire.OpRegister, name, err)
 		return
@@ -556,331 +373,214 @@ func (w *Worker) commitEnvelope(l *wire.Writer, pe *pendingEnvelope) {
 	w.ok(l, wire.OpRegister, t, name)
 }
 
-// linkScratch is a link reader's reusable decode and reply buffers.
-type linkScratch struct {
-	bes []wire.BatchEvent
-	evs []wire.Event
-	out []byte // ShardNack and ShardAck frames answering one batch
+// Seq, Submit, AppendNack and AppendAck make link the shard-link
+// vocabulary of wire.Decide for the frame's tenant.
+func (k *link) Seq(be *wire.BatchEvent) uint64 { return be.Link }
+
+func (k *link) Submit(bes []wire.BatchEvent) (int, error) {
+	k.evs = k.evs[:0]
+	for _, be := range bes {
+		k.evs = append(k.evs, be.Ev)
+	}
+	return k.w.cfg.Backend.SubmitBatch(k.tenant, k.evs)
 }
 
-// decideBatch is the one admission path of a SubmitBatch frame, held in
-// sc.bes. Under one hold of the tenant's evMu it counts the prefix at or
-// below the watermark as duplicates (a retransmit overlap), admits the rest
-// in link order with one Backend.SubmitBatch call per refusal, and answers
-// each refused event with a ShardNack; every decided event advances the
-// watermark, and the frame earns at most one cumulative ShardAck. It
-// returns false only when the link must close.
-func (w *Worker) decideBatch(l *wire.Writer, tenant string, sc *linkScratch) bool {
-	t := w.tenant(tenant)
+func (k *link) AppendNack(dst []byte, be *wire.BatchEvent, err error) []byte {
+	if out, ferr := wire.AppendShardNack(dst, wire.ShardNack{Tenant: k.tenant, Link: be.Link, Code: k.w.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
+		return out
+	}
+	return dst
+}
+
+func (k *link) AppendAck(dst []byte, wm uint64) []byte {
+	if out, err := wire.AppendShardAck(dst, k.tenant, wm); err == nil {
+		return out
+	}
+	return dst
+}
+
+// decide runs one SubmitBatch frame, held in k.bes, through wire.Decide
+// under its tenant's watermark.
+func (k *link) decide() error {
+	t := k.w.tenant(k.tenant)
 	if t == nil {
-		frame, err := wire.AppendShardNack(nil, wire.ShardNack{Tenant: tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
+		frame, err := wire.AppendShardNack(nil, wire.ShardNack{Tenant: k.tenant, Code: wire.CodeUnknownTenant, Detail: "tenant not registered"})
 		if err == nil {
-			l.Send(frame)
+			k.l.Send(frame)
 		}
-		return true
+		return nil
 	}
-	t.evMu.Lock()
-	dup := 0
-	for dup < len(sc.bes) && sc.bes[dup].Link <= t.watermark {
-		dup++
+	var err error
+	if k.out, err = wire.Decide(k.w.ep, &t.rx, k, k.bes, k.out[:0]); err != nil {
+		return wire.Protocolf("%v", err)
 	}
-	fresh := sc.bes[dup:]
-	for i := 1; i < len(fresh); i++ {
-		if fresh[i].Link <= fresh[i-1].Link {
-			t.evMu.Unlock()
-			w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "link sequence not increasing"})
-			return false
-		}
+	if len(k.out) > 0 {
+		k.l.Send(k.out)
 	}
-	w.duplicates.Add(uint64(dup))
-	sc.evs = sc.evs[:0]
-	for _, be := range fresh {
-		sc.evs = append(sc.evs, be.Ev)
-	}
-	sc.out = sc.out[:0]
-	// evMu stays held across SubmitBatch: a zombie link racing the resumed
-	// one serializes here, keeping admission exactly-once and in link
-	// order. The alarm path never takes evMu, so a Block policy waiting out
-	// a full queue cannot deadlock the stream thread.
-	for evs, links := sc.evs, fresh; len(evs) > 0; {
-		n, err := w.cfg.Backend.SubmitBatch(tenant, evs)
-		if err == nil {
-			w.events.Add(uint64(len(evs)))
-			break
-		}
-		n = min(n, len(evs)-1)
-		w.events.Add(uint64(n))
-		w.nacks.Add(1)
-		if out, ferr := wire.AppendShardNack(sc.out, wire.ShardNack{Tenant: tenant, Link: links[n].Link, Code: w.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
-			sc.out = out
-		}
-		evs, links = evs[n+1:], links[n+1:]
-	}
-	if len(fresh) > 0 {
-		t.watermark = fresh[len(fresh)-1].Link
-		t.sinceAck += len(fresh)
-		if t.sinceAck >= w.cfg.AckEvery {
-			t.sinceAck = 0
-			if out, err := wire.AppendShardAck(sc.out, tenant, t.watermark); err == nil {
-				sc.out = out
-			}
-		}
-	}
-	t.evMu.Unlock()
-	if len(sc.out) > 0 {
-		l.Send(sc.out)
-	}
-	return true
+	return nil
 }
 
-func (w *Worker) readLoop(l *wire.Writer, r *wire.Reader) {
-	pending := make(map[string]*pendingEnvelope)
-	var sc linkScratch
-	var names wire.Names
-	idle := w.cfg.IdleTimeout
-	var deadlineAt time.Time
-	for {
-		// Re-arm the idle deadline lazily, one syscall per half-window.
-		if idle > 0 {
-			now := time.Now()
-			if deadlineAt.Sub(now) <= idle/2 {
-				deadlineAt = now.Add(idle)
-				l.Conn().SetReadDeadline(deadlineAt)
-			}
+// Frame handles one frame after the ShardHello.
+func (k *link) Frame(ft wire.FrameType, p []byte) error {
+	w, l := k.w, k.l
+	malformed := func() error { return wire.Protocolf("malformed %s", ft) }
+	var err error
+	switch ft {
+	case wire.FrameSubmitBatch:
+		if k.tenant, k.bes, err = k.names.ParseSubmitBatch(p, k.bes[:0]); err != nil {
+			return malformed()
 		}
-		t, p, err := r.Next()
+		return k.decide()
+	case wire.FrameRegisterTenant:
+		reg, err := wire.ParseRegisterTenant(p)
 		if err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: err.Error()})
-			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				w.evictedIdle.Add(1)
-				w.logf("cluster: evicting router %s: no frame in %v", l.Conn().RemoteAddr(), idle)
-			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				w.logf("cluster: router link %s: %v", l.Conn().RemoteAddr(), err)
-			}
-			return
+			return malformed()
 		}
-		switch t {
-		case wire.FrameSubmitBatch:
-			var tenant string
-			if tenant, sc.bes, err = names.ParseSubmitBatch(p, sc.bes[:0]); err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed submit-batch"})
-				return
-			}
-			if !w.decideBatch(l, tenant, &sc) {
-				return
-			}
-		case wire.FrameRegisterTenant:
-			reg, err := wire.ParseRegisterTenant(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed register-tenant"})
-				return
-			}
-			pending[reg.Tenant] = &pendingEnvelope{reg: reg}
-		case wire.FrameEnvelopeChunk:
-			c, err := wire.ParseEnvelopeChunk(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed envelope-chunk"})
-				return
-			}
-			pe := pending[c.Tenant]
-			if pe == nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "envelope-chunk without register-tenant"})
-				return
-			}
-			if c.Kind == wire.EnvModel {
-				pe.model.Write(c.Data)
-			} else {
-				pe.state.Write(c.Data)
-			}
-		case wire.FrameEnvelopeDone:
-			tenant, err := wire.ParseTenantFrame(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed envelope-done"})
-				return
-			}
-			pe := pending[tenant]
-			if pe == nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "envelope-done without register-tenant"})
-				return
-			}
-			delete(pending, tenant)
-			w.commitEnvelope(l, pe)
-		case wire.FrameResumeTenant:
-			tenant, alarmIdx, err := wire.ParseResumeTenant(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed resume-tenant"})
-				return
-			}
-			tn := w.tenant(tenant)
-			if tn == nil {
-				w.failUnknown(l, wire.OpResume, tenant)
-				continue
-			}
-			tn.alarmMu.Lock()
-			tn.pruneRingLocked(alarmIdx)
-			tn.link = l
-			tn.alarmMu.Unlock()
-			w.resumes.Add(1)
-			// Reply first (the router prunes its window off the watermark),
-			// then replay unconfirmed alarms; the router dedups by index.
-			w.ok(l, wire.OpResume, tn, tenant)
-			w.replayRing(tn, l)
-		case wire.FrameQuiesce:
-			tenant, err := wire.ParseTenantFrame(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed quiesce"})
-				return
-			}
-			tn := w.tenant(tenant)
-			if tn == nil {
-				w.failUnknown(l, wire.OpQuiesce, tenant)
-				continue
-			}
-			// The link is FIFO: every event written before this frame has
-			// been enqueued by now, so the backend drain covers them all.
-			if err := w.cfg.Backend.Quiesce(tenant); err != nil {
-				w.fail(l, wire.OpQuiesce, tenant, err)
-				continue
-			}
-			// Flush unconfirmed alarms before the reply: after quiesce the
-			// router may migrate the tenant away, and a banked alarm must
-			// not be stranded behind a route flip.
-			w.replayRing(tn, l)
-			w.ok(l, wire.OpQuiesce, tn, tenant)
-		case wire.FrameExportEnvelope:
-			tenant, err := wire.ParseTenantFrame(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed export-envelope"})
-				return
-			}
-			model, state, err := w.cfg.Backend.Export(tenant)
-			if err != nil {
-				w.fail(l, wire.OpExport, tenant, err)
-				continue
-			}
-			w.envelopeBytesOut.Add(uint64(len(model) + len(state)))
-			if !w.sendEnvelope(l, tenant, model, state) {
-				return
-			}
-		case wire.FrameDeregisterTenant:
-			tenant, err := wire.ParseTenantFrame(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed deregister-tenant"})
-				return
-			}
-			tn := w.tenant(tenant)
-			if err := w.cfg.Backend.Deregister(tenant); err != nil {
-				w.fail(l, wire.OpDeregister, tenant, err)
-				continue
-			}
-			w.mu.Lock()
-			delete(w.tenants, tenant)
-			w.mu.Unlock()
-			w.ok(l, wire.OpDeregister, tn, tenant)
-		case wire.FrameFlushTenant:
-			tenant, err := wire.ParseTenantFrame(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed flush-tenant"})
-				return
-			}
-			if err := w.cfg.Backend.Flush(tenant); err != nil {
-				w.fail(l, wire.OpFlush, tenant, err)
-				continue
-			}
-			w.ok(l, wire.OpFlush, w.tenant(tenant), tenant)
-		case wire.FrameDrain:
-			millis, err := wire.ParseDrain(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed drain"})
-				return
-			}
-			if err := w.cfg.Backend.Drain(time.Duration(millis) * time.Millisecond); err != nil {
-				w.fail(l, wire.OpDrain, "", err)
-				continue
-			}
-			w.ok(l, wire.OpDrain, nil, "")
-		case wire.FrameShardStatsReq:
-			st := w.Stats()
-			if doc, err := w.cfg.Backend.StatsJSON(); err == nil {
-				st.Backend = doc
-			}
-			doc, err := json.Marshal(st)
-			if err != nil {
-				w.fail(l, wire.OpStats, "", err)
-				continue
-			}
-			l.Send(wire.AppendShardStats(nil, doc))
-		case wire.FrameAlarmStreamAck:
-			tenant, idx, err := wire.ParseAlarmStreamAck(p)
-			if err != nil {
-				w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: "malformed alarm-stream-ack"})
-				return
-			}
-			if tn := w.tenant(tenant); tn != nil {
-				tn.alarmMu.Lock()
-				tn.pruneRingLocked(idx)
-				tn.alarmMu.Unlock()
-			}
-		case wire.FramePing:
-			// Flush the cumulative ack for every tenant attached to this
-			// link: the tail below the AckEvery cadence must not sit in the
-			// router's retransmit window forever once the stream goes quiet.
-			w.mu.Lock()
-			tenants := make([]*wkTenant, 0, len(w.tenants))
-			for _, tn := range w.tenants {
-				tenants = append(tenants, tn)
-			}
-			w.mu.Unlock()
-			for _, tn := range tenants {
-				tn.alarmMu.Lock()
-				attached := tn.link == l
-				tn.alarmMu.Unlock()
-				if !attached {
-					continue
-				}
-				tn.evMu.Lock()
-				tn.sinceAck = 0
-				ack, _ := wire.AppendShardAck(nil, tn.name, tn.watermark)
-				tn.evMu.Unlock()
-				if ack != nil {
+		k.pending[reg.Tenant] = &pendingEnvelope{reg: reg}
+	case wire.FrameEnvelopeChunk:
+		c, err := wire.ParseEnvelopeChunk(p)
+		if err != nil {
+			return malformed()
+		}
+		pe := k.pending[c.Tenant]
+		if pe == nil {
+			return wire.Protocolf("envelope-chunk without register-tenant")
+		}
+		if c.Kind == wire.EnvModel {
+			pe.model.Write(c.Data)
+		} else {
+			pe.state.Write(c.Data)
+		}
+	case wire.FrameEnvelopeDone, wire.FrameQuiesce, wire.FrameExportEnvelope, wire.FrameDeregisterTenant, wire.FrameFlushTenant:
+		tenant, err := wire.ParseTenantFrame(p)
+		if err != nil {
+			return malformed()
+		}
+		return k.tenantOp(ft, tenant)
+	case wire.FrameResumeTenant:
+		tenant, receipt, err := wire.ParseResumeTenant(p)
+		if err != nil {
+			return malformed()
+		}
+		tn := w.tenant(tenant)
+		if tn == nil {
+			w.failUnknown(l, wire.OpResume, tenant)
+			return nil
+		}
+		w.resumes.Add(1)
+		// Reply first (the router prunes its window off the watermark),
+		// then replay unconfirmed alarms; the router dedups by index.
+		w.ok(l, wire.OpResume, tn, tenant)
+		tn.rx.Attach(w.ep, l, receipt)
+	case wire.FrameDrain:
+		millis, err := wire.ParseDrain(p)
+		if err != nil {
+			return malformed()
+		}
+		if err := w.cfg.Backend.Drain(time.Duration(millis) * time.Millisecond); err != nil {
+			w.fail(l, wire.OpDrain, "", err)
+			return nil
+		}
+		w.ok(l, wire.OpDrain, nil, "")
+	case wire.FrameShardStatsReq:
+		st := w.Stats()
+		if doc, err := w.cfg.Backend.StatsJSON(); err == nil {
+			st.Backend = doc
+		}
+		doc, err := json.Marshal(st)
+		if err != nil {
+			w.fail(l, wire.OpStats, "", err)
+			return nil
+		}
+		l.Send(wire.AppendShardStats(nil, doc))
+	case wire.FrameAlarmStreamAck:
+		tenant, idx, err := wire.ParseAlarmStreamAck(p)
+		if err != nil {
+			return malformed()
+		}
+		if tn := w.tenant(tenant); tn != nil {
+			tn.rx.Confirm(idx)
+		}
+	case wire.FramePing:
+		// Flush the cumulative ack for every tenant attached to this link:
+		// the tail below the AckEvery cadence must not sit in the router's
+		// retransmit window forever once the stream goes quiet.
+		for _, tn := range w.tenantList() {
+			if tn.rx.Attached(l) {
+				wm, _ := tn.rx.Ack()
+				if ack, err := wire.AppendShardAck(nil, tn.name, wm); err == nil {
 					l.Send(ack)
 				}
 			}
-			l.Send(wire.AppendPong(nil))
-		case wire.FrameBye:
-			return
-		default:
-			w.errClose(l, wire.ShardErr{Code: wire.CodeProtocol, Detail: fmt.Sprintf("unexpected %s frame", t)})
-			return
 		}
+		l.Send(wire.AppendPong(nil))
+	case wire.FrameBye:
+		return io.EOF
+	default:
+		return wire.Protocolf("unexpected %s frame", ft)
 	}
+	return nil
 }
 
-// sendEnvelope streams one checkpoint envelope to the router as chunks plus
-// the EnvelopeDone commit; false means an encode failure already closed the
-// link.
-func (w *Worker) sendEnvelope(l *wire.Writer, tenant string, model, state []byte) bool {
-	for _, part := range []struct {
-		kind uint8
-		data []byte
-	}{{wire.EnvModel, model}, {wire.EnvState, state}} {
-		for _, piece := range chunked(part.data, w.cfg.ChunkSize) {
-			frame, err := wire.AppendEnvelopeChunk(nil, wire.EnvelopeChunk{Tenant: tenant, Kind: part.kind, Data: piece})
-			if err != nil {
-				w.logf("cluster: encoding envelope chunk for %q: %v", tenant, err)
-				l.Finish()
-				return false
-			}
-			l.Send(frame)
+// tenantOp runs one control frame that names only its tenant.
+func (k *link) tenantOp(ft wire.FrameType, tenant string) error {
+	w, l := k.w, k.l
+	switch ft {
+	case wire.FrameEnvelopeDone:
+		pe := k.pending[tenant]
+		if pe == nil {
+			return wire.Protocolf("envelope-done without register-tenant")
 		}
+		delete(k.pending, tenant)
+		w.commitEnvelope(l, pe)
+	case wire.FrameQuiesce:
+		tn := w.tenant(tenant)
+		if tn == nil {
+			w.failUnknown(l, wire.OpQuiesce, tenant)
+			return nil
+		}
+		// The link is FIFO: every event written before this frame has
+		// been enqueued by now, so the backend drain covers them all.
+		if err := w.cfg.Backend.Quiesce(tenant); err != nil {
+			w.fail(l, wire.OpQuiesce, tenant, err)
+			return nil
+		}
+		// Replay unconfirmed alarms before the reply: after quiesce the
+		// router may migrate the tenant away, and a banked alarm must not
+		// be stranded behind a route flip.
+		tn.rx.Attach(w.ep, l, 0)
+		w.ok(l, wire.OpQuiesce, tn, tenant)
+	case wire.FrameExportEnvelope:
+		model, state, err := w.cfg.Backend.Export(tenant)
+		if err != nil {
+			w.fail(l, wire.OpExport, tenant, err)
+			return nil
+		}
+		w.envelopeBytesOut.Add(uint64(len(model) + len(state)))
+		frames, err := envelopeFrames(nil, tenant, model, state, w.cfg.ChunkSize)
+		if err != nil {
+			w.ep.Printf("encoding envelope for %q: %v", tenant, err)
+			return err
+		}
+		for _, f := range frames {
+			l.Send(f)
+		}
+	case wire.FrameDeregisterTenant:
+		tn := w.tenant(tenant)
+		if err := w.cfg.Backend.Deregister(tenant); err != nil {
+			w.fail(l, wire.OpDeregister, tenant, err)
+			return nil
+		}
+		w.mu.Lock()
+		delete(w.tenants, tenant)
+		w.mu.Unlock()
+		w.ok(l, wire.OpDeregister, tn, tenant)
+	case wire.FrameFlushTenant:
+		if err := w.cfg.Backend.Flush(tenant); err != nil {
+			w.fail(l, wire.OpFlush, tenant, err)
+			return nil
+		}
+		w.ok(l, wire.OpFlush, w.tenant(tenant), tenant)
 	}
-	frame, err := wire.AppendTenantFrame(nil, wire.FrameEnvelopeDone, tenant)
-	if err != nil {
-		l.Finish()
-		return false
-	}
-	l.Send(frame)
-	return true
+	return nil
 }

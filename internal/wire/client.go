@@ -93,44 +93,21 @@ type Client struct {
 // cfg.Tenant. A Hello refused by the server surfaces as an error matching
 // the reason (ErrBadAuth for a bad token, ErrBadFrame for a protocol
 // mismatch); the Nack detail rides in the message.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
+func Dial(addr string, cfg ClientConfig) (*Client, error) { return dial(addr, cfg, nil) }
+
+// dial is Dial for a session client: its alarm receipt cursor, when
+// non-nil, sees the resume reply before the reader delivers any alarm.
+func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.TLS != nil {
-		tc := cfg.TLS
-		if tc.ServerName == "" && !tc.InsecureSkipVerify {
-			if host, _, err := net.SplitHostPort(addr); err == nil {
-				tc = tc.Clone()
-				tc.ServerName = host
-			}
-		}
-		tnc := tls.Client(nc, tc)
-		tnc.SetDeadline(time.Now().Add(timeout))
-		if err := tnc.Handshake(); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("wire: tls handshake: %w", err)
-		}
-		tnc.SetDeadline(time.Time{})
-		nc = tnc
-	}
-	c := &Client{
-		nc:       nc,
-		cfg:      cfg,
-		bw:       bufio.NewWriterSize(nc, 32<<10),
-		readDone: make(chan struct{}),
-	}
-	nc.SetDeadline(time.Now().Add(timeout))
 	var hello []byte
+	var err error
 	if cfg.Session != "" {
 		// Pipeline session-intent Hello + Resume: one round trip covers
 		// the whole handshake, and the server claims the session's alarm
-		// route before any alarm could slip past the replay ring.
+		// route before any alarm could slip past its bank.
 		hello, err = AppendHelloSession(nil, cfg.Token, cfg.Tenant)
 		if err == nil {
 			hello, err = AppendResume(hello, cfg.Session, cfg.AlarmIdx)
@@ -139,18 +116,17 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		hello, err = AppendHello(nil, cfg.Token, cfg.Tenant)
 	}
 	if err != nil {
-		nc.Close()
 		return nil, err
 	}
-	if _, err := nc.Write(hello); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	r := NewReader(nc, cfg.MaxFrame)
-	t, p, err := r.Next()
+	nc, r, t, p, err := DialStream(addr, cfg.TLS, timeout, hello, cfg.MaxFrame)
 	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wire: handshake: %w", err)
+		return nil, err
+	}
+	c := &Client{
+		nc:       nc,
+		cfg:      cfg,
+		bw:       bufio.NewWriterSize(nc, 32<<10),
+		readDone: make(chan struct{}),
 	}
 	switch t {
 	case FrameWelcome:
@@ -163,12 +139,8 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 			c.batchMax = int(maxFrame)
 		}
 	case FrameNack:
-		n, perr := ParseNack(p)
 		nc.Close()
-		if perr != nil {
-			return nil, perr
-		}
-		return nil, helloError(n)
+		return nil, helloError(p)
 	default:
 		nc.Close()
 		return nil, fmt.Errorf("%w: handshake frame %s", ErrBadFrame, t)
@@ -188,24 +160,28 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 			}
 			c.resumeWatermark, c.resumeAlarmIdx = wm, aidx
 		case FrameNack:
-			n, perr := ParseNack(p)
 			nc.Close()
-			if perr != nil {
-				return nil, perr
-			}
-			return nil, helloError(n)
+			return nil, helloError(p)
 		default:
 			nc.Close()
 			return nil, fmt.Errorf("%w: resume handshake frame %s", ErrBadFrame, t)
 		}
 	}
 	nc.SetDeadline(time.Time{})
+	if alarms != nil {
+		alarms.Restart(c.resumeAlarmIdx)
+	}
 	go c.readLoop(r)
 	return c, nil
 }
 
-// helloError converts a handshake Nack into a sentinel-matchable error.
-func helloError(n Nack) error {
+// helloError converts a handshake Nack payload into a sentinel-matchable
+// error.
+func helloError(p []byte) error {
+	n, err := ParseNack(p)
+	if err != nil {
+		return err
+	}
 	switch n.Code {
 	case CodeBadAuth:
 		return fmt.Errorf("%w: %s", ErrBadAuth, n.Detail)

@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 )
 
 const (
@@ -216,25 +215,12 @@ func (n ShardNack) Error() string {
 
 // AppendShardHello encodes a ShardHello frame onto dst.
 func AppendShardHello(dst []byte, token, router string) ([]byte, error) {
-	dst, at := begin(dst, FrameShardHello)
-	dst = append(dst, Version)
-	var err error
-	if dst, err = appendString(dst, token); err != nil {
-		return nil, err
-	}
-	if dst, err = appendString(dst, router); err != nil {
-		return nil, err
-	}
-	return frame(dst, at), nil
+	return appendHello(dst, FrameShardHello, token, router)
 }
 
 // ParseShardHello decodes a ShardHello payload.
 func ParseShardHello(p []byte) (version uint8, token, router string, err error) {
-	d := decoder{p: p}
-	version = d.u8()
-	token = d.str()
-	router = d.str()
-	if d.fail {
+	if version, token, router, _, err = ParseHello(p); err != nil {
 		return 0, "", "", fmt.Errorf("%w: shard-hello", ErrBadFrame)
 	}
 	return version, token, router, nil
@@ -242,18 +228,12 @@ func ParseShardHello(p []byte) (version uint8, token, router string, err error) 
 
 // AppendShardWelcome encodes a ShardWelcome frame onto dst.
 func AppendShardWelcome(dst []byte, maxFrame uint32) []byte {
-	dst, at := begin(dst, FrameShardWelcome)
-	dst = append(dst, Version)
-	dst = binary.BigEndian.AppendUint32(dst, maxFrame)
-	return frame(dst, at)
+	return frame(beginWelcome(dst, FrameShardWelcome, maxFrame))
 }
 
 // ParseShardWelcome decodes a ShardWelcome payload.
 func ParseShardWelcome(p []byte) (version uint8, maxFrame uint32, err error) {
-	d := decoder{p: p}
-	version = d.u8()
-	maxFrame = d.u32()
-	if d.fail {
+	if version, maxFrame, _, err = ParseWelcome(p); err != nil {
 		return 0, 0, fmt.Errorf("%w: shard-welcome", ErrBadFrame)
 	}
 	return version, maxFrame, nil
@@ -398,12 +378,8 @@ func (names *Names) ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []Batc
 	}
 	start := len(evs)
 	for i := 0; i < n && !d.fail; i++ {
-		be := BatchEvent{Link: d.u64()}
-		be.Ev.Seq = d.u64()
-		be.Ev.Time = time.Unix(0, int64(d.u64())).UTC()
-		be.Ev.Value = math.Float64frombits(d.u64())
-		be.Ev.Device = d.str()
-		evs = append(evs, be)
+		evs = append(evs, BatchEvent{Link: d.u64()})
+		d.event(&evs[len(evs)-1].Ev)
 	}
 	if d.fail || tenant == "" {
 		return "", evs[:start], fmt.Errorf("%w: submit-batch", ErrBadFrame)
@@ -411,27 +387,36 @@ func (names *Names) ParseSubmitBatch(p []byte, evs []BatchEvent) (string, []Batc
 	return tenant, evs, nil
 }
 
-// AppendShardAck encodes a ShardAck frame onto dst.
-func AppendShardAck(dst []byte, tenant string, watermark uint64) ([]byte, error) {
-	dst, at := begin(dst, FrameShardAck)
+// appendTenantCursor encodes a frame of type t carrying a tenant or session
+// name and one stream cursor (a watermark or an alarm index).
+func appendTenantCursor(dst []byte, t FrameType, tenant string, cursor uint64) ([]byte, error) {
+	dst, at := begin(dst, t)
 	var err error
 	if dst, err = appendString(dst, tenant); err != nil {
 		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint64(dst, watermark)
+	dst = binary.BigEndian.AppendUint64(dst, cursor)
 	return frame(dst, at), nil
 }
 
-// ParseShardAck decodes a ShardAck payload.
-func ParseShardAck(p []byte) (string, uint64, error) {
+// parseTenantCursor decodes a payload written by appendTenantCursor.
+func parseTenantCursor(p []byte, t FrameType) (string, uint64, error) {
 	d := decoder{p: p}
 	tenant := d.str()
-	watermark := d.u64()
+	cursor := d.u64()
 	if d.fail || tenant == "" {
-		return "", 0, fmt.Errorf("%w: shard-ack", ErrBadFrame)
+		return "", 0, fmt.Errorf("%w: %s", ErrBadFrame, t)
 	}
-	return tenant, watermark, nil
+	return tenant, cursor, nil
 }
+
+// AppendShardAck encodes a ShardAck frame onto dst.
+func AppendShardAck(dst []byte, tenant string, watermark uint64) ([]byte, error) {
+	return appendTenantCursor(dst, FrameShardAck, tenant, watermark)
+}
+
+// ParseShardAck decodes a ShardAck payload.
+func ParseShardAck(p []byte) (string, uint64, error) { return parseTenantCursor(p, FrameShardAck) }
 
 // AppendShardNack encodes a ShardNack frame onto dst.
 func AppendShardNack(dst []byte, n ShardNack) ([]byte, error) {
@@ -488,46 +473,22 @@ func ParseAlarmStream(p []byte) (tenant string, idx uint64, a Alarm, err error) 
 
 // AppendAlarmStreamAck encodes an AlarmStreamAck frame onto dst.
 func AppendAlarmStreamAck(dst []byte, tenant string, idx uint64) ([]byte, error) {
-	dst, at := begin(dst, FrameAlarmStreamAck)
-	var err error
-	if dst, err = appendString(dst, tenant); err != nil {
-		return nil, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, idx)
-	return frame(dst, at), nil
+	return appendTenantCursor(dst, FrameAlarmStreamAck, tenant, idx)
 }
 
 // ParseAlarmStreamAck decodes an AlarmStreamAck payload.
 func ParseAlarmStreamAck(p []byte) (string, uint64, error) {
-	d := decoder{p: p}
-	tenant := d.str()
-	idx := d.u64()
-	if d.fail || tenant == "" {
-		return "", 0, fmt.Errorf("%w: alarm-stream-ack", ErrBadFrame)
-	}
-	return tenant, idx, nil
+	return parseTenantCursor(p, FrameAlarmStreamAck)
 }
 
 // AppendResumeTenant encodes a ResumeTenant frame onto dst.
 func AppendResumeTenant(dst []byte, tenant string, alarmIdx uint64) ([]byte, error) {
-	dst, at := begin(dst, FrameResumeTenant)
-	var err error
-	if dst, err = appendString(dst, tenant); err != nil {
-		return nil, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, alarmIdx)
-	return frame(dst, at), nil
+	return appendTenantCursor(dst, FrameResumeTenant, tenant, alarmIdx)
 }
 
 // ParseResumeTenant decodes a ResumeTenant payload.
 func ParseResumeTenant(p []byte) (string, uint64, error) {
-	d := decoder{p: p}
-	tenant := d.str()
-	alarmIdx := d.u64()
-	if d.fail || tenant == "" {
-		return "", 0, fmt.Errorf("%w: resume-tenant", ErrBadFrame)
-	}
-	return tenant, alarmIdx, nil
+	return parseTenantCursor(p, FrameResumeTenant)
 }
 
 // AppendTenantFrame encodes one of the tenant-name-only control frames
@@ -566,18 +527,7 @@ func AppendShardStats(dst []byte, doc []byte) []byte {
 
 // AppendDrain encodes a Drain frame onto dst. millis bounds the worker's
 // per-tenant quiesce wait; zero means wait indefinitely.
-func AppendDrain(dst []byte, millis uint64) []byte {
-	dst, at := begin(dst, FrameDrain)
-	dst = binary.BigEndian.AppendUint64(dst, millis)
-	return frame(dst, at)
-}
+func AppendDrain(dst []byte, millis uint64) []byte { return appendU64(dst, FrameDrain, millis) }
 
 // ParseDrain decodes a Drain payload.
-func ParseDrain(p []byte) (uint64, error) {
-	d := decoder{p: p}
-	millis := d.u64()
-	if d.fail {
-		return 0, fmt.Errorf("%w: drain", ErrBadFrame)
-	}
-	return millis, nil
-}
+func ParseDrain(p []byte) (uint64, error) { return parseU64(p, FrameDrain) }

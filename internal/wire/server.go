@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,18 +82,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.AlarmBuffer <= 0 {
 		c.AlarmBuffer = 256
 	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 32
-	}
 	if c.SessionAlarmBuffer <= 0 {
 		c.SessionAlarmBuffer = c.AlarmBuffer
 	}
@@ -146,62 +133,29 @@ type ServerStats struct {
 	AuthFailures uint64
 }
 
-// session is the durable per-(tenant, name) state that outlives any one
-// connection: the decided-event watermark for exactly-once admission, and a
-// bounded ring of unconfirmed alarms replayed on resume.
-//
-// Two mutexes split the two concerns deliberately: evMu is held across
-// Backend.SubmitBatch (which may block under a Block backpressure policy),
-// and the alarm sink — invoked on the tenant's stream thread, which must
-// never wait behind a blocked SubmitBatch — takes only alarmMu.
+// session is the durable per-(tenant, name) receiving end that outlives any
+// one connection: its decided-event watermark and alarm bank.
 type session struct {
 	tenant, name string
-
-	evMu      sync.Mutex
-	watermark uint64 // highest Seq decided (admitted or nacked)
-	sinceAck  int
-
-	alarmMu  sync.Mutex
-	conn     *srvConn // connection currently attached; nil while orphaned
-	alarmSeq uint64   // last assigned session-alarm index
-	ring     []sessAlarm
-	ringCap  int
-}
-
-// sessAlarm is one banked alarm: its session index and the pre-encoded
-// SessionAlarm frame (replay is a straight enqueue, no re-encoding).
-type sessAlarm struct {
-	idx   uint64
-	frame []byte
+	rx           Receiver
+	fullLogged   atomic.Bool // first alarm-queue-full logged
 }
 
 func sessionKey(tenant, name string) string { return tenant + "\x00" + name }
 
-// Server accepts wire connections and bridges them onto a Backend. All
-// methods are safe for concurrent use.
+// Server accepts wire connections and bridges them onto a Backend: the
+// session vocabulary over the resumable-stream core (Endpoint, Receiver).
+// All methods are safe for concurrent use.
 type Server struct {
 	cfg ServerConfig
+	ep  *Endpoint
 
 	mu       sync.Mutex
-	lns      map[net.Listener]struct{}
-	conns    map[*srvConn]struct{}
 	owners   map[string]*srvConn // tenant → plain connection receiving its alarms
 	sessions map[string]*session
-	closed   bool
 
-	active         atomic.Int64
-	totalConns     atomic.Uint64
-	events         atomic.Uint64
-	nacks          atomic.Uint64
-	duplicates     atomic.Uint64
-	retransmits    atomic.Uint64
-	resumes        atomic.Uint64
-	evictedIdle    atomic.Uint64
-	alarms         atomic.Uint64
-	alarmsBuffered atomic.Uint64
-	alarmReplays   atomic.Uint64
-	alarmsDropped  atomic.Uint64
-	authFailures   atomic.Uint64
+	retransmits atomic.Uint64
+	resumes     atomic.Uint64
 }
 
 // NewServer creates a wire server over a backend; call Serve with one or
@@ -210,87 +164,35 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("wire: server with nil backend")
 	}
+	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:      cfg.withDefaults(),
-		lns:      make(map[net.Listener]struct{}),
-		conns:    make(map[*srvConn]struct{}),
+		cfg: cfg,
+		ep: (&Endpoint{Name: "wire", HelloTimeout: cfg.HelloTimeout, IdleTimeout: cfg.IdleTimeout,
+			WriteTimeout: cfg.WriteTimeout, MaxFrame: cfg.MaxFrame, OutBuffer: cfg.AlarmBuffer,
+			AckEvery: cfg.AckEvery, AlarmRing: cfg.SessionAlarmBuffer, Logf: cfg.Logf}).WithDefaults(),
 		owners:   make(map[string]*srvConn),
 		sessions: make(map[string]*session),
 	}, nil
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // Serve accepts connections on ln until the listener fails or the server
 // is closed; a clean Close returns nil. Serve may be called concurrently
 // with multiple listeners.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("wire: server closed")
-	}
-	s.lns[ln] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.lns, ln)
-		s.mu.Unlock()
-		ln.Close()
-	}()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.totalConns.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.handle(nc)
-		}()
-	}
+	return s.ep.Serve(ln, func(w *Writer) Handler { return &srvConn{srv: s, nc: w.Conn(), w: w} })
 }
 
 // Close stops accepting, closes every live connection (including half-open
 // ones still waiting for their Hello), drops all session state, and
 // unroutes every alarm sink. Idempotent.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.ep.Close() {
 		return nil
 	}
-	s.closed = true
-	for ln := range s.lns {
-		ln.Close()
-	}
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.sessions = make(map[string]*session)
+	s.mu.Lock()
+	sessions := s.sessions
+	s.sessions = nil // refuses later resumes
 	s.mu.Unlock()
-	for _, c := range conns {
-		c.nc.Close()
-	}
 	// Orphaned sessions hold their tenants' alarm routes (banking alarms
 	// for a resume that will never come now); restore default delivery.
 	for _, sess := range sessions {
@@ -304,171 +206,118 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	nsess := len(s.sessions)
 	s.mu.Unlock()
+	e := s.ep
 	return ServerStats{
-		ActiveConns:    int(s.active.Load()),
-		Conns:          s.totalConns.Load(),
-		Events:         s.events.Load(),
-		Nacks:          s.nacks.Load(),
-		Duplicates:     s.duplicates.Load(),
+		ActiveConns:    int(e.Active.Load()),
+		Conns:          e.Accepted.Load(),
+		Events:         e.Events.Load(),
+		Nacks:          e.Nacks.Load(),
+		Duplicates:     e.Duplicates.Load(),
 		Retransmits:    s.retransmits.Load(),
 		Sessions:       nsess,
 		Resumes:        s.resumes.Load(),
-		EvictedIdle:    s.evictedIdle.Load(),
-		Alarms:         s.alarms.Load(),
-		AlarmsBuffered: s.alarmsBuffered.Load(),
-		AlarmReplays:   s.alarmReplays.Load(),
-		AlarmsDropped:  s.alarmsDropped.Load(),
-		AuthFailures:   s.authFailures.Load(),
+		EvictedIdle:    e.EvictedIdle.Load(),
+		Alarms:         e.Alarms.Load(),
+		AlarmsBuffered: e.AlarmsBuffered.Load(),
+		AlarmReplays:   e.AlarmReplays.Load(),
+		AlarmsDropped:  e.AlarmsDropped.Load(),
+		AuthFailures:   e.AuthFailures.Load(),
 	}
 }
 
-// srvConn is one accepted connection: a reader loop (this goroutine), a
-// Writer serializing Welcome, Ack, Nack and Alarm frames, and — once
-// authenticated — an alarm route claimed on the backend, either directly
-// (plain v1 connection) or through a durable session.
+// srvConn is one accepted connection: the session vocabulary's Handler and
+// Vocab. Its Writer serializes Welcome, Ack, Nack and Alarm frames; once
+// authenticated it claims the tenant's alarm route, either directly (plain
+// v1 connection) or through a durable session.
 type srvConn struct {
 	srv    *Server
 	nc     net.Conn
 	w      *Writer // outbound frames toward the producer
 	tenant string
 	sess   *session // attached by a Resume frame; nil on plain connections
+	intent bool     // the Hello announced a Resume
 	clean  bool     // Bye received: teardown retires the session
 
-	// Reader-loop scratch, reused for every event frame: the decoded
-	// events and the Nack and Ack frames one decision answers with.
-	evs []Event
-	out []byte
+	// Reader-loop scratch, reused for every event frame: the name table,
+	// the decoded events and the Nack and Ack frames one decision answers
+	// with.
+	names Names
+	evs   []Event
+	out   []byte
 
 	alarmDropLogged atomic.Bool
 }
 
-func (s *Server) handle(nc net.Conn) {
-	c := &srvConn{srv: s, nc: nc}
-	c.w = NewWriter(nc, s.cfg.AlarmBuffer, 0, s.cfg.WriteTimeout, func() {
-		s.evictedIdle.Add(1)
-		s.logf("wire: evicting %s (tenant %q): write stalled past %v", nc.RemoteAddr(), c.tenant, s.cfg.WriteTimeout)
-	})
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		c.w.Finish()
-		return
-	}
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-	authed := false
-	defer func() {
-		c.w.Finish()
-		s.teardown(c)
-		// Only now has the connection let go of its session: a caller
-		// that saw ActiveConns drop finds alarms banked, not pushed.
-		if authed {
-			s.active.Add(-1)
-		}
-	}()
+func (c *srvConn) String() string { return fmt.Sprintf("%s (tenant %q)", c.nc.RemoteAddr(), c.tenant) }
 
-	r := NewReader(nc, s.cfg.MaxFrame)
-	nc.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-	sessionIntent, refusal, err := s.hello(c, r)
-	if err != nil {
-		// Count the refusal before its Nack is queued: a client that has
-		// read the Nack must find it in Stats.
-		s.authFailures.Add(1)
-		if refusal != nil {
-			c.nackClose(*refusal)
-		}
-		return
-	}
-	// The Hello deadline is cleared symmetrically: the read loop below
-	// re-arms its own idle deadline before every read.
-	nc.SetReadDeadline(time.Time{})
-	s.active.Add(1)
-	authed = true
-	s.readLoop(c, r, sessionIntent)
-}
-
-// teardown unwinds one connection's registrations. A plain connection
+// Teardown unwinds one connection's registrations. A plain connection
 // releases its alarm route back to default delivery; a session connection
 // only detaches — the session keeps the route and banks alarms for the
 // resume — unless a Bye retired it (clean departure restores defaults).
-func (s *Server) teardown(c *srvConn) {
+func (c *srvConn) Teardown() {
+	s := c.srv
 	s.mu.Lock()
-	delete(s.conns, c)
-	sess := c.sess
-	if sess == nil {
-		if c.tenant != "" && s.owners[c.tenant] == c {
-			delete(s.owners, c.tenant)
-			s.mu.Unlock()
-			// Route the tenant's alarms back to the host's default
-			// delivery; a newer connection for the same tenant already
-			// rerouted them and is skipped above.
-			_ = s.cfg.Backend.RouteAlarms(c.tenant, nil)
-			return
+	if sess := c.sess; sess != nil {
+		retire := sess.rx.Detach(c.w) && c.clean
+		if retire {
+			delete(s.sessions, sessionKey(sess.tenant, sess.name))
 		}
 		s.mu.Unlock()
+		if retire {
+			_ = s.cfg.Backend.RouteAlarms(sess.tenant, nil)
+		}
 		return
 	}
-	retire := false
-	sess.alarmMu.Lock()
-	if sess.conn == c {
-		sess.conn = nil
-		retire = c.clean
-	}
-	sess.alarmMu.Unlock()
-	if retire {
-		delete(s.sessions, sessionKey(sess.tenant, sess.name))
+	owner := c.tenant != "" && s.owners[c.tenant] == c
+	if owner {
+		delete(s.owners, c.tenant)
 	}
 	s.mu.Unlock()
-	if retire {
-		_ = s.cfg.Backend.RouteAlarms(sess.tenant, nil)
+	if owner {
+		// Route the tenant's alarms back to the host's default delivery; a
+		// newer connection for the same tenant already rerouted them.
+		_ = s.cfg.Backend.RouteAlarms(c.tenant, nil)
 	}
 }
 
-// nackClose sends one final Nack and waits (bounded) for it to reach the
-// socket before the deferred close tears the connection down.
-func (c *srvConn) nackClose(n Nack) {
-	if frame, err := AppendNack(nil, n); err == nil {
-		c.w.SendWait(frame, time.Second)
-	}
+// ErrorFrame answers a refusal with a Nack.
+func (c *srvConn) ErrorFrame(r Refusal) ([]byte, error) {
+	return AppendNack(nil, Nack{Code: r.Code, Detail: r.Detail})
 }
 
-// hello performs the authentication handshake; any error means the
-// connection is refused, with refusal (when non-nil) the Nack to send
-// before closing. sessionIntent reports a client that announced it will
-// Resume: its alarm route is claimed by the session attach instead of
-// here, so no alarm can slip past the session's replay ring between
-// Welcome and Resume.
-func (s *Server) hello(c *srvConn, r *Reader) (sessionIntent bool, refusal *Nack, err error) {
+// Hello performs the authentication handshake. A client that announced it
+// will Resume has its alarm route claimed by the session attach instead of
+// here, so no alarm can slip past the session's bank between Welcome and
+// Resume.
+func (c *srvConn) Hello(r *Reader) error {
+	s := c.srv
 	t, p, err := r.Next()
 	if err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			return false, &Nack{Code: CodeProtocol, Detail: err.Error()}, err
-		}
-		return false, nil, err
+		return err
 	}
 	if t != FrameHello {
-		return false, &Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected hello, got %s", t)}, fmt.Errorf("%w: first frame %s", ErrBadFrame, t)
+		return Protocolf("expected hello, got %s", t)
 	}
-	ver, token, tenant, sessionIntent, err := ParseHello(p)
+	ver, token, tenant, intent, err := ParseHello(p)
 	if err != nil {
-		return false, &Nack{Code: CodeProtocol, Detail: "malformed hello"}, err
+		return Protocolf("malformed hello")
 	}
 	if ver != Version {
-		return false, &Nack{Code: CodeProtocol, Detail: fmt.Sprintf("protocol version %d, want %d", ver, Version)}, fmt.Errorf("%w: version %d", ErrBadFrame, ver)
+		return Protocolf("protocol version %d, want %d", ver, Version)
 	}
 	if err := s.cfg.Backend.Authenticate(token, tenant); err != nil {
-		s.logf("wire: refused connection from %s for tenant %q: %v", c.nc.RemoteAddr(), tenant, err)
-		return false, &Nack{Code: s.cfg.Classify(err), Detail: "authentication rejected"}, err
+		s.ep.Printf("refused connection from %s for tenant %q: %v", c.nc.RemoteAddr(), tenant, err)
+		return Refusal{Code: s.cfg.Classify(err), Detail: "authentication rejected"}
 	}
-	if !sessionIntent {
+	c.tenant, c.intent = tenant, intent
+	if !intent {
 		if err := s.claimAlarms(tenant, c); err != nil {
-			s.logf("wire: refused connection from %s: %v", c.nc.RemoteAddr(), err)
-			return false, &Nack{Code: s.cfg.Classify(err), Detail: err.Error()}, err
+			s.ep.Printf("refused connection from %s: %v", c.nc.RemoteAddr(), err)
+			return Refusal{Code: s.cfg.Classify(err), Detail: err.Error()}
 		}
 	}
-	c.tenant = tenant
 	c.w.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame), CapEventBatch))
-	return sessionIntent, nil, nil
+	return nil
 }
 
 // claimAlarms routes the tenant's alarms to this plain connection,
@@ -495,23 +344,24 @@ func (s *Server) claimAlarms(tenant string, c *srvConn) error {
 	return nil
 }
 
-// attachSession binds c to the (tenant, name) session, creating it on
-// first use, and routes the tenant's alarms through the session sink. It
-// returns the encoded ResumeOK and the banked alarm frames to replay.
-func (s *Server) attachSession(c *srvConn, name string, alarmIdx uint64) (resumeOK []byte, replay [][]byte, err error) {
+// resume binds c to the (tenant, name) session, creating it on first use,
+// routes the tenant's alarms into the session's bank, answers ResumeOK,
+// and attaches c, replaying the alarms past the client's receipt.
+func (c *srvConn) resume(name string, receipt uint64) error {
+	s := c.srv
 	key := sessionKey(c.tenant, name)
 	s.mu.Lock()
-	if s.closed {
+	if s.sessions == nil {
 		s.mu.Unlock()
-		return nil, nil, errors.New("wire: server closed")
+		return errors.New("wire: server closed")
 	}
 	sess, ok := s.sessions[key]
 	if !ok {
 		if len(s.sessions) >= s.cfg.MaxSessions {
 			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("wire: session table full (%d sessions)", s.cfg.MaxSessions)
+			return fmt.Errorf("wire: session table full (%d sessions)", s.cfg.MaxSessions)
 		}
-		sess = &session{tenant: c.tenant, name: name, ringCap: s.cfg.SessionAlarmBuffer}
+		sess = &session{tenant: c.tenant, name: name}
 		s.sessions[key] = sess
 	}
 	// A plain connection may still own this tenant's alarm route; the
@@ -520,85 +370,19 @@ func (s *Server) attachSession(c *srvConn, name string, alarmIdx uint64) (resume
 	// session's route later.
 	delete(s.owners, c.tenant)
 	s.mu.Unlock()
-
-	sess.alarmMu.Lock()
-	// The client's receipt index confirms everything at or below it;
-	// prune, then snapshot the tail to replay.
-	sess.pruneLocked(alarmIdx)
-	for _, sa := range sess.ring {
-		replay = append(replay, sa.frame)
-	}
-	sess.conn = c
-	aidx := sess.alarmSeq
-	sess.alarmMu.Unlock()
-
-	sess.evMu.Lock()
-	wm := sess.watermark
-	sess.evMu.Unlock()
-
-	if err := s.cfg.Backend.RouteAlarms(c.tenant, s.sessionSink(sess)); err != nil {
-		sess.alarmMu.Lock()
-		if sess.conn == c {
-			sess.conn = nil
+	if err := s.cfg.Backend.RouteAlarms(c.tenant, func(a Alarm) {
+		if sess.rx.Push(s.ep, a, AppendSessionAlarm) && sess.fullLogged.CompareAndSwap(false, true) {
+			s.ep.Printf("alarm queue full for tenant %q session %q; banked for replay (first occurrence — producer not reading, or raise AlarmBuffer)", sess.tenant, sess.name)
 		}
-		sess.alarmMu.Unlock()
-		return nil, nil, err
+	}); err != nil {
+		return err
 	}
 	c.sess = sess
 	s.resumes.Add(1)
-	return AppendResumeOK(nil, wm, aidx), replay, nil
-}
-
-// pruneLocked drops ring entries the client has confirmed. Callers hold
-// alarmMu.
-func (sess *session) pruneLocked(idx uint64) {
-	keep := 0
-	for ; keep < len(sess.ring) && sess.ring[keep].idx <= idx; keep++ {
-	}
-	if keep > 0 {
-		sess.ring = append(sess.ring[:0], sess.ring[keep:]...)
-	}
-}
-
-// sessionSink banks every alarm in the session's replay ring and pushes it
-// to the attached connection when one is listening. Runs on the tenant's
-// stream thread: never blocks, never touches evMu.
-func (s *Server) sessionSink(sess *session) func(Alarm) {
-	return func(a Alarm) {
-		sess.alarmMu.Lock()
-		sess.alarmSeq++
-		idx := sess.alarmSeq
-		frame, err := AppendSessionAlarm(nil, idx, a)
-		if err != nil {
-			sess.alarmMu.Unlock()
-			s.alarmsDropped.Add(1)
-			return
-		}
-		if len(sess.ring) >= sess.ringCap {
-			// Every ring entry is unconfirmed (receipts pruned it), so an
-			// eviction is a real, counted loss — never silent.
-			sess.ring = append(sess.ring[:0], sess.ring[1:]...)
-			s.alarmsDropped.Add(1)
-		}
-		sess.ring = append(sess.ring, sessAlarm{idx: idx, frame: frame})
-		c := sess.conn
-		sess.alarmMu.Unlock()
-		if c == nil {
-			s.alarmsBuffered.Add(1)
-			return
-		}
-		if c.w.TrySend(frame) {
-			s.alarms.Add(1)
-			return
-		}
-		// Queue full on a live connection: the alarm stays banked in the
-		// ring and reaches the producer on its next resume.
-		s.alarmsBuffered.Add(1)
-		if c.alarmDropLogged.CompareAndSwap(false, true) {
-			s.logf("wire: alarm queue full for tenant %q on %s; banked for replay (first occurrence — producer not reading, or raise AlarmBuffer)",
-				c.tenant, c.nc.RemoteAddr())
-		}
-	}
+	wm, idx := sess.rx.Ack()
+	c.w.Send(AppendResumeOK(nil, wm, idx))
+	sess.rx.Attach(s.ep, c.w, receipt)
+	return nil
 }
 
 // pushAlarm encodes one alarm onto a plain connection's outbound queue. It
@@ -607,196 +391,115 @@ func (s *Server) sessionSink(sess *session) func(Alarm) {
 func (s *Server) pushAlarm(c *srvConn, a Alarm) {
 	frame, err := AppendAlarm(nil, a)
 	if err != nil {
-		s.alarmsDropped.Add(1)
+		s.ep.AlarmsDropped.Add(1)
 		return
 	}
 	if c.w.TrySend(frame) {
-		s.alarms.Add(1)
+		s.ep.Alarms.Add(1)
 		return
 	}
-	s.alarmsDropped.Add(1)
+	s.ep.AlarmsDropped.Add(1)
 	if c.alarmDropLogged.CompareAndSwap(false, true) {
-		s.logf("wire: alarm queue full for tenant %q on %s; dropping (first drop — producer not reading, or raise AlarmBuffer)",
+		s.ep.Printf("alarm queue full for tenant %q on %s; dropping (first drop — producer not reading, or raise AlarmBuffer)",
 			c.tenant, c.nc.RemoteAddr())
 	}
 }
 
+// Seq, Submit, AppendNack and AppendAck make srvConn the session
+// vocabulary of Decide.
+func (c *srvConn) Seq(ev *Event) uint64 { return ev.Seq }
+
+func (c *srvConn) Submit(evs []Event) (int, error) {
+	return c.srv.cfg.Backend.SubmitBatch(c.tenant, evs)
+}
+
+func (c *srvConn) AppendNack(dst []byte, ev *Event, err error) []byte {
+	if out, ferr := AppendNack(dst, Nack{Seq: ev.Seq, Code: c.srv.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
+		return out
+	}
+	return dst
+}
+
+func (c *srvConn) AppendAck(dst []byte, wm uint64) []byte { return AppendAck(dst, wm) }
+
 // decide is the one admission path of every event frame (Event, EventRetx
-// and EventBatch alike). On a session connection it takes evMu once for the
-// frame, counts the prefix at or below the watermark as duplicates
-// (acknowledged, never re-admitted), and admits the rest in order; every
-// decided event advances the watermark, and the frame earns at most one
-// cumulative Ack. It returns false only when the connection must close.
+// and EventBatch alike): Decide on a session connection, a plain Admit
+// otherwise. It returns false only when the frame's sequence numbers do
+// not increase and the connection must close.
 func (s *Server) decide(c *srvConn, evs []Event, retx bool) bool {
 	if retx {
 		s.retransmits.Add(uint64(len(evs)))
 	}
-	c.out = c.out[:0]
-	sess := c.sess
-	if sess == nil {
-		s.submit(c, evs)
-		if len(c.out) > 0 {
-			c.w.Send(c.out)
-		}
-		return true
+	var err error
+	if c.sess == nil {
+		c.out = Admit(s.ep, c, evs, c.out[:0])
+	} else if c.out, err = Decide(s.ep, &c.sess.rx, c, evs, c.out[:0]); err != nil {
+		return false
 	}
-	sess.evMu.Lock()
-	dup := 0
-	for dup < len(evs) && evs[dup].Seq <= sess.watermark {
-		dup++
-	}
-	fresh := evs[dup:]
-	for i := 1; i < len(fresh); i++ {
-		if fresh[i].Seq <= fresh[i-1].Seq {
-			sess.evMu.Unlock()
-			c.nackClose(Nack{Code: CodeProtocol, Detail: ErrSeqOrder.Error()})
-			return false
-		}
-	}
-	s.duplicates.Add(uint64(dup))
-	// evMu stays held across SubmitBatch: a zombie connection racing the
-	// resumed one serializes here, keeping admission exactly-once and in
-	// sequence order. The alarm path never takes evMu, so a Block policy
-	// waiting out a full queue cannot deadlock the stream thread.
-	s.submit(c, fresh)
-	if len(fresh) > 0 {
-		sess.watermark = fresh[len(fresh)-1].Seq
-	}
-	sess.sinceAck += len(evs)
-	if sess.sinceAck >= s.cfg.AckEvery {
-		sess.sinceAck = 0
-		c.out = AppendAck(c.out, sess.watermark)
-	}
-	sess.evMu.Unlock()
 	if len(c.out) > 0 {
 		c.w.Send(c.out)
 	}
 	return true
 }
 
-// submit hands evs to the backend, resuming past each refusal, and appends
-// one Nack per refused event to c.out. Counters move before the frames are
-// sent, so a producer that has read a Nack finds it in Stats.
-func (s *Server) submit(c *srvConn, evs []Event) {
-	for len(evs) > 0 {
-		n, err := s.cfg.Backend.SubmitBatch(c.tenant, evs)
-		if err == nil {
-			s.events.Add(uint64(len(evs)))
-			return
-		}
-		n = min(n, len(evs)-1)
-		s.events.Add(uint64(n))
-		s.nacks.Add(1)
-		if out, ferr := AppendNack(c.out, Nack{Seq: evs[n].Seq, Code: s.cfg.Classify(err), Detail: err.Error()}); ferr == nil {
-			c.out = out
-		}
-		evs = evs[n+1:]
+// Frame handles one frame after the Hello.
+func (c *srvConn) Frame(t FrameType, p []byte) error {
+	s := c.srv
+	// A session-intent connection must attach before anything else so its
+	// alarm route never dangles.
+	if c.intent && c.sess == nil && t != FrameResume && t != FrameBye && t != FramePing {
+		return Protocolf("expected resume, got %s", t)
 	}
-}
-
-func (s *Server) readLoop(c *srvConn, r *Reader, sessionIntent bool) {
-	var names Names
-	idle := s.cfg.IdleTimeout
-	var deadlineAt time.Time
-	for {
-		// Re-arm the idle deadline lazily: a syscall only when more than
-		// half the window has burned, so a hot stream pays ~one
-		// SetReadDeadline per half-window, not one per frame.
-		if idle > 0 {
-			now := time.Now()
-			if deadlineAt.Sub(now) <= idle/2 {
-				deadlineAt = now.Add(idle)
-				c.nc.SetReadDeadline(deadlineAt)
-			}
-		}
-		t, p, err := r.Next()
+	var err error
+	switch t {
+	case FrameEvent, FrameEventRetx:
+		ev, err := c.names.ParseEvent(p)
 		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: err.Error()})
-			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.evictedIdle.Add(1)
-				s.logf("wire: evicting %s (tenant %q): no frame in %v", c.nc.RemoteAddr(), c.tenant, idle)
-			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.logf("wire: connection %s (tenant %q): %v", c.nc.RemoteAddr(), c.tenant, err)
-			}
-			return
+			return Protocolf("malformed event")
 		}
-		// A session-intent connection must attach before anything else so
-		// its alarm route never dangles.
-		if sessionIntent && c.sess == nil && t != FrameResume && t != FrameBye && t != FramePing {
-			c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("expected resume, got %s", t)})
-			return
+		c.evs = append(c.evs[:0], ev)
+		if !s.decide(c, c.evs, t == FrameEventRetx) {
+			return Protocolf("%v", ErrSeqOrder)
 		}
-		switch t {
-		case FrameEvent, FrameEventRetx:
-			ev, err := names.ParseEvent(p)
-			if err != nil {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event"})
-				return
-			}
-			c.evs = append(c.evs[:0], ev)
-			if !s.decide(c, c.evs, t == FrameEventRetx) {
-				return
-			}
-		case FrameEventBatch:
-			if c.evs, err = names.ParseEventBatch(p, c.evs[:0]); err != nil {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed event batch"})
-				return
-			}
-			if !s.decide(c, c.evs, false) {
-				return
-			}
-		case FrameResume:
-			if c.sess != nil {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: "duplicate resume"})
-				return
-			}
-			name, alarmIdx, err := ParseResume(p)
-			if err != nil {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: "malformed resume"})
-				return
-			}
-			resumeOK, replay, err := s.attachSession(c, name, alarmIdx)
-			if err != nil {
-				c.nackClose(Nack{Code: s.cfg.Classify(err), Detail: err.Error()})
-				s.logf("wire: refused resume from %s (tenant %q, session %q): %v",
-					c.nc.RemoteAddr(), c.tenant, name, err)
-				return
-			}
-			c.w.Send(resumeOK)
-			for _, frame := range replay {
-				s.alarmReplays.Add(1)
-				c.w.Send(frame)
-			}
-		case FrameAlarmAck:
-			idx, err := ParseAlarmAck(p)
-			if err != nil || c.sess == nil {
-				c.nackClose(Nack{Code: CodeProtocol, Detail: "unexpected alarm-ack"})
-				return
-			}
-			c.sess.alarmMu.Lock()
-			c.sess.pruneLocked(idx)
-			c.sess.alarmMu.Unlock()
-		case FramePing:
-			// A session's Ping also flushes the cumulative ack: the tail
-			// below the AckEvery cadence would otherwise sit unacked in the
-			// producer's retransmit window forever once the stream goes
-			// quiet.
-			if sess := c.sess; sess != nil {
-				sess.evMu.Lock()
-				sess.sinceAck = 0
-				ack := AppendAck(nil, sess.watermark)
-				sess.evMu.Unlock()
-				c.w.Send(ack)
-			}
-			c.w.Send(AppendPong(nil))
-		case FrameBye:
-			c.clean = true
-			return
-		default:
-			c.nackClose(Nack{Code: CodeProtocol, Detail: fmt.Sprintf("unexpected %s frame", t)})
-			return
+	case FrameEventBatch:
+		if c.evs, err = c.names.ParseEventBatch(p, c.evs[:0]); err != nil {
+			return Protocolf("malformed event batch")
 		}
+		if !s.decide(c, c.evs, false) {
+			return Protocolf("%v", ErrSeqOrder)
+		}
+	case FrameResume:
+		if c.sess != nil {
+			return Protocolf("duplicate resume")
+		}
+		name, receipt, err := ParseResume(p)
+		if err != nil {
+			return Protocolf("malformed resume")
+		}
+		if err := c.resume(name, receipt); err != nil {
+			s.ep.Printf("refused resume from %s (tenant %q, session %q): %v", c.nc.RemoteAddr(), c.tenant, name, err)
+			return Refusal{Code: s.cfg.Classify(err), Detail: err.Error()}
+		}
+	case FrameAlarmAck:
+		idx, err := ParseAlarmAck(p)
+		if err != nil || c.sess == nil {
+			return Protocolf("unexpected alarm-ack")
+		}
+		c.sess.rx.Confirm(idx)
+	case FramePing:
+		// A session's Ping also flushes the cumulative ack: the tail below
+		// the AckEvery cadence would otherwise sit unacked in the
+		// producer's retransmit window forever once the stream goes quiet.
+		if c.sess != nil {
+			wm, _ := c.sess.rx.Ack()
+			c.w.Send(AppendAck(nil, wm))
+		}
+		c.w.Send(AppendPong(nil))
+	case FrameBye:
+		c.clean = true
+		return io.EOF
+	default:
+		return Protocolf("unexpected %s frame", t)
 	}
+	return nil
 }

@@ -2,38 +2,9 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
-
-// SessionState is a SessionClient's connection health, reported through
-// OnStateChange.
-type SessionState int
-
-const (
-	// StateConnected: a live connection is attached to the session.
-	StateConnected SessionState = iota
-	// StateDegraded: the connection died; reconnect attempts are running
-	// and Send banks events in the window meanwhile.
-	StateDegraded
-	// StateGaveUp: MaxAttempts consecutive reconnects failed; the client
-	// is terminally down and every later Send returns ErrSessionGaveUp.
-	StateGaveUp
-)
-
-func (s SessionState) String() string {
-	switch s {
-	case StateConnected:
-		return "connected"
-	case StateDegraded:
-		return "degraded"
-	case StateGaveUp:
-		return "gave-up"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // SessionConfig tunes a fault-tolerant session client.
 type SessionConfig struct {
@@ -75,18 +46,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Window <= 0 {
 		c.Window = 1024
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.JitterSeed == 0 {
-		c.JitterSeed = 1
-	}
 	return c
 }
 
@@ -112,7 +71,8 @@ type SessionStats struct {
 // SessionClient is a fault-tolerant wire producer: it wraps Client with a
 // durable server-side session, capped-exponential-backoff reconnects, and
 // a bounded retransmit window, so a dropped TCP connection is a recoverable
-// event instead of silent data loss.
+// event instead of silent data loss. It is the session vocabulary's sending
+// end over Link, Window and AlarmCursor.
 //
 // Events must carry strictly increasing Seq (ErrSeqOrder otherwise) — the
 // cumulative-ack protocol depends on it. Send accepts an event into the
@@ -121,27 +81,13 @@ type SessionStats struct {
 //
 // Send/Flush/Close/Stats are safe for concurrent use.
 type SessionClient struct {
-	cfg SessionConfig
+	cfg    SessionConfig
+	link   *Link[*Client]
+	alarms AlarmCursor
 
-	mu       sync.Mutex
-	conn     *Client
-	state    SessionState
-	window   []Event // sent-but-unacked, ascending Seq
-	lastSeq  uint64  // highest Seq accepted into the window
-	acked    uint64  // server's cumulative decided watermark
-	alarmIdx uint64  // highest session-alarm index received
-	closed   bool
-	gaveUp   bool
-
-	reconnects  uint64
-	attempts    uint64
+	mu          sync.Mutex
+	window      Window
 	retransmits uint64
-	recoveries  []time.Duration
-
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	wg     sync.WaitGroup
-	closeC chan struct{}
 }
 
 // OpenSession dials the first connection and attaches the session. The
@@ -152,83 +98,47 @@ func OpenSession(cfg SessionConfig) (*SessionClient, error) {
 	if cfg.Session == "" {
 		return nil, fmt.Errorf("%w: empty session name", ErrBadFrame)
 	}
-	s := &SessionClient{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.JitterSeed)),
-		closeC: make(chan struct{}),
-	}
-	conn, err := s.dial()
-	if err != nil {
+	s := &SessionClient{cfg: cfg, window: NewWindow(cfg.Window)}
+	s.link = NewLink(LinkVocab[*Client]{Dial: s.dial, Resume: s.resume, ErrClosed: ErrClientClosed, ErrGaveUp: ErrSessionGaveUp},
+		cfg.MaxAttempts, NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed), cfg.OnStateChange)
+	if err := s.link.Open(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.conn = conn
-	s.acked, s.alarmIdx = conn.ResumeState()
-	s.lastSeq = s.acked
-	s.state = StateConnected
-	s.mu.Unlock()
-	s.notify(StateConnected)
-	s.watch(conn)
 	return s, nil
 }
 
-func (s *SessionClient) notify(st SessionState) {
-	if s.cfg.OnStateChange != nil {
-		s.cfg.OnStateChange(st)
-	}
-}
-
-// dial opens one connection resuming the session at the current alarm
-// watermark.
+// dial opens one connection resuming the session at the alarm receipt.
 func (s *SessionClient) dial() (*Client, error) {
-	s.mu.Lock()
-	aidx := s.alarmIdx
-	s.mu.Unlock()
 	cc := s.cfg.Client
 	cc.Session = s.cfg.Session
-	cc.AlarmIdx = aidx
+	cc.AlarmIdx = s.alarms.Index()
 	cc.OnAck = s.onAck
+	cc.OnNack = func(n Nack) {
+		// A Nack is decided: the server's watermark advanced through it.
+		s.onAck(n.Seq)
+		if s.cfg.Client.OnNack != nil {
+			s.cfg.Client.OnNack(n)
+		}
+	}
 	cc.OnSessionAlarm = s.onSessionAlarm
 	cc.OnAlarm = nil // session connections receive FrameSessionAlarm only
-	s.attemptsAdd()
-	return Dial(s.cfg.Addr, cc)
+	return dial(s.cfg.Addr, cc, &s.alarms)
 }
 
-func (s *SessionClient) attemptsAdd() {
-	s.mu.Lock()
-	s.attempts++
-	s.mu.Unlock()
-}
-
-// onAck prunes the window up to the server's cumulative decided seq.
+// onAck prunes the window through the server's cumulative decided seq.
 func (s *SessionClient) onAck(seq uint64) {
 	s.mu.Lock()
-	if seq > s.acked {
-		s.acked = seq
-		s.pruneLocked(seq)
-	}
+	s.window.Confirm(seq)
 	s.mu.Unlock()
 }
 
-func (s *SessionClient) pruneLocked(seq uint64) {
-	keep := 0
-	for ; keep < len(s.window) && s.window[keep].Seq <= seq; keep++ {
-	}
-	if keep > 0 {
-		s.window = append(s.window[:0], s.window[keep:]...)
-	}
-}
-
-// onSessionAlarm records the receipt index, confirms it to the server (so
-// the replay ring stays small), and hands the alarm to the caller.
+// onSessionAlarm drops replayed duplicates, confirms receipt to the server
+// (so its alarm bank stays small), and hands the alarm to the caller.
 func (s *SessionClient) onSessionAlarm(idx uint64, a Alarm) {
-	s.mu.Lock()
-	if idx > s.alarmIdx {
-		s.alarmIdx = idx
+	if !s.alarms.Receive(idx) {
+		return
 	}
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
+	if conn, ok := s.link.Current(); ok {
 		conn.AckAlarm(idx)
 	}
 	if s.cfg.Client.OnAlarm != nil {
@@ -236,105 +146,27 @@ func (s *SessionClient) onSessionAlarm(idx uint64, a Alarm) {
 	}
 }
 
-// watch arms a goroutine that turns this connection's death into a
-// reconnect loop.
-func (s *SessionClient) watch(conn *Client) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		select {
-		case <-conn.Done():
-		case <-s.closeC:
-			return
-		}
-		s.mu.Lock()
-		if s.closed || s.conn != conn {
-			s.mu.Unlock()
-			return
-		}
-		s.conn = nil
-		s.state = StateDegraded
-		s.mu.Unlock()
-		died := time.Now()
-		s.notify(StateDegraded)
-		s.reconnect(died)
-	}()
-}
-
-// reconnect runs capped exponential backoff with jitter until a resume
-// succeeds, the client closes, or MaxAttempts consecutive dials fail.
-func (s *SessionClient) reconnect(died time.Time) {
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-time.After(s.backoff(attempt)):
-		case <-s.closeC:
-			return
-		}
-		conn, err := s.dial()
-		if err != nil {
-			if attempt+1 >= s.cfg.MaxAttempts {
-				s.mu.Lock()
-				s.gaveUp = true
-				s.state = StateGaveUp
-				s.mu.Unlock()
-				s.notify(StateGaveUp)
-				return
-			}
-			continue
-		}
-		// resume either installs the connection (its watcher owns the
-		// next failure) or lost a race with Close; both end this loop.
-		s.resume(conn, died)
-		return
-	}
-}
-
 // resume installs a fresh connection: prune the window to the server's
-// watermark, retransmit the rest of the tail in order, and only then allow
-// new Sends to interleave (the mutex covers the whole splice, so the
+// watermark, retransmit the rest of the tail in order, and only then
+// publish it for new Sends (the mutex covers the whole splice, so the
 // server sees tail-then-new in sequence order).
-func (s *SessionClient) resume(conn *Client, died time.Time) {
+func (s *SessionClient) resume(conn *Client) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
+	defer s.mu.Unlock()
 	wm, _ := conn.ResumeState()
-	if wm > s.acked {
-		s.acked = wm
-	}
-	s.pruneLocked(s.acked)
-	for _, ev := range s.window {
+	s.window.Confirm(wm)
+	for _, be := range s.window.Items() {
 		s.retransmits++
-		if err := conn.SendRetx(ev); err != nil {
-			break // conn died mid-replay; its watcher will retry the rest
+		if err := conn.SendRetx(be.Ev); err != nil {
+			break // conn died mid-replay; the next resume retries the rest
 		}
 	}
 	conn.Flush()
-	s.conn = conn
-	s.state = StateConnected
-	s.reconnects++
-	s.recoveries = append(s.recoveries, time.Since(died))
-	s.mu.Unlock()
-	s.notify(StateConnected)
-	s.watch(conn)
-}
-
-// backoff computes the wait before reconnect attempt n: BackoffMin doubled
-// per attempt, capped at BackoffMax, plus up to 50% deterministic jitter.
-func (s *SessionClient) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffMin
-	for i := 0; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
+	if err := s.link.Publish(conn); err != nil {
+		conn.Close()
+		return err
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	s.rngMu.Lock()
-	j := time.Duration(s.rng.Int63n(int64(d)/2 + 1))
-	s.rngMu.Unlock()
-	return d + j
+	return nil
 }
 
 // Send accepts one event into the session window and, when a connection is
@@ -344,24 +176,19 @@ func (s *SessionClient) backoff(attempt int) time.Duration {
 func (s *SessionClient) Send(ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClientClosed
+	conn, live := s.link.Current()
+	if !live {
+		if err := s.link.Err(); err != nil {
+			return err
+		}
 	}
-	if s.gaveUp {
-		return ErrSessionGaveUp
+	if err := s.window.Add(BatchEvent{Link: ev.Seq, Ev: ev}); err != nil {
+		return err
 	}
-	if ev.Seq <= s.lastSeq {
-		return fmt.Errorf("%w: seq %d after %d", ErrSeqOrder, ev.Seq, s.lastSeq)
-	}
-	if len(s.window) >= s.cfg.Window {
-		return ErrSendWindowFull
-	}
-	s.lastSeq = ev.Seq
-	s.window = append(s.window, ev)
-	if s.conn != nil {
+	if live {
 		// A write error here is not a loss: the event is in the window
-		// and the watcher's resume will retransmit it.
-		s.conn.Send(ev)
+		// and the next resume retransmits it.
+		conn.Send(ev)
 	}
 	return nil
 }
@@ -370,14 +197,11 @@ func (s *SessionClient) Send(ev Event) error {
 func (s *SessionClient) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClientClosed
+	if err := s.link.Err(); err != nil {
+		return err
 	}
-	if s.gaveUp {
-		return ErrSessionGaveUp
-	}
-	if s.conn != nil {
-		s.conn.Flush()
+	if conn, ok := s.link.Current(); ok {
+		conn.Flush()
 	}
 	return nil
 }
@@ -385,10 +209,7 @@ func (s *SessionClient) Flush() error {
 // Ping sends a keepalive on the live connection (refreshing the server's
 // idle deadline); a no-op while degraded.
 func (s *SessionClient) Ping() error {
-	s.mu.Lock()
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
+	if conn, ok := s.link.Current(); ok {
 		return conn.Ping()
 	}
 	return nil
@@ -396,60 +217,31 @@ func (s *SessionClient) Ping() error {
 
 // Err reports the sticky terminal state: ErrSessionGaveUp after reconnects
 // were exhausted, ErrClientClosed after Close, nil otherwise.
-func (s *SessionClient) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gaveUp {
-		return ErrSessionGaveUp
-	}
-	if s.closed {
-		return ErrClientClosed
-	}
-	return nil
-}
+func (s *SessionClient) Err() error { return s.link.Err() }
 
 // Stats snapshots the client's fault-tolerance counters.
 func (s *SessionClient) Stats() SessionStats {
+	st := s.link.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := make([]time.Duration, len(s.recoveries))
-	copy(rec, s.recoveries)
-	return SessionStats{
-		Reconnects:  s.reconnects,
-		Attempts:    s.attempts,
-		Retransmits: s.retransmits,
-		Acked:       s.acked,
-		Window:      len(s.window),
-		Recoveries:  rec,
-		State:       s.state,
-	}
+	st.Retransmits, st.Acked, st.Window = s.retransmits, s.window.Acked(), s.window.Len()
+	return st
 }
 
 // Pending reports how many events sit in the window unacknowledged.
 func (s *SessionClient) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.window)
+	return s.window.Len()
 }
 
 // Close tears the session client down: stops the reconnect machinery,
 // closes the live connection (a clean Bye retires the server-side session),
 // and waits for the watcher goroutines. Idempotent.
 func (s *SessionClient) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	conn := s.conn
-	s.conn = nil
-	close(s.closeC)
-	s.mu.Unlock()
-	if conn != nil {
+	if conn, ok := s.link.Close(); ok && conn != nil {
 		conn.Close()
 	}
-	s.wg.Wait()
+	s.link.Wait()
 	return nil
 }

@@ -448,11 +448,7 @@ func TestSessionClientReconnectsThroughFlaps(t *testing.T) {
 		if i%50 == 0 {
 			sc.Flush()
 			// Kill whatever connection is currently attached, mid-stream.
-			s.mu.Lock()
-			for c := range s.conns {
-				c.nc.Close()
-			}
-			s.mu.Unlock()
+			s.ep.CloseConns()
 		}
 	}
 	sc.Flush()
@@ -575,5 +571,168 @@ func TestSessionClientTypedBackpressureAndSeqOrder(t *testing.T) {
 	}
 	if !sawGaveUp {
 		t.Error("OnStateChange never reported gave-up")
+	}
+}
+
+// TestSessionNackPrunesWindow: a Nack is a decided event, so it prunes the
+// producer's retransmit window like an Ack. With the Ack cadence out of
+// reach and every event refused, the window must still drain, and OnNack
+// must still see every refusal.
+func TestSessionNackPrunesWindow(t *testing.T) {
+	b := newFakeBackend("", "home-0")
+	b.reject = errFakeBackpressure
+	addr, _ := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 1 << 20 })
+	nacks := make(chan Nack, 16)
+	sc, err := OpenSession(SessionConfig{Addr: addr, Session: "prod",
+		Client: ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for seq := uint64(1); seq <= 5; seq++ {
+		if err := sc.Send(Event{Seq: seq, Device: "light"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.Flush()
+	for i := 1; i <= 5; i++ {
+		select {
+		case n := <-nacks:
+			if n.Seq != uint64(i) || n.Code != CodeBackpressure {
+				t.Fatalf("nack %d = %+v", i, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("got %d of 5 nacks", i-1)
+		}
+	}
+	if got := sc.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after every event was nacked, want 0", got)
+	}
+}
+
+// TestSessionAckCountsDuplicates: retransmitted events below the watermark
+// count toward AckEvery, so a frame of duplicates alone earns an Ack.
+func TestSessionAckCountsDuplicates(t *testing.T) {
+	b := newFakeBackend("", "home-0")
+	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 4 })
+	acks := make(chan uint64, 16)
+	dial := func() *Client {
+		c, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", OnAck: func(seq uint64) { acks <- seq }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	expectAck := func(want uint64) {
+		t.Helper()
+		select {
+		case seq := <-acks:
+			if seq != want {
+				t.Fatalf("ack %d, want %d", seq, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no ack %d", want)
+		}
+	}
+	c1 := dial()
+	for seq := uint64(1); seq <= 4; seq++ {
+		c1.Send(Event{Seq: seq, Device: "light"})
+	}
+	c1.Flush()
+	expectAck(4)
+	c1.nc.Close()
+	<-c1.Done()
+	c2 := dial()
+	defer c2.Close()
+	for seq := uint64(1); seq <= 4; seq++ {
+		c2.SendRetx(Event{Seq: seq, Device: "light"})
+	}
+	c2.Flush()
+	expectAck(4)
+	if st := s.Stats(); st.Events != 4 || st.Duplicates != 4 {
+		t.Fatalf("events %d duplicates %d, want 4 and 4", st.Events, st.Duplicates)
+	}
+}
+
+// TestSessionClientSurvivesServerRestart: a server restarted on the same
+// address has lost the session and numbers the fresh one's alarms from 1
+// again. The client must deliver every one of them, not drop those at or
+// below the receipt it held for the lost session, and its stale receipt
+// must not prune the fresh bank.
+func TestSessionClientSurvivesServerRestart(t *testing.T) {
+	b := newFakeBackend("", "home-0")
+	serve := func(ln net.Listener) (*Server, chan error) {
+		s, err := NewServer(ServerConfig{Backend: b, Classify: b.classify, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Serve(ln) }()
+		return s, done
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	s1, done1 := serve(ln)
+
+	var mu sync.Mutex
+	var got []uint64
+	sc, err := OpenSession(SessionConfig{Addr: addr, Session: "prod",
+		Client: ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) {
+			mu.Lock()
+			got = append(got, a.Seq)
+			mu.Unlock()
+		}},
+		BackoffMin: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond, MaxAttempts: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	received := func(n int) func() bool {
+		return func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) == n
+		}
+	}
+	routed := func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.sinks) == 1
+	}
+	waitFor(t, "alarm route", routed)
+	for seq := uint64(1); seq <= 5; seq++ {
+		b.push("home-0", Alarm{Seq: seq})
+	}
+	waitFor(t, "alarms before the restart", received(5))
+
+	s1.Close()
+	if err := <-done1; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if ln, err = net.Listen("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	s2, done2 := serve(ln)
+	defer func() {
+		s2.Close()
+		<-done2
+	}()
+	waitFor(t, "reconnect to the restarted server", func() bool { return sc.Stats().Reconnects == 1 && routed() })
+	for seq := uint64(6); seq <= 10; seq++ {
+		b.push("home-0", Alarm{Seq: seq})
+	}
+	waitFor(t, "alarms after the restart", received(10))
+	mu.Lock()
+	defer mu.Unlock()
+	for i, seq := range got {
+		if seq != uint64(i+1) {
+			t.Fatalf("alarms %v, want 1..10 in order", got)
+		}
+	}
+	if st := s2.Stats(); st.AlarmsDropped != 0 || st.Alarms != 5 {
+		t.Errorf("restarted server: alarms %d dropped %d, want 5 0", st.Alarms, st.AlarmsDropped)
 	}
 }

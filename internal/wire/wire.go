@@ -342,13 +342,19 @@ func begin(dst []byte, t FrameType) ([]byte, int) {
 
 // AppendHello encodes a Hello frame onto dst.
 func AppendHello(dst []byte, token, tenant string) ([]byte, error) {
-	dst, at := begin(dst, FrameHello)
+	return appendHello(dst, FrameHello, token, tenant)
+}
+
+// appendHello encodes a connection opener of type t (Hello, ShardHello):
+// the protocol version, the auth token, and the peer's name.
+func appendHello(dst []byte, t FrameType, token, name string) ([]byte, error) {
+	dst, at := begin(dst, t)
 	dst = append(dst, Version)
 	var err error
 	if dst, err = appendString(dst, token); err != nil {
 		return nil, err
 	}
-	if dst, err = appendString(dst, tenant); err != nil {
+	if dst, err = appendString(dst, name); err != nil {
 		return nil, err
 	}
 	return frame(dst, at), nil
@@ -387,11 +393,15 @@ func ParseHello(p []byte) (version uint8, token, tenant string, session bool, er
 // AppendWelcome encodes a Welcome frame onto dst: the v1 payload plus a
 // trailing byte of capability bits (CapEventBatch).
 func AppendWelcome(dst []byte, maxFrame uint32, caps uint8) []byte {
-	dst, at := begin(dst, FrameWelcome)
-	dst = append(dst, Version)
-	dst = binary.BigEndian.AppendUint32(dst, maxFrame)
-	dst = append(dst, caps)
-	return frame(dst, at)
+	dst, at := beginWelcome(dst, FrameWelcome, maxFrame)
+	return frame(append(dst, caps), at)
+}
+
+// beginWelcome opens a handshake reply of type t (Welcome, ShardWelcome):
+// the protocol version and the frame size limit.
+func beginWelcome(dst []byte, t FrameType, maxFrame uint32) ([]byte, int) {
+	dst, at := begin(dst, t)
+	return binary.BigEndian.AppendUint32(append(dst, Version), maxFrame), at
 }
 
 // ParseWelcome decodes a Welcome payload. caps is zero for a server that
@@ -615,24 +625,12 @@ func AppendEventRetx(dst []byte, ev Event) ([]byte, error) {
 // AppendResume encodes a Resume frame: the session name and the highest
 // session-alarm index the client has already received.
 func AppendResume(dst []byte, session string, alarmIdx uint64) ([]byte, error) {
-	dst, at := begin(dst, FrameResume)
-	var err error
-	if dst, err = appendString(dst, session); err != nil {
-		return nil, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, alarmIdx)
-	return frame(dst, at), nil
+	return appendTenantCursor(dst, FrameResume, session, alarmIdx)
 }
 
 // ParseResume decodes a Resume payload.
 func ParseResume(p []byte) (session string, alarmIdx uint64, err error) {
-	d := decoder{p: p}
-	session = d.str()
-	alarmIdx = d.u64()
-	if d.fail || session == "" {
-		return "", 0, fmt.Errorf("%w: resume", ErrBadFrame)
-	}
-	return session, alarmIdx, nil
+	return parseTenantCursor(p, FrameResume)
 }
 
 // AppendResumeOK encodes a ResumeOK frame: the session's decided-event
@@ -655,39 +653,34 @@ func ParseResumeOK(p []byte) (watermark, alarmIdx uint64, err error) {
 	return watermark, alarmIdx, nil
 }
 
-// AppendAck encodes a cumulative event acknowledgement.
-func AppendAck(dst []byte, seq uint64) []byte {
-	dst, at := begin(dst, FrameAck)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
+// appendU64 encodes a frame of type t carrying one uint64.
+func appendU64(dst []byte, t FrameType, v uint64) []byte {
+	dst, at := begin(dst, t)
+	dst = binary.BigEndian.AppendUint64(dst, v)
 	return frame(dst, at)
 }
+
+// parseU64 decodes a payload written by appendU64.
+func parseU64(p []byte, t FrameType) (uint64, error) {
+	d := decoder{p: p}
+	v := d.u64()
+	if d.fail {
+		return 0, fmt.Errorf("%w: %s", ErrBadFrame, t)
+	}
+	return v, nil
+}
+
+// AppendAck encodes a cumulative event acknowledgement.
+func AppendAck(dst []byte, seq uint64) []byte { return appendU64(dst, FrameAck, seq) }
 
 // ParseAck decodes an Ack payload.
-func ParseAck(p []byte) (uint64, error) {
-	d := decoder{p: p}
-	seq := d.u64()
-	if d.fail {
-		return 0, fmt.Errorf("%w: ack", ErrBadFrame)
-	}
-	return seq, nil
-}
+func ParseAck(p []byte) (uint64, error) { return parseU64(p, FrameAck) }
 
 // AppendAlarmAck encodes a cumulative session-alarm receipt.
-func AppendAlarmAck(dst []byte, idx uint64) []byte {
-	dst, at := begin(dst, FrameAlarmAck)
-	dst = binary.BigEndian.AppendUint64(dst, idx)
-	return frame(dst, at)
-}
+func AppendAlarmAck(dst []byte, idx uint64) []byte { return appendU64(dst, FrameAlarmAck, idx) }
 
 // ParseAlarmAck decodes an AlarmAck payload.
-func ParseAlarmAck(p []byte) (uint64, error) {
-	d := decoder{p: p}
-	idx := d.u64()
-	if d.fail {
-		return 0, fmt.Errorf("%w: alarm-ack", ErrBadFrame)
-	}
-	return idx, nil
-}
+func ParseAlarmAck(p []byte) (uint64, error) { return parseU64(p, FrameAlarmAck) }
 
 // AppendPing encodes a Ping frame onto dst.
 func AppendPing(dst []byte) []byte {

@@ -106,6 +106,15 @@ func (w *Writer) send(frame []byte, block bool) bool {
 	return true
 }
 
+// WaitSpace blocks while the frame cap is reached and the writer still
+// takes frames.
+func (w *Writer) WaitSpace() {
+	w.mu.Lock()
+	if w.waitLocked() {
+		w.mu.Unlock()
+	}
+}
+
 // SendWait queues one frame and waits, at most timeout, until the write
 // carrying it has returned — the final error frame before a teardown.
 func (w *Writer) SendWait(frame []byte, timeout time.Duration) {
