@@ -133,8 +133,9 @@ perfbench:
 # Alternating pairs of one workload, base revision against this checkout:
 #   make perfbench-pairs BASE=<rev> W=cluster-migrate SEEDS="101 102 103"
 # BASE is exported with git archive into .bench_build/base-<rev> and built
-# there by its own run.sh. For each seed the base tree runs, then this
-# checkout, and each run prints one JSON line: the tree, the seed and the
+# there by its own run.sh. The order alternates per seed so neither tree
+# always runs first: the base tree first on odd seeds, this checkout first
+# on even ones. Each run prints one JSON line: the tree, the seed and the
 # run's result line. TRACE=1 adds the per-layer split.
 BASE ?= HEAD
 SEEDS ?= 1 2 3
@@ -143,7 +144,9 @@ perfbench-pairs:
 	@rev=$$(git rev-parse --short $(BASE)) && base=.bench_build/base-$$rev && \
 	if [ ! -d $$base ]; then mkdir -p $$base && git archive $$rev | tar -x -C $$base; fi && \
 	for seed in $(SEEDS); do \
-		for tree in $$base .; do \
+		trees="$$base ."; \
+		if [ $$((seed % 2)) -eq 0 ]; then trees=". $$base"; fi; \
+		for tree in $$trees; do \
 			res=$$(bash $$tree/perfbench/run.sh --workload $(W) --seed $$seed --seconds 16 --trace $(TRACE) | tail -n 1) || exit 1; \
 			name=change; [ $$tree = . ] || name=base-$$rev; \
 			echo "{\"tree\":\"$$name\",\"workload\":\"$(W)\",\"seed\":$$seed,\"result\":$$res}"; \

@@ -704,19 +704,6 @@ func (m *Monitor) ObserveBatch(events []Event) ([]Detection, error) {
 	return out, nil
 }
 
-// Observe ingests one raw device event, returning a non-nil Alarm when one
-// is raised and the event's anomaly score (duplicated state reports score
-// zero and never alarm).
-//
-// Deprecated: use ObserveEvent(e Event) (Detection, error) — the Detection
-// carries the same Alarm and Score plus the unified state and the
-// duplicate verdict. The wrapper will be removed in v1.0; no internal
-// callers remain.
-func (m *Monitor) Observe(e Event) (*Alarm, float64, error) {
-	det, err := m.ObserveEvent(e)
-	return det.Alarm, det.Score, err
-}
-
 // Swap atomically adopts a retrained (or Extend-ed and re-saved) system
 // between events: the monitor keeps its phantom state window and any
 // partially tracked k-sequence chain while scoring subsequent events

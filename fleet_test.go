@@ -493,9 +493,9 @@ func TestFleetCloseWithinMigrationInFlight(t *testing.T) {
 	}
 }
 
-// TestHubExportUnified pins the collapsed export API: Export writes the
-// same bytes the deprecated SaveModel/Checkpoint/Snapshot trio wrote, and
-// refuses a destination-less call.
+// TestHubExportUnified pins the collapsed export API: a combined
+// Export{Model, State} writes the same bytes as the two separate exports,
+// and a destination-less call is refused.
 func TestHubExportUnified(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
 	h := NewHub(HubConfig{Workers: 1})
@@ -523,7 +523,7 @@ func TestHubExportUnified(t *testing.T) {
 		t.Errorf("unknown tenant export = %v", err)
 	}
 
-	var exModel, exState, exBoth bytes.Buffer
+	var exModel, exState bytes.Buffer
 	if err := h.Export("home", ExportOptions{Model: &exModel}); err != nil {
 		t.Fatal(err)
 	}
@@ -534,31 +534,11 @@ func TestHubExportUnified(t *testing.T) {
 	if err := h.Export("home", ExportOptions{Model: &m2, State: &s2}); err != nil {
 		t.Fatal(err)
 	}
-	exBoth.Write(m2.Bytes())
-	exBoth.Write(s2.Bytes())
-
-	var legacyModel, legacyState bytes.Buffer
-	if err := h.SaveModel("home", &legacyModel); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(m2.Bytes(), exModel.Bytes()) {
+		t.Error("combined Export's model bytes diverge from the model-only Export")
 	}
-	if err := h.Checkpoint("home", &legacyState); err != nil {
-		t.Fatal(err)
-	}
-	var snapModel, snapState bytes.Buffer
-	if err := h.Snapshot("home", &snapModel, &snapState); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exModel.Bytes(), legacyModel.Bytes()) || !bytes.Equal(exModel.Bytes(), snapModel.Bytes()) {
-		t.Error("Export model bytes diverge from the deprecated writers")
-	}
-	if !bytes.Equal(exState.Bytes(), legacyState.Bytes()) || !bytes.Equal(exState.Bytes(), snapState.Bytes()) {
-		t.Error("Export state bytes diverge from the deprecated writers")
-	}
-	var both bytes.Buffer
-	both.Write(snapModel.Bytes())
-	both.Write(snapState.Bytes())
-	if !bytes.Equal(exBoth.Bytes(), both.Bytes()) {
-		t.Error("combined Export diverges from Snapshot")
+	if !bytes.Equal(s2.Bytes(), exState.Bytes()) {
+		t.Error("combined Export's state bytes diverge from the state-only Export")
 	}
 
 	// A model+state pair restores into a monitor that resumes cleanly.

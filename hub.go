@@ -3,7 +3,6 @@ package causaliot
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -152,8 +151,7 @@ type TenantAlarm struct {
 	Seq uint64
 }
 
-// TenantStats is one home's runtime counters. Latencies cover the most
-// recent processed events (p50/p99 of the per-event observe time).
+// TenantStats is one home's runtime counters.
 type TenantStats struct {
 	Tenant     string
 	Ingested   uint64
@@ -163,8 +161,14 @@ type TenantStats struct {
 	Rejected   uint64
 	Errors     uint64
 	QueueDepth int
-	P50        time.Duration
-	P99        time.Duration
+	// P50 and P99 are per-event service-time percentiles (the observe
+	// call plus the hub's per-event bookkeeping) over the home's 512 most
+	// recent events. Each sample is kept as a log-linear bucket, 16 per
+	// power of two, and a percentile reports its bucket's midpoint, within
+	// 1/32 of every sample in the bucket. A Hub's Total merges every
+	// home's window; a Fleet's Total takes the largest of its shards'.
+	P50 time.Duration
+	P99 time.Duration
 	// Health is the home's circuit-breaker state; Panics counts recovered
 	// processing panics; Shed counts events refused or discarded while
 	// quarantined; LastError is the most recent processing failure (empty
@@ -480,25 +484,6 @@ func (h *Hub) Export(tenant string, opts ExportOptions) error {
 	})
 }
 
-// SaveModel writes a home's currently served model (see System.Save),
-// serialized with the home's stream.
-//
-// Deprecated: use Export(tenant, ExportOptions{Model: w}). The wrapper
-// will be removed in v1.0; no internal callers remain.
-func (h *Hub) SaveModel(tenant string, w io.Writer) error {
-	return h.Export(tenant, ExportOptions{Model: w})
-}
-
-// Snapshot writes a home's served model and its runtime checkpoint under a
-// single stream pause.
-//
-// Deprecated: use Export(tenant, ExportOptions{Model: model, State:
-// state}). The wrapper will be removed in v1.0; no internal callers
-// remain.
-func (h *Hub) Snapshot(tenant string, model, state io.Writer) error {
-	return h.Export(tenant, ExportOptions{Model: model, State: state})
-}
-
 // Submit enqueues one event for a home. Under a full queue the home's
 // backpressure policy decides: block, drop the oldest queued event, or fail
 // with ErrBackpressure.
@@ -534,15 +519,6 @@ func (h *Hub) Swap(tenant string, sys *System) error {
 		}
 		return tp, nil
 	})
-}
-
-// Checkpoint writes a home's full runtime state (see
-// Monitor.WriteCheckpoint) to w, serialized with the home's stream.
-//
-// Deprecated: use Export(tenant, ExportOptions{State: w}). The wrapper
-// will be removed in v1.0; no internal callers remain.
-func (h *Hub) Checkpoint(tenant string, w io.Writer) error {
-	return h.Export(tenant, ExportOptions{State: w})
 }
 
 // Flush reports a home's partially tracked anomaly chain (if any) through

@@ -45,14 +45,6 @@ func TestObserveEventDetection(t *testing.T) {
 	if det.Duplicate || det.State != 1 {
 		t.Errorf("presence detection = %+v", det)
 	}
-	// Observe stays as a compatible wrapper.
-	alarm, score, err := mon.Observe(Event{Time: t0.Add(3 * time.Second), Device: "light", Value: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alarm != nil || score < 0 {
-		t.Errorf("Observe wrapper = %v, %v", alarm, score)
-	}
 }
 
 func TestObserveEventSentinelErrors(t *testing.T) {

@@ -188,3 +188,73 @@ func TestChaosHubSubmitZeroAlloc(t *testing.T) {
 		t.Fatalf("ingested %d events; measurement was vacuous", ts.Ingested)
 	}
 }
+
+// scriptProc fails every event whose Value is negative.
+type scriptProc struct{ handled int }
+
+func (p *scriptProc) Handle(ev Event) (bool, error) {
+	p.handled++
+	if ev.Value < 0 {
+		return false, errors.New("scripted failure")
+	}
+	return false, nil
+}
+
+// script turns "S" (success) and "F" (failure) into a batch for scriptProc.
+func script(s string) []Event {
+	evs := make([]Event, len(s))
+	for i, c := range s {
+		evs[i].Value = 1
+		if c == 'F' {
+			evs[i].Value = -1
+		}
+	}
+	return evs
+}
+
+// TestQuarantineBreakerSkipsLockWhenClean drives the circuit breaker
+// through drained batches, one runBatch per batch, across the successes
+// that skip the tenant lock on a clean breaker: a failure streak broken by
+// a success never trips, a probing tenant's first success restores it, and
+// a trip mid-batch sheds the rest of the batch.
+func TestQuarantineBreakerSkipsLockWhenClean(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		after   int
+		batches []string
+		health  Health
+		handled int
+		shed    uint64
+		backoff time.Duration
+	}{
+		{"streaks broken by a success never trip", 4, []string{"SFFFSFFF"}, Healthy, 8, 0, 0},
+		{"probe success restores and forgets the backoff", 2, []string{"SFF", "S", "F"}, Healthy, 5, 0, 0},
+		{"probe failure re-trips with a doubled backoff", 2, []string{"SFF", "F"}, Quarantined, 4, 0, 2 * time.Second},
+		{"trip mid-batch sheds the rest", 3, []string{"SSFFFSSS"}, Quarantined, 5, 3, time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+			h := workerlessHub(Config{QuarantineAfter: c.after, BatchSize: 16, Clock: func() time.Time { return now }})
+			p := &scriptProc{}
+			if err := h.Register("home", p, TenantConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			tn, _ := h.lookup("home")
+			for _, b := range c.batches {
+				now = now.Add(time.Minute) // past any backoff: a quarantined tenant admits a probe
+				if _, err := h.SubmitBatch("home", script(b)); err != nil {
+					t.Fatal(err)
+				}
+				tn.runBatch(h.cfg.BatchSize)
+			}
+			ts, _ := h.TenantStats("home")
+			tn.mu.Lock()
+			backoff := tn.backoff
+			tn.mu.Unlock()
+			if ts.Health != c.health || p.handled != c.handled || ts.Shed != c.shed || backoff != c.backoff {
+				t.Fatalf("health %s handled %d shed %d backoff %v; want %s, %d, %d, %v",
+					ts.Health, p.handled, ts.Shed, backoff, c.health, c.handled, c.shed, c.backoff)
+			}
+		})
+	}
+}

@@ -16,7 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,8 +142,11 @@ type Config struct {
 	// tenant before yielding the worker, bounding the latency a busy
 	// tenant can inflict on its neighbours. Defaults to 64.
 	BatchSize int
-	// LatencySamples sizes the per-tenant ring of recent processing
-	// latencies backing the p50/p99 stats. Defaults to 512.
+	// LatencySamples is how many of a tenant's most recent events its
+	// p50/p99 service-time stats cover. Each sample is kept as a log-linear
+	// bucket (16 per power of two, so a bucket spans at most 1/16 of its
+	// lower bound; clamped at about 68.7 s) and a percentile reports its
+	// bucket's midpoint. Defaults to 512.
 	LatencySamples int
 	// QuarantineAfter is the consecutive-failure count (per-event errors
 	// and recovered panics) that trips a tenant's circuit breaker: the
@@ -261,6 +265,12 @@ type tenant struct {
 	procMu  sync.Mutex
 	proc    Processor
 	onError func(Event, error)
+	// breakerClean, guarded by procMu, is set after a success that left
+	// the breaker Healthy with no failure streak. Only noteOutcome, also
+	// under procMu, moves health off Healthy or raises consecFails, and it
+	// clears the flag first, so while the flag is set a success changes no
+	// breaker state and noteOutcome skips t.mu.
+	breakerClean bool
 
 	// modelKey caches the processor's ModelKey for the scheduler's grouping
 	// scan. Written at Register and after every successful Update (both
@@ -278,7 +288,7 @@ type tenant struct {
 	panics    atomic.Uint64
 	shed      atomic.Uint64 // events refused or discarded by quarantine
 	updates   atomic.Uint64 // successful Update calls (model swaps et al.)
-	lat       *latencyRing
+	lat       *latencyWindow
 }
 
 // Hub hosts many tenants over a shared worker pool.
@@ -344,7 +354,7 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 		policy:  policy,
 		proc:    p,
 		onError: cfg.OnError,
-		lat:     newLatencyRing(h.cfg.LatencySamples),
+		lat:     newLatencyWindow(h.cfg.LatencySamples),
 	}
 	t.notFull = sync.NewCond(&t.mu)
 	if mk, ok := p.(ModelKeyed); ok {
@@ -605,6 +615,12 @@ func (h *Hub) extractGroupLocked(t *tenant, group []*tenant) []*tenant {
 // tenant's reusable drain scratch) instead of one lock round-trip per
 // event, freeing every slot at once before processing outside the lock —
 // blocked producers are woken once per chunk, not once per event.
+//
+// Service times chain off one wall-and-monotonic read per chunk: each event
+// takes one monotonic reading right after its Handle returns, and its
+// service time runs from the previous reading (the chunk's base for the
+// first event) to its own. It thus includes the previous event's
+// bookkeeping: latency record, counters, error callback, circuit breaker.
 func (t *tenant) runBatch(max int) {
 	t.procMu.Lock()
 	defer t.procMu.Unlock()
@@ -631,10 +647,13 @@ func (t *tenant) runBatch(max int) {
 	t.notFull.Broadcast()
 	t.mu.Unlock()
 
+	base := time.Now()
+	var prev time.Duration
 	for i := range batch {
-		start := time.Now()
 		alarmed, err := t.handleOne(batch[i])
-		t.lat.record(time.Since(start))
+		now := time.Since(base)
+		t.lat.record(now - prev)
+		prev = now
 		t.processed.Add(1)
 		if alarmed {
 			t.alarms.Add(1)
@@ -650,10 +669,9 @@ func (t *tenant) runBatch(max int) {
 			// The circuit breaker tripped: the queue was flushed under
 			// noteOutcome; discard the rest of this drained batch too so
 			// the failing processor sees no further events.
-			for j := i + 1; j < len(batch); j++ {
-				batch[j] = Event{}
-				t.shed.Add(1)
-			}
+			rest := batch[i+1:]
+			clear(rest)
+			t.shed.Add(uint64(len(rest)))
 			break
 		}
 	}
@@ -685,8 +703,12 @@ func (t *tenant) handleOne(ev Event) (alarmed bool, err error) {
 
 // noteOutcome feeds one event's outcome into the tenant's circuit breaker
 // and reports whether this outcome tripped quarantine (flushing the queue).
-// Called from runBatch under procMu; takes t.mu (documented lock order).
+// Called from runBatch under procMu; takes t.mu (documented lock order)
+// unless a success meets a clean breaker.
 func (t *tenant) noteOutcome(err error) (tripped bool) {
+	if err == nil && t.breakerClean {
+		return false
+	}
 	threshold := t.hub.cfg.QuarantineAfter
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -698,8 +720,10 @@ func (t *tenant) noteOutcome(err error) (tripped bool) {
 			t.health = Healthy
 			t.backoff = 0
 		}
+		t.breakerClean = true
 		return false
 	}
+	t.breakerClean = false
 	t.lastErr = err.Error()
 	if threshold <= 0 {
 		return false // quarantine disabled; failures are only counted
@@ -853,8 +877,7 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 	}
 }
 
-// TenantStats is one tenant's runtime counters. Latency percentiles cover
-// the most recent LatencySamples processed events.
+// TenantStats is one tenant's runtime counters.
 type TenantStats struct {
 	Tenant     string
 	Ingested   uint64
@@ -864,8 +887,12 @@ type TenantStats struct {
 	Rejected   uint64
 	Errors     uint64
 	QueueDepth int
-	P50        time.Duration
-	P99        time.Duration
+	// P50 and P99 are service-time percentiles over the tenant's most
+	// recent LatencySamples events (nearest rank). Each is the midpoint of
+	// its log-linear bucket, within 1/32 of every sample in that bucket
+	// (16 buckets per power of two); zero only when no event was served.
+	P50 time.Duration
+	P99 time.Duration
 	// Health is the tenant's circuit-breaker state; Panics counts
 	// recovered processor panics; Shed counts events refused or
 	// discarded while quarantined; LastError is the most recent failure
@@ -884,8 +911,8 @@ type Stats struct {
 	// Tenants holds one entry per hosted tenant, sorted by name.
 	Tenants []TenantStats
 	// Total aggregates every tenant (its Tenant field is empty; its
-	// latency percentiles are computed over all tenants' samples; its
-	// Health is Quarantined when any tenant is not Healthy).
+	// latency percentiles are those of the union of all tenants' windows;
+	// its Health is Quarantined when any tenant is not Healthy).
 	Total   TenantStats
 	Workers int
 	// Grouped counts tenants drained as same-model group followers — the
@@ -894,15 +921,16 @@ type Stats struct {
 	Grouped uint64
 }
 
-// statsSnapshot captures one tenant's counters plus its raw latency
-// samples (for cross-tenant percentile aggregation).
-func (t *tenant) statsSnapshot() (TenantStats, []float64) {
+// statsSnapshot captures one tenant's counters, leaving its latency window's
+// bucket counts in lat (for cross-tenant aggregation).
+func (t *tenant) statsSnapshot(lat *latHist) TenantStats {
 	t.mu.Lock()
 	depth := t.n
 	health := t.health
 	lastErr := t.lastErr
 	t.mu.Unlock()
-	samples := t.lat.snapshot()
+	lat.load(t.lat)
+	p50, p99 := lat.percentiles()
 	return TenantStats{
 		Tenant:     t.name,
 		Ingested:   t.ingested.Load(),
@@ -912,14 +940,14 @@ func (t *tenant) statsSnapshot() (TenantStats, []float64) {
 		Rejected:   t.rejected.Load(),
 		Errors:     t.errs.Load(),
 		QueueDepth: depth,
-		P50:        percentile(samples, 50),
-		P99:        percentile(samples, 99),
+		P50:        p50,
+		P99:        p99,
 		Health:     health,
 		Panics:     t.panics.Load(),
 		Shed:       t.shed.Load(),
 		LastError:  lastErr,
 		Updates:    t.updates.Load(),
-	}, samples
+	}
 }
 
 // TenantStats snapshots a single tenant's runtime counters without walking
@@ -930,8 +958,8 @@ func (h *Hub) TenantStats(name string) (TenantStats, error) {
 	if err != nil {
 		return TenantStats{}, err
 	}
-	ts, _ := t.statsSnapshot()
-	return ts, nil
+	var lat latHist
+	return t.statsSnapshot(&lat), nil
 }
 
 // Stats snapshots the hub's runtime counters.
@@ -942,13 +970,13 @@ func (h *Hub) Stats() Stats {
 		tenants = append(tenants, t)
 	}
 	h.mu.RUnlock()
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
+	slices.SortFunc(tenants, func(a, b *tenant) int { return strings.Compare(a.name, b.name) })
 
 	s := Stats{Tenants: make([]TenantStats, 0, len(tenants)), Workers: h.cfg.Workers, Grouped: h.grouped.Load()}
-	var all []float64
+	var one, all latHist
 	for _, t := range tenants {
-		ts, samples := t.statsSnapshot()
-		all = append(all, samples...)
+		ts := t.statsSnapshot(&one)
+		all.add(&one)
 		s.Tenants = append(s.Tenants, ts)
 		s.Total.Ingested += ts.Ingested
 		s.Total.Processed += ts.Processed
@@ -964,7 +992,6 @@ func (h *Hub) Stats() Stats {
 			s.Total.Health = Quarantined
 		}
 	}
-	s.Total.P50 = percentile(all, 50)
-	s.Total.P99 = percentile(all, 99)
+	s.Total.P50, s.Total.P99 = all.percentiles()
 	return s
 }

@@ -1,53 +1,126 @@
 package hub
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
-
-	"github.com/causaliot/causaliot/internal/stats"
 )
 
-// latencyRing records the most recent processing latencies of one tenant.
-// Writes are serialized by the tenant's procMu (single writer); snapshot
-// reads run concurrently from Stats, hence the atomic slots.
-type latencyRing struct {
-	slots []atomic.Int64 // nanoseconds
-	count atomic.Uint64  // total records ever; slots filled = min(count, len)
+// Latency buckets are log-linear: durations below 2·latSub ns get one bucket
+// per nanosecond, and every power of two above that is split into latSub
+// equal sub-buckets, so a bucket's width is at most 1/latSub of its lower
+// bound. Durations clamp at 2^latMaxBits-1 ns (about 68.7 s), far past any
+// service time, which keeps a tenant's window (512 two-byte slots plus
+// latBuckets four-byte counts) under 4 KB.
+const (
+	latSubBits = 4
+	latSub     = 1 << latSubBits
+	latMaxBits = 36
+	latMax     = 1<<latMaxBits - 1
+	latBuckets = (latMaxBits - latSubBits + 1) << latSubBits
+)
+
+// latBucket maps a duration to its bucket index, monotone in d. Durations
+// below 1 ns (an interval shorter than the clock's resolution) count as
+// 1 ns; durations above the clamp land in the last bucket.
+func latBucket(d time.Duration) int {
+	if d < 1 {
+		d = 1
+	}
+	v := uint64(d)
+	if v > latMax {
+		return latBuckets - 1
+	}
+	e := bits.Len64(v) - (latSubBits + 1)
+	if e < 0 {
+		e = 0
+	}
+	return e<<latSubBits + int(v>>uint(e))
 }
 
-func newLatencyRing(size int) *latencyRing {
-	return &latencyRing{slots: make([]atomic.Int64, size)}
+// latPoint is the duration reported for bucket i: the midpoint of the
+// bucket's range, within 1/(2·latSub) of every duration mapped to it, and
+// never 0.
+func latPoint(i int) time.Duration {
+	if i < 2*latSub {
+		return time.Duration(max(i, 1)) // one bucket per nanosecond
+	}
+	e := uint(i>>latSubBits - 1)
+	lo := uint64(i&(latSub-1)|latSub) << e
+	return time.Duration(lo + 1<<e/2)
 }
 
-func (r *latencyRing) record(d time.Duration) {
-	// Store the sample before publishing the count so a concurrent
-	// snapshot never reads an unwritten slot.
-	c := r.count.Load()
-	r.slots[c%uint64(len(r.slots))].Store(int64(d))
-	r.count.Store(c + 1)
+// latencyWindow holds the service times of one tenant's most recent
+// len(ring) events as bucket indices, with one count per bucket. Records
+// are serialized by the tenant's procMu (single writer), which alone owns
+// ring and next; Stats reads only the atomic counts, concurrently.
+type latencyWindow struct {
+	ring   []uint16
+	next   int // slot the next record overwrites
+	held   int // samples in the ring, up to len(ring)
+	counts [latBuckets]atomic.Uint32
 }
 
-func (r *latencyRing) snapshot() []float64 {
-	n := r.count.Load()
-	if n > uint64(len(r.slots)) {
-		n = uint64(len(r.slots))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(r.slots[i].Load())
-	}
-	return out
+func newLatencyWindow(size int) *latencyWindow {
+	return &latencyWindow{ring: make([]uint16, size)}
 }
 
-// percentile returns the qth percentile of the sampled latencies, zero when
-// no samples were recorded yet.
-func percentile(samples []float64, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
+// record adds one service time to the window, evicting the oldest sample
+// once the window is full.
+func (w *latencyWindow) record(d time.Duration) {
+	b := uint16(latBucket(d))
+	if w.held < len(w.ring) {
+		w.held++
+		w.counts[b].Add(1)
+	} else if old := w.ring[w.next]; old != b {
+		w.counts[old].Add(^uint32(0))
+		w.counts[b].Add(1)
 	}
-	v, err := stats.Percentile(samples, q)
-	if err != nil {
-		return 0
+	w.ring[w.next] = b
+	if w.next++; w.next == len(w.ring) {
+		w.next = 0
 	}
-	return time.Duration(v)
+}
+
+// latHist is a snapshot of bucket counts: one window's, or the sum of many.
+type latHist [latBuckets]uint64
+
+// load overwrites h with the window's counts.
+func (h *latHist) load(w *latencyWindow) {
+	for i := range h {
+		h[i] = uint64(w.counts[i].Load())
+	}
+}
+
+// add sums o into h.
+func (h *latHist) add(o *latHist) {
+	for i, c := range o {
+		h[i] += c
+	}
+}
+
+// percentiles returns the nearest-rank p50 and p99 of the counted samples
+// (the smallest bucket holding at least q% of them), each reported as its
+// bucket's latPoint; both are zero when nothing was counted.
+func (h *latHist) percentiles() (p50, p99 time.Duration) {
+	var n uint64
+	for _, c := range h {
+		n += c
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	r50, r99 := (50*n+99)/100, (99*n+99)/100
+	var cum uint64
+	for i, c := range h {
+		cum += c
+		if p50 == 0 && cum >= r50 {
+			p50 = latPoint(i)
+		}
+		if cum >= r99 {
+			p99 = latPoint(i)
+			break
+		}
+	}
+	return p50, p99
 }
