@@ -13,9 +13,17 @@ tier1:
 
 # staticcheck is optional tooling: run it when installed, otherwise fall
 # back to go vet's analyzers only (never fail the build over a missing
-# binary).
+# binary). The gofmt step checks tracked files only (git ls-files), so the
+# untracked source copies under .bench_build/ never fail it; it fails when
+# the list is empty (no git checkout) or gofmt itself errors.
 vet:
 	$(GO) vet ./...
+	@files=$$(git ls-files '*.go'); \
+	if [ -z "$$files" ]; then echo "gofmt: git ls-files lists no Go files"; exit 1; fi; \
+	unformatted=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \

@@ -109,17 +109,12 @@ type Device struct {
 	Location string
 }
 
-// Event is a raw device state report.
-type Event struct {
-	Time   time.Time
-	Device string
-	Value  float64
-	// Seq is an optional producer-assigned sequence number. Detection does
-	// not interpret it; it is echoed back in TenantAlarm.Seq (and over the
-	// network in wire Nack/Alarm frames) so producers can correlate alarms
-	// and refusals with the events that caused them. Zero means unassigned.
-	Seq uint64
-}
+// Event is a raw device state report: Seq, Time, Device and Value. Seq is
+// an optional producer-assigned sequence number. Detection does not
+// interpret it; it is echoed back in TenantAlarm.Seq (and over the network
+// in wire Nack/Alarm frames) so producers can correlate alarms and refusals
+// with the events that caused them. Zero means unassigned.
+type Event = event.Report
 
 // Config tunes training and detection. The zero value selects the defaults
 // the paper's evaluation uses.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/causaliot/causaliot/internal/cluster"
-	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/wire"
 )
 
@@ -159,7 +158,7 @@ func (b *shardHubBackend) Swap(tenant string, model []byte) error {
 func (b *shardHubBackend) Deregister(tenant string) error { return b.h.Deregister(tenant) }
 
 func (b *shardHubBackend) SubmitBatch(tenant string, evs []wire.Event) (int, error) {
-	return b.h.submitWire(tenant, evs)
+	return b.h.inner.SubmitBatch(tenant, evs)
 }
 
 func (b *shardHubBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) error {
@@ -427,16 +426,7 @@ func (s *remoteShard) Deregister(tenant string) error {
 }
 
 func (s *remoteShard) Submit(tenant string, ev Event) error {
-	return clusterFacadeError(s.p.Submit(tenant, wire.Event{Seq: ev.Seq, Time: ev.Time, Device: ev.Device, Value: ev.Value}))
-}
-
-// submitBatch is the fleet's batch path onto the proxy: one tenant lock
-// per wire.MaxEventBatch events.
-func (s *remoteShard) submitBatch(tenant string, hevs []hub.Event) (int, error) {
-	n, err := submitChunks(&wireBatches, hevs, wireEventOfHub, func(chunk []wire.Event) (int, error) {
-		return s.p.SubmitBatch(tenant, chunk)
-	})
-	return n, clusterFacadeError(err)
+	return clusterFacadeError(s.p.Submit(tenant, ev))
 }
 
 func (s *remoteShard) Swap(tenant string, sys *System) error {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/causaliot/causaliot/internal/fleet"
 	"github.com/causaliot/causaliot/internal/hub"
-	"github.com/causaliot/causaliot/internal/wire"
 )
 
 // Fleet serving errors. ErrMigrationInFlight marks an operation refused
@@ -501,21 +500,22 @@ func (f *Fleet) Deregister(tenant string) error {
 // or remote shard whole; any other Shard implementation gets one Submit
 // per event.
 func (f *Fleet) submitTo(tenant string) fleet.Sink {
-	return func(shard int, hevs []hub.Event) (int, error) {
+	return func(shard int, evs []Event) (int, error) {
 		switch s := f.shard(shard).(type) {
 		case nil:
 			return 0, fmt.Errorf("%w %d", ErrUnknownShard, shard)
 		case *localShard:
-			return s.h.inner.SubmitBatch(tenant, hevs)
+			return s.h.inner.SubmitBatch(tenant, evs)
 		case *remoteShard:
-			return s.submitBatch(tenant, hevs)
+			n, err := s.p.SubmitBatch(tenant, evs)
+			return n, clusterFacadeError(err)
 		default:
-			for i, hev := range hevs {
-				if err := s.Submit(tenant, Event{Device: hev.Device, Value: hev.Value, Time: hev.Time, Seq: hev.Seq}); err != nil {
+			for i, ev := range evs {
+				if err := s.Submit(tenant, ev); err != nil {
 					return i, err
 				}
 			}
-			return len(hevs), nil
+			return len(evs), nil
 		}
 	}
 }
@@ -528,22 +528,25 @@ func (f *Fleet) Submit(tenant string, ev Event) error {
 	if f.closed.Load() {
 		return ErrHubClosed
 	}
-	buf := hubBatches.Get().(*[wire.MaxEventBatch]hub.Event)
-	buf[0] = hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq}
-	_, err := f.router.DispatchBatch(tenant, buf[:1])
-	hubBatches.Put(buf)
+	buf := singleEvents.Get().(*[1]Event)
+	buf[0] = ev
+	_, err := f.router.DispatchBatch(tenant, buf[:])
+	singleEvents.Put(buf)
 	return err
 }
 
-// submitWire enqueues a batch of wire events for a home: one route lookup
-// and one hold of the route per wire.MaxEventBatch events.
-func (f *Fleet) submitWire(tenant string, evs []wire.Event) (int, error) {
+// singleEvents backs Submit's batch of one: the route sink is a func value,
+// so a batch handed to it cannot live on the stack, and a fresh one per
+// event would cost an allocation.
+var singleEvents = sync.Pool{New: func() any { return new([1]Event) }}
+
+// submitBatch enqueues a batch of events for a home with one route lookup
+// and one hold of the route.
+func (f *Fleet) submitBatch(tenant string, evs []Event) (int, error) {
 	if f.closed.Load() {
 		return 0, ErrHubClosed
 	}
-	return submitChunks(&hubBatches, evs, hubEventOfWire, func(chunk []hub.Event) (int, error) {
-		return f.router.DispatchBatch(tenant, chunk)
-	})
+	return f.router.DispatchBatch(tenant, evs)
 }
 
 // control runs fn against the home's serving shard with migrations

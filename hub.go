@@ -10,7 +10,6 @@ import (
 
 	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/timeseries"
-	"github.com/causaliot/causaliot/internal/wire"
 )
 
 // BackpressurePolicy selects what Hub.Submit does when a home's ingestion
@@ -116,7 +115,9 @@ type HubConfig struct {
 }
 
 // TenantOptions tunes one registered home; zero values inherit the hub
-// defaults.
+// defaults. A home on a remote shard (Fleet.AddRemoteShard, NewCluster)
+// ignores OnError and Adapt: only QueueSize and Backpressure reach the
+// worker.
 type TenantOptions struct {
 	// QueueSize overrides the hub's ingestion queue capacity.
 	QueueSize int
@@ -273,7 +274,7 @@ func (p *tenantProc) ModelKey() uint64 { return p.mon.sys.fp.Key64() }
 
 func (p *tenantProc) Handle(ev hub.Event) (bool, error) {
 	p.lastSeq = ev.Seq
-	det, err := p.mon.ObserveEvent(Event{Time: ev.Time, Device: ev.Device, Value: ev.Value})
+	det, err := p.mon.ObserveEvent(ev)
 	if err != nil {
 		return false, err
 	}
@@ -369,7 +370,7 @@ func (h *Hub) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions) e
 	if opts.OnError != nil {
 		cb := opts.OnError
 		onError = func(ev hub.Event, err error) {
-			cb(tenant, Event{Time: ev.Time, Device: ev.Device, Value: ev.Value}, err)
+			cb(tenant, ev, err)
 		}
 	}
 	err := h.inner.Register(tenant, proc, hub.TenantConfig{
@@ -488,16 +489,7 @@ func (h *Hub) Export(tenant string, opts ExportOptions) error {
 // backpressure policy decides: block, drop the oldest queued event, or fail
 // with ErrBackpressure.
 func (h *Hub) Submit(tenant string, ev Event) error {
-	return h.inner.Submit(tenant, hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq})
-}
-
-// submitWire enqueues a batch of wire events for a home: one tenant lookup
-// and one queue lock per wire.MaxEventBatch events, each event meeting the
-// home's backpressure policy as if submitted alone.
-func (h *Hub) submitWire(tenant string, evs []wire.Event) (int, error) {
-	return submitChunks(&hubBatches, evs, hubEventOfWire, func(chunk []hub.Event) (int, error) {
-		return h.inner.SubmitBatch(tenant, chunk)
-	})
+	return h.inner.Submit(tenant, ev)
 }
 
 // Swap hot-swaps a home's model: the retrained (or Extend-ed and reloaded)

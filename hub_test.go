@@ -317,6 +317,35 @@ func TestHubCallbacksAndSkippableErrors(t *testing.T) {
 	}
 }
 
+// TestOnErrorKeepsSeq checks that a refused event reaches OnError whole, its
+// producer-assigned Seq included, on a hub and on a fleet.
+func TestOnErrorKeepsSeq(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2})
+	for _, host := range []Host{NewHub(HubConfig{Workers: 1}), NewFleet(FleetConfig{Shards: 2})} {
+		got := make(chan Event, 1)
+		err := host.Register("home", sys, TenantOptions{
+			OnError: func(_ string, ev Event, _ error) { got <- ev },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Submit("home", Event{Time: t0, Device: "ghost", Value: 1, Seq: 42}); err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-got:
+			if ev.Device != "ghost" || ev.Seq != 42 {
+				t.Errorf("%T: OnError got %+v, want device ghost with Seq 42", host, ev)
+			}
+		default:
+			t.Errorf("%T: OnError never fired", host)
+		}
+	}
+}
+
 func TestHubFlushReportsPartialChain(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2, KMax: 3})
 	h := NewHub(HubConfig{Workers: 1})

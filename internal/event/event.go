@@ -98,6 +98,23 @@ type Event struct {
 	Value     float64
 }
 
+// Report is one device state report as it reaches the serving stack: a
+// device, a value and a timestamp (paper §II-A), plus an optional
+// producer-assigned sequence number. It is the one event type from socket to
+// detector: the public API, the tenant hub and the wire protocol (which the
+// cluster link speaks too) all alias it, so a batch crosses every layer as
+// it is.
+type Report struct {
+	// Seq is an optional producer-assigned sequence number. Detection does
+	// not interpret it; it is echoed back in TenantAlarm.Seq (and over the
+	// network in wire Nack/Alarm frames) so producers can correlate alarms
+	// and refusals with the events that caused them. Zero means unassigned.
+	Seq    uint64
+	Time   time.Time
+	Device string
+	Value  float64
+}
+
 // String implements fmt.Stringer.
 func (e Event) String() string {
 	return fmt.Sprintf("%s %s@%s=%g", e.Timestamp.Format(time.RFC3339), e.Device, e.Location, e.Value)

@@ -21,17 +21,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/event"
 )
 
 // Event is one raw device state report addressed to a tenant's stream. Seq
 // is an opaque producer-assigned sequence number carried alongside the
 // event; the hub never interprets it.
-type Event struct {
-	Device string
-	Value  float64
-	Time   time.Time
-	Seq    uint64
-}
+type Event = event.Report
 
 // Processor handles one tenant's ordered event stream. The hub never calls
 // Handle concurrently for the same tenant, so implementations need no

@@ -167,19 +167,43 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	valid := mk().Checkpoint()
 	cases := map[string]func(c *Checkpoint){
-		"wrong tau":          func(c *Checkpoint) { c.Tau = 5; c.Window = make([]int, 6*2) },
-		"wrong devices":      func(c *Checkpoint) { c.NumDevices = 3 },
-		"short window":       func(c *Checkpoint) { c.Window = c.Window[:2] },
-		"non-binary cell":    func(c *Checkpoint) { c.Window[1] = 7 },
-		"negative position":  func(c *Checkpoint) { c.Seq = -1 },
-		"chain bad device":   func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 9, Value: 1}, Seq: 1, Score: 0.9}}; c.Seq = 1 },
-		"chain bad value":    func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 3}, Seq: 1, Score: 0.9}}; c.Seq = 1 },
-		"chain future seq":   func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 5, Score: 0.9}}; c.Seq = 1 },
-		"chain bad score":    func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 1.5}}; c.Seq = 1 },
-		"chain cause arity":  func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 1}}}}; c.Seq = 1 },
-		"chain cause device": func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 7, Lag: 1}}, CauseValues: []int{0}}}; c.Seq = 1 },
-		"chain cause lag":    func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 9}}, CauseValues: []int{0}}}; c.Seq = 1 },
-		"chain cause value":  func(c *Checkpoint) { c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 1}}, CauseValues: []int{4}}}; c.Seq = 1 },
+		"wrong tau":         func(c *Checkpoint) { c.Tau = 5; c.Window = make([]int, 6*2) },
+		"wrong devices":     func(c *Checkpoint) { c.NumDevices = 3 },
+		"short window":      func(c *Checkpoint) { c.Window = c.Window[:2] },
+		"non-binary cell":   func(c *Checkpoint) { c.Window[1] = 7 },
+		"negative position": func(c *Checkpoint) { c.Seq = -1 },
+		"chain bad device": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 9, Value: 1}, Seq: 1, Score: 0.9}}
+			c.Seq = 1
+		},
+		"chain bad value": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 3}, Seq: 1, Score: 0.9}}
+			c.Seq = 1
+		},
+		"chain future seq": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 5, Score: 0.9}}
+			c.Seq = 1
+		},
+		"chain bad score": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 1.5}}
+			c.Seq = 1
+		},
+		"chain cause arity": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 1}}}}
+			c.Seq = 1
+		},
+		"chain cause device": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 7, Lag: 1}}, CauseValues: []int{0}}}
+			c.Seq = 1
+		},
+		"chain cause lag": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 9}}, CauseValues: []int{0}}}
+			c.Seq = 1
+		},
+		"chain cause value": func(c *Checkpoint) {
+			c.Chain = []AnomalousEvent{{Step: timeseries.Step{Device: 0, Value: 1}, Seq: 1, Score: 0.9, Causes: []dig.Node{{Device: 0, Lag: 1}}, CauseValues: []int{4}}}
+			c.Seq = 1
+		},
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {

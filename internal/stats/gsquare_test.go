@@ -289,10 +289,10 @@ func TestCountsMinObsGuard(t *testing.T) {
 func TestCountsValidation(t *testing.T) {
 	tester := GSquareTester{}
 	cases := []struct {
-		name   string
-		joint  []float64
+		name  string
+		joint []float64
 		x, y  int
-		zCard  int
+		zCard int
 	}{
 		{"arity", []float64{1, 2}, 1, 2, 1},
 		{"zcard-zero", []float64{}, 2, 2, 0},

@@ -28,6 +28,8 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/event"
 )
 
 // Version is the protocol version spoken by this package; a Hello carrying
@@ -266,12 +268,7 @@ func (c Code) String() string {
 // Event is one device state report on the wire. Seq is the
 // producer-assigned sequence number echoed in Nack and Alarm frames; the
 // protocol does not interpret it beyond echoing.
-type Event struct {
-	Seq    uint64
-	Time   time.Time
-	Device string
-	Value  float64
-}
+type Event = event.Report
 
 // Nack reports one refused Hello or event. Seq is zero for a Hello nack.
 type Nack struct {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/causaliot/causaliot/internal/dig"
+	"github.com/causaliot/causaliot/internal/wire"
 )
 
 // scoredAlarm is one delivered alarm with its score, for bit-identity
@@ -390,31 +391,58 @@ func TestExportSwapStress(t *testing.T) {
 // zero steady-state allocations per submitted event. Occasional amortized
 // run-queue growth is tolerated by AllocsPerRun's integer averaging; a per-
 // event allocation (e.g. a closure rebuilt per DispatchBatch) fails immediately.
+// The wire's batch entry (hostBackend.SubmitBatch) is pinned the same way on
+// a hub and a fleet: a decoded frame's events reach the tenant queue as they
+// are, so a whole wire.MaxEventBatch batch must cost no allocation either.
 func TestFleetSubmitZeroAlloc(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
-	fl := NewFleet(FleetConfig{Shards: 1, Hub: HubConfig{Workers: 1, QueueSize: 1 << 15}})
-	if err := fl.Register("home", sys, TenantOptions{OnAlarm: func(string, *Alarm, float64) {}}); err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	// Warm the serving path past construction effects.
-	warm := trainingLog(20, 3)
-	for _, ev := range warm {
-		if err := fl.Submit("home", ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitProcessed(t, fl, uint64(len(warm)))
 	stream := trainingLog(50, 4)
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		ev := stream[i%len(stream)]
-		i++
-		if err := fl.Submit("home", ev); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Fleet.Submit allocates %.1f allocs/op steady-state, want 0", allocs)
+	batch := stream[:wire.MaxEventBatch]
+	hubCfg := HubConfig{Workers: 1, QueueSize: 1 << 15}
+	fleetHost := func() Host { return NewFleet(FleetConfig{Shards: 1, Hub: hubCfg}) }
+	cases := []struct {
+		name   string
+		host   func() Host
+		runs   int
+		submit func(h Host, i int) error
+	}{
+		{"Fleet.Submit", fleetHost, 2000, func(h Host, i int) error {
+			return h.Submit("home", stream[i%len(stream)])
+		}},
+		{"SubmitBatch/Hub", func() Host { return NewHub(hubCfg) }, 200, func(h Host, _ int) error {
+			_, err := (&hostBackend{host: h}).SubmitBatch("home", batch)
+			return err
+		}},
+		{"SubmitBatch/Fleet", fleetHost, 200, func(h Host, _ int) error {
+			_, err := (&hostBackend{host: h}).SubmitBatch("home", batch)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.host()
+			defer h.Close()
+			if err := h.Register("home", sys, TenantOptions{OnAlarm: func(string, *Alarm, float64) {}}); err != nil {
+				t.Fatal(err)
+			}
+			// Warm the serving path past construction effects.
+			warm := trainingLog(20, 3)
+			for _, ev := range warm {
+				if err := h.Submit("home", ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitProcessed(t, h, uint64(len(warm)))
+			i := 0
+			allocs := testing.AllocsPerRun(tc.runs, func() {
+				if err := tc.submit(h, i); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s allocates %.1f allocs/op steady-state, want 0", tc.name, allocs)
+			}
+		})
 	}
 }

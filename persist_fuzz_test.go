@@ -29,13 +29,13 @@ func fuzzSeedModel(f *testing.F) []byte {
 func FuzzLoad(f *testing.F) {
 	valid := fuzzSeedModel(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                    // truncated mid-document
-	f.Add(valid[:len(valid)-1])                    // missing the final byte
-	f.Add([]byte{})                                // empty input
-	f.Add([]byte("{}"))                            // empty object
-	f.Add([]byte(`{"version":1}`))                 // right version, nothing else
-	f.Add([]byte(`{"version":99}`))                // future version
-	f.Add([]byte("not json at all"))               // garbage
+	f.Add(valid[:len(valid)/2])      // truncated mid-document
+	f.Add(valid[:len(valid)-1])      // missing the final byte
+	f.Add([]byte{})                  // empty input
+	f.Add([]byte("{}"))              // empty object
+	f.Add([]byte(`{"version":1}`))   // right version, nothing else
+	f.Add([]byte(`{"version":99}`))  // future version
+	f.Add([]byte("not json at all")) // garbage
 	f.Add(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 2`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"scoreThreshold"`), []byte(`"scoreThreshold_"`), 1))
 	f.Add([]byte(strings.Replace(string(valid), `"tau"`, `"tau_"`, 1)))

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
-	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/wire"
 )
 
@@ -194,53 +192,16 @@ func (b *hostBackend) Authenticate(token, tenant string) error {
 func (b *hostBackend) SubmitBatch(tenant string, evs []wire.Event) (int, error) {
 	switch h := b.host.(type) {
 	case *Hub:
-		return h.submitWire(tenant, evs)
+		return h.inner.SubmitBatch(tenant, evs)
 	case *Fleet:
-		return h.submitWire(tenant, evs)
+		return h.submitBatch(tenant, evs)
 	}
 	for i, ev := range evs {
-		if err := b.host.Submit(tenant, Event{Time: ev.Time, Device: ev.Device, Value: ev.Value, Seq: ev.Seq}); err != nil {
+		if err := b.host.Submit(tenant, ev); err != nil {
 			return i, err
 		}
 	}
 	return len(evs), nil
-}
-
-// Event batches cross between the wire's and the hub's event types in
-// pooled buffers of wire.MaxEventBatch events: the fleet's route sink is a
-// func value, so a batch handed to it cannot live on the stack, and a fresh
-// buffer per batch would cost an allocation.
-var (
-	hubBatches  = sync.Pool{New: func() any { return new([wire.MaxEventBatch]hub.Event) }}
-	wireBatches = sync.Pool{New: func() any { return new([wire.MaxEventBatch]wire.Event) }}
-)
-
-// submitChunks converts evs chunk by chunk into a buffer from pool and hands
-// each chunk to submit, stopping at the first refusal. It returns how many
-// events were admitted and the refusal's error.
-func submitChunks[S, D any](pool *sync.Pool, evs []S, conv func(S) D, submit func([]D) (int, error)) (admitted int, err error) {
-	buf := pool.Get().(*[wire.MaxEventBatch]D)
-	defer pool.Put(buf)
-	for admitted < len(evs) {
-		chunk := buf[:min(len(evs)-admitted, len(buf))]
-		for i := range chunk {
-			chunk[i] = conv(evs[admitted+i])
-		}
-		n, err := submit(chunk)
-		admitted += n
-		if err != nil {
-			return admitted, err
-		}
-	}
-	return admitted, nil
-}
-
-func hubEventOfWire(ev wire.Event) hub.Event {
-	return hub.Event{Device: ev.Device, Value: ev.Value, Time: ev.Time, Seq: ev.Seq}
-}
-
-func wireEventOfHub(ev hub.Event) wire.Event {
-	return wire.Event{Seq: ev.Seq, Time: ev.Time, Device: ev.Device, Value: ev.Value}
 }
 
 func (b *hostBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) error {

@@ -153,9 +153,8 @@ func TestNetchaosSessionSoak(t *testing.T) {
 	defer sc.Close()
 
 	for i, ev := range evs {
-		wev := wire.Event{Seq: ev.Seq, Time: ev.Time, Device: ev.Device, Value: ev.Value}
 		for {
-			err := sc.Send(wev)
+			err := sc.Send(ev)
 			if err == nil {
 				break
 			}
@@ -293,9 +292,8 @@ func TestNetchaosKillDuringMigration(t *testing.T) {
 
 	migrated := make(chan error, 1)
 	for i, ev := range evs {
-		wev := wire.Event{Seq: ev.Seq, Time: ev.Time, Device: ev.Device, Value: ev.Value}
 		for {
-			err := sc.Send(wev)
+			err := sc.Send(ev)
 			if err == nil {
 				break
 			}

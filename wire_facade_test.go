@@ -3,6 +3,7 @@ package causaliot
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -244,5 +245,99 @@ func TestWireServerRestoresDefaultDelivery(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("alarms never reverted to the channel after disconnect")
 		}
+	}
+}
+
+// seqRecorder notes the Seq of every event a decorator's Submit sees.
+type seqRecorder struct {
+	mu   sync.Mutex
+	seqs []uint64
+}
+
+func (r *seqRecorder) note(ev Event) {
+	r.mu.Lock()
+	r.seqs = append(r.seqs, ev.Seq)
+	r.mu.Unlock()
+}
+
+func (r *seqRecorder) got() []uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]uint64(nil), r.seqs...)
+}
+
+// recordingHost decorates a hub, embedding it the way a tracing wrapper
+// would: only Submit is its own.
+type recordingHost struct {
+	*Hub
+	rec *seqRecorder
+}
+
+func (h recordingHost) Submit(tenant string, ev Event) error {
+	h.rec.note(ev)
+	return h.Hub.Submit(tenant, ev)
+}
+
+// recordingShard decorates a fleet shard the same way.
+type recordingShard struct {
+	Shard
+	rec *seqRecorder
+}
+
+func (s recordingShard) Submit(tenant string, ev Event) error {
+	s.rec.note(ev)
+	return s.Shard.Submit(tenant, ev)
+}
+
+// TestWireDecoratorsSeeEveryEvent pins the per-event fallbacks of the batch
+// path: a Host that is not one of the package's own, served behind the wire,
+// and a foreign Shard behind a fleet each get one Submit per event of a
+// decoded batch frame, in order and with Seq intact.
+func TestWireDecoratorsSeeEveryEvent(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2})
+	for _, tc := range []struct {
+		name string
+		host func(rec *seqRecorder) Host
+	}{
+		{"host", func(rec *seqRecorder) Host {
+			return recordingHost{Hub: NewHub(HubConfig{Workers: 1}), rec: rec}
+		}},
+		{"shard", func(rec *seqRecorder) Host {
+			fl := newFleet(FleetConfig{}, 0)
+			if _, err := fl.AddShardFor(recordingShard{Shard: &localShard{h: NewHub(HubConfig{Workers: 1})}, rec: rec}); err != nil {
+				t.Fatal(err)
+			}
+			return fl
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &seqRecorder{}
+			host := tc.host(rec)
+			defer host.Close()
+			if err := host.Register("home", sys, TenantOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			addr, _ := startWireServer(t, host, WireConfig{})
+			c, err := wire.Dial(addr, wire.ClientConfig{Tenant: "home"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var want []uint64
+			for i, ev := range ghostSequence() {
+				ev.Seq = uint64(100 + i)
+				want = append(want, ev.Seq)
+				if err := c.Send(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitProcessed(t, host, uint64(len(want)))
+			if got := rec.got(); !slices.Equal(got, want) {
+				t.Fatalf("decorator saw Seqs %v, want %v", got, want)
+			}
+		})
 	}
 }
