@@ -501,30 +501,19 @@ func (s *System) Likelihood(device string, state int, context map[string]int) (f
 	return s.graph.Likelihood(idx, state, values)
 }
 
-// AnomalousEvent is one member of a reported anomaly chain.
-type AnomalousEvent struct {
-	// Device and State describe the offending event.
-	Device string
-	State  int
-	// Score is the anomaly score f(e, G, 𝒢) ∈ [0,1].
-	Score float64
-	// Context maps each cause (rendered as "device@t-lag") to its state
-	// at the event, the information the paper reports for anomaly
-	// interpretation and root-cause localization.
-	Context map[string]int
-}
+// AnomalousEvent is one member of a reported anomaly chain: the offending
+// device and state, its anomaly score, and its interaction context as a
+// name-sorted list of causes ("device@t-lag") with their states.
+type AnomalousEvent = event.AlarmEvent
+
+// ContextEntry is one cause of an anomalous event's interaction context.
+type ContextEntry = event.ContextEntry
 
 // Alarm reports a detected anomaly: Events[0] is the contextual anomaly and
 // any following entries are the collective anomaly chain that executed
-// under the polluted context.
-type Alarm struct {
-	Events []AnomalousEvent
-	// Abrupt marks chains terminated early by another high-score event.
-	Abrupt bool
-}
-
-// Collective reports whether the alarm includes a collective anomaly chain.
-func (a *Alarm) Collective() bool { return len(a.Events) > 1 }
+// under the polluted context. Seq and Score cite the event that completed
+// the chain. It is the same type the wire protocol pushes to producers.
+type Alarm = event.Alarm
 
 // Sentinel errors returned while observing a runtime stream. Match them
 // with errors.Is to tell skippable events from fatal ones: an event from a
@@ -675,7 +664,7 @@ func (m *Monitor) ObserveEvent(e Event) (Detection, error) {
 		m.observeAccepted(step)
 	}
 	return Detection{
-		Alarm:     m.convertAlarm(res.Alarm),
+		Alarm:     m.convertAlarm(res.Alarm, e.Seq, res.Score),
 		Score:     res.Score,
 		State:     state,
 		Duplicate: res.Duplicate,
@@ -752,25 +741,38 @@ func (m *Monitor) Observed() int { return m.observed }
 func (m *Monitor) Pending() int { return m.det.Pending() }
 
 // Flush reports any partially tracked anomaly chain (e.g. at shutdown).
-func (m *Monitor) Flush() *Alarm { return m.convertAlarm(m.det.Flush()) }
+func (m *Monitor) Flush() *Alarm { return m.convertAlarm(m.det.Flush(), 0, 0) }
 
-func (m *Monitor) convertAlarm(alarm *monitor.Alarm) *Alarm {
+// convertAlarm renders the detector's index-keyed alarm in device names,
+// citing the event that completed it (seq and score; zero for a Flush).
+// Each event's context is built in name order by insertion: parent lists
+// are short, and the order is the canonical one the wire encodes.
+func (m *Monitor) convertAlarm(alarm *monitor.Alarm, seq uint64, score float64) *Alarm {
 	if alarm == nil {
 		return nil
 	}
 	reg := m.sys.graph.Registry
-	out := &Alarm{Abrupt: alarm.Abrupt}
-	for _, ev := range alarm.Events {
-		ctx := make(map[string]int, len(ev.Causes))
-		for i, c := range ev.Causes {
-			ctx[m.sys.causeLabel(c.Device, c.Lag)] = ev.CauseValues[i]
+	out := &Alarm{Seq: seq, Score: score, Abrupt: alarm.Abrupt, Events: make([]AnomalousEvent, len(alarm.Events))}
+	for i, ev := range alarm.Events {
+		var ctx []ContextEntry // nil without causes, as a decoded frame has it
+		if n := len(ev.Causes); n > 0 {
+			ctx = make([]ContextEntry, 0, n)
 		}
-		out.Events = append(out.Events, AnomalousEvent{
+		for j, c := range ev.Causes {
+			entry := ContextEntry{Name: m.sys.causeLabel(c.Device, c.Lag), State: ev.CauseValues[j]}
+			k := len(ctx)
+			ctx = append(ctx, entry)
+			for ; k > 0 && ctx[k-1].Name > entry.Name; k-- {
+				ctx[k] = ctx[k-1]
+			}
+			ctx[k] = entry
+		}
+		out.Events[i] = AnomalousEvent{
 			Device:  reg.Name(ev.Step.Device),
 			State:   ev.Step.Value,
 			Score:   ev.Score,
 			Context: ctx,
-		})
+		}
 	}
 	return out
 }

@@ -165,7 +165,7 @@ func (b *shardHubBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) erro
 	if sink == nil {
 		return b.h.SetAlarmRoute(tenant, nil)
 	}
-	return b.h.SetAlarmRoute(tenant, func(ta TenantAlarm) { sink(wireAlarm(ta)) })
+	return b.h.SetAlarmRoute(tenant, func(ta TenantAlarm) { sink(*ta.Alarm) })
 }
 
 func (b *shardHubBackend) Quiesce(tenant string) error { return b.h.inner.Quiesce(tenant) }
@@ -340,8 +340,8 @@ func sentinelForWireCode(code wire.Code) error {
 	}
 }
 
-// wireSink adapts one tenant's fleet alarm sink to the proxy's wire alarm
-// callback.
+// wireSink adapts one tenant's fleet alarm sink to the proxy's alarm
+// callback: the decoded alarm is handed on as it is.
 func (s *remoteShard) wireSink(tenant string, sink func(TenantAlarm)) func(wire.Alarm) {
 	s.mu.Lock()
 	s.sinks[tenant] = sink
@@ -351,26 +351,9 @@ func (s *remoteShard) wireSink(tenant string, sink func(TenantAlarm)) func(wire.
 		cur := s.sinks[tenant]
 		s.mu.Unlock()
 		if cur != nil {
-			cur(tenantAlarmFromWire(tenant, wa))
+			cur(TenantAlarm{Tenant: tenant, Alarm: &wa})
 		}
 	}
-}
-
-// tenantAlarmFromWire rebuilds the facade alarm from its wire form — the
-// inverse of wireAlarm.
-func tenantAlarmFromWire(tenant string, wa wire.Alarm) TenantAlarm {
-	al := &Alarm{Abrupt: wa.Abrupt, Events: make([]AnomalousEvent, len(wa.Events))}
-	for i, we := range wa.Events {
-		ae := AnomalousEvent{Device: we.Device, State: int(we.State), Score: we.Score}
-		if len(we.Context) > 0 {
-			ae.Context = make(map[string]int, len(we.Context))
-			for _, ce := range we.Context {
-				ae.Context[ce.Name] = int(ce.State)
-			}
-		}
-		al.Events[i] = ae
-	}
-	return TenantAlarm{Tenant: tenant, Alarm: al, Score: wa.Score, Seq: wa.Seq}
 }
 
 func (s *remoteShard) register(tenant string, model, state []byte, opts TenantOptions, sink func(TenantAlarm)) error {

@@ -645,15 +645,18 @@ func runLoad(cfg config) (*report, error) {
 	}
 
 	// Let in-flight events finish processing so trailing alarms make it
-	// back before the connections close. Self-serve can watch the queues;
-	// a remote server gets a fixed grace period.
+	// back before the connections close. Self-serve waits, bounded, until
+	// every alarm is accounted for; a remote server exposes no counters, so
+	// it gets a fixed grace period.
 	if cfg.selfServe {
 		deadline := time.Now().Add(30 * time.Second)
-		for h.Stats().Total.QueueDepth > 0 && time.Now().Before(deadline) {
+		sent := uint64(cfg.conns * cfg.events)
+		for !alarmsSettled(h, ws, producers, sent) && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
+	} else {
+		time.Sleep(200 * time.Millisecond)
 	}
-	time.Sleep(200 * time.Millisecond)
 	for _, p := range producers {
 		if err := p.client.Close(); err != nil {
 			return nil, err
@@ -739,4 +742,24 @@ func runLoad(cfg config) (*report, error) {
 		rep.Server = sr
 	}
 	return rep, nil
+}
+
+// alarmsSettled reports whether all sent events reached the server and
+// were decided, and every alarm they raised reached a producer or a drop
+// counter. Queues can be empty while events are still in a socket or alarms
+// on a worker→router link, so the check counts, not queue depth.
+func alarmsSettled(h causaliot.Host, ws *causaliot.WireServer, producers []*producer, sent uint64) bool {
+	var received uint64
+	for _, p := range producers {
+		received += p.alarms.Load()
+	}
+	st, wst := h.Stats().Total, ws.Stats()
+	if wst.Events+wst.Nacks < sent || st.Processed+st.Dropped < wst.Events {
+		return false
+	}
+	dropped := wst.AlarmsDropped
+	if f, ok := h.(*causaliot.Fleet); ok {
+		dropped += f.FleetStats().AlarmsDropped
+	}
+	return received+dropped == st.Alarms
 }

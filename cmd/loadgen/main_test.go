@@ -42,64 +42,84 @@ func TestParseFlagsValidation(t *testing.T) {
 }
 
 // TestServeSmoke is the happy-path load run the Makefile drives: a
-// self-served fleet, one connection per home, every frame accepted, and the
-// alarm accounting closed — alarms raised server-side equal alarms pushed
-// plus admitted drops, with no silent loss anywhere.
+// self-served fleet (and a router over two cluster workers with home-0
+// migrating under load), one connection per home, every frame accepted,
+// and the alarm accounting closed — alarms raised server-side equal alarms
+// pushed plus admitted drops, and every pushed alarm reached its producer.
 func TestServeSmoke(t *testing.T) {
-	rep, err := runLoad(config{
-		selfServe: true,
-		conns:     4,
-		homes:     4,
-		events:    300,
-		days:      1,
-		trainDays: 1,
-		seed:      3,
-		testbed:   "contextact",
-		token:     "tok",
-		tau:       2,
-		kmax:      1,
-		shards:    2,
-		workers:   1,
-		queue:     1024,
-		policy:    "block",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EventsSent != 4*300 {
-		t.Errorf("events sent = %d, want 1200", rep.EventsSent)
-	}
-	if rep.EventsNacked != 0 {
-		t.Errorf("block policy nacked %d events", rep.EventsNacked)
-	}
-	srv := rep.Server
-	if srv == nil {
-		t.Fatal("self-serve report missing server stats")
-	}
-	if srv.Wire.Events != rep.EventsSent || srv.Wire.Nacks != 0 {
-		t.Errorf("server accepted %d/%d events, %d nacks", srv.Wire.Events, rep.EventsSent, srv.Wire.Nacks)
-	}
-	// Zero silent alarm drops: every alarm the hub raised was either pushed
-	// to a producer or shows up in an explicit drop counter.
-	raised := srv.Hub.Total.Alarms
-	accounted := srv.Wire.Alarms + srv.Wire.AlarmsDropped
-	if srv.Fleet != nil {
-		accounted += srv.Fleet.AlarmsDropped
-	}
-	if raised != accounted {
-		t.Errorf("alarm accounting open: raised %d, accounted %d (pushed %d, wire drops %d)",
-			raised, accounted, srv.Wire.Alarms, srv.Wire.AlarmsDropped)
-	}
-	if rep.Alarms != srv.Wire.Alarms {
-		t.Errorf("clients received %d alarms, server pushed %d", rep.Alarms, srv.Wire.Alarms)
-	}
-	if rep.Alarms > 0 {
-		if rep.AlarmLatency.Samples == 0 || rep.AlarmLatency.P50 <= 0 {
-			t.Errorf("alarms arrived but latency not measured: %+v", rep.AlarmLatency)
-		}
-		if rep.AlarmLatency.P50 > rep.AlarmLatency.P99 || rep.AlarmLatency.P99 > rep.AlarmLatency.Max {
-			t.Errorf("latency percentiles disordered: %+v", rep.AlarmLatency)
-		}
+	for _, tc := range []struct {
+		name             string
+		shards, cluster  int
+		migrate, workers int
+	}{
+		{name: "fleet", shards: 2, workers: 1},
+		{name: "cluster", cluster: 2, migrate: 4, workers: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := runLoad(config{
+				selfServe: true,
+				conns:     4,
+				homes:     4,
+				events:    300,
+				days:      1,
+				trainDays: 1,
+				seed:      3,
+				testbed:   "contextact",
+				token:     "tok",
+				tau:       2,
+				kmax:      1,
+				shards:    tc.shards,
+				cluster:   tc.cluster,
+				migrate:   tc.migrate,
+				workers:   tc.workers,
+				queue:     1024,
+				policy:    "block",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.EventsSent != 4*300 {
+				t.Errorf("events sent = %d, want 1200", rep.EventsSent)
+			}
+			if rep.EventsNacked != 0 {
+				t.Errorf("block policy nacked %d events", rep.EventsNacked)
+			}
+			srv := rep.Server
+			if srv == nil {
+				t.Fatal("self-serve report missing server stats")
+			}
+			if srv.Wire.Events != rep.EventsSent || srv.Wire.Nacks != 0 {
+				t.Errorf("server accepted %d/%d events, %d nacks", srv.Wire.Events, rep.EventsSent, srv.Wire.Nacks)
+			}
+			if tc.migrate > 0 && (rep.Cluster == nil || rep.Cluster.Migrations+rep.Cluster.MigrationsFailed != tc.migrate) {
+				t.Errorf("cluster report = %+v, want %d migrations attempted", rep.Cluster, tc.migrate)
+			}
+			// Zero silent alarm drops: every alarm the hub raised was either
+			// pushed to a producer or shows up in an explicit drop counter.
+			raised := srv.Hub.Total.Alarms
+			accounted := srv.Wire.Alarms + srv.Wire.AlarmsDropped
+			if srv.Fleet != nil {
+				accounted += srv.Fleet.AlarmsDropped
+			}
+			if raised != accounted {
+				t.Errorf("alarm accounting open: raised %d, accounted %d (pushed %d, wire drops %d)",
+					raised, accounted, srv.Wire.Alarms, srv.Wire.AlarmsDropped)
+			}
+			if rep.Alarms != srv.Wire.Alarms {
+				t.Errorf("clients received %d alarms, server pushed %d", rep.Alarms, srv.Wire.Alarms)
+			}
+			if rep.Alarms != raised {
+				t.Errorf("clients received %d alarms, hub raised %d", rep.Alarms, raised)
+			}
+			if rep.Alarms > 0 {
+				if rep.AlarmLatency.Samples == 0 || rep.AlarmLatency.P50 <= 0 {
+					t.Errorf("alarms arrived but latency not measured: %+v", rep.AlarmLatency)
+				}
+				if rep.AlarmLatency.P50 > rep.AlarmLatency.P99 || rep.AlarmLatency.P99 > rep.AlarmLatency.Max {
+					t.Errorf("latency percentiles disordered: %+v", rep.AlarmLatency)
+				}
+			}
+		})
 	}
 }
 

@@ -10,9 +10,9 @@ func TestExplanationRendersContext(t *testing.T) {
 		Device: "light",
 		State:  1,
 		Score:  0.9998,
-		Context: map[string]int{
-			"presence@t-1": 0,
-			"dimmer@t-2":   1,
+		Context: []ContextEntry{
+			{Name: "dimmer@t-2", State: 1},
+			{Name: "presence@t-1", State: 0},
 		},
 	}
 	got := ev.Explanation()
@@ -38,7 +38,7 @@ func TestAlarmExplain(t *testing.T) {
 	a := &Alarm{
 		Abrupt: true,
 		Events: []AnomalousEvent{
-			{Device: "light", State: 1, Score: 0.99, Context: map[string]int{"presence@t-1": 0}},
+			{Device: "light", State: 1, Score: 0.99, Context: []ContextEntry{{Name: "presence@t-1", State: 0}}},
 			{Device: "heater", State: 1, Score: 0.01},
 			{Device: "window", State: 1, Score: 0.02},
 		},

@@ -140,16 +140,12 @@ type TenantOptions struct {
 }
 
 // TenantAlarm is one alarm raised by a hosted home, as delivered on the
-// hub's Alarms channel.
+// hub's Alarms channel. The embedded alarm is never nil; its Seq and Score
+// cite the event that completed the chain (Seq is zero when the producer
+// does not assign sequence numbers, both are zero for an operator Flush).
 type TenantAlarm struct {
 	Tenant string
-	Alarm  *Alarm
-	// Score is the anomaly score of the event that completed the chain.
-	Score float64
-	// Seq is the producer-assigned sequence number (Event.Seq) of the event
-	// that completed the chain — zero when the producer does not assign
-	// sequence numbers or the alarm was raised by an operator Flush.
-	Seq uint64
+	*Alarm
 }
 
 // TenantStats is one home's runtime counters.
@@ -251,8 +247,8 @@ func (h *Hub) Alarms() <-chan TenantAlarm { return h.alarms }
 
 // tenantProc adapts one home's Monitor to the hub's Processor contract and
 // routes its alarms. The hub serializes Handle per tenant, so the monitor
-// needs no locking; route and lastSeq are only touched on the stream
-// thread (Handle, or a callback under a stream-pausing Update).
+// needs no locking; route is only touched on the stream thread (Handle, or
+// a callback under a stream-pausing Update).
 type tenantProc struct {
 	hub     *Hub
 	name    string
@@ -261,9 +257,6 @@ type tenantProc struct {
 	// route, when set (SetAlarmRoute), receives the home's alarms ahead of
 	// both onAlarm and the Alarms channel.
 	route func(TenantAlarm)
-	// lastSeq is the Seq of the event currently being handled, stamped
-	// onto any alarm it completes.
-	lastSeq uint64
 }
 
 // ModelKey names the model this home scores against for the hub's
@@ -273,13 +266,12 @@ type tenantProc struct {
 func (p *tenantProc) ModelKey() uint64 { return p.mon.sys.fp.Key64() }
 
 func (p *tenantProc) Handle(ev hub.Event) (bool, error) {
-	p.lastSeq = ev.Seq
 	det, err := p.mon.ObserveEvent(ev)
 	if err != nil {
 		return false, err
 	}
 	if det.Alarm != nil {
-		p.deliver(det.Alarm, det.Score)
+		p.deliver(det.Alarm)
 	}
 	// A drift scan on this event may have parked a refresh verdict; claim
 	// it here (on the stream thread, so exactly one claimer wins) and hand
@@ -291,14 +283,14 @@ func (p *tenantProc) Handle(ev hub.Event) (bool, error) {
 	return det.Alarm != nil, nil
 }
 
-func (p *tenantProc) deliver(alarm *Alarm, score float64) {
-	ta := TenantAlarm{Tenant: p.name, Alarm: alarm, Score: score, Seq: p.lastSeq}
+func (p *tenantProc) deliver(alarm *Alarm) {
+	ta := TenantAlarm{Tenant: p.name, Alarm: alarm}
 	if p.route != nil {
 		p.route(ta)
 		return
 	}
 	if p.onAlarm != nil {
-		p.onAlarm(p.name, alarm, score)
+		p.onAlarm(p.name, alarm, alarm.Score)
 		return
 	}
 	select {
@@ -522,8 +514,7 @@ func (h *Hub) Flush(tenant string) error {
 			return nil, fmt.Errorf("causaliot: tenant %q hosts a foreign processor", tenant)
 		}
 		if alarm := tp.mon.Flush(); alarm != nil {
-			tp.lastSeq = 0 // operator-initiated: no completing event to cite
-			tp.deliver(alarm, 0)
+			tp.deliver(alarm)
 		}
 		return tp, nil
 	})

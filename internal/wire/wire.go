@@ -285,29 +285,17 @@ func (n Nack) Error() string {
 }
 
 // ContextEntry is one cause→state pair of an anomalous event's context.
-type ContextEntry struct {
-	Name  string
-	State int32
-}
+type ContextEntry = event.ContextEntry
 
-// AlarmEvent is one member of an alarm's anomaly chain.
-type AlarmEvent struct {
-	Device  string
-	State   int32
-	Score   float64
-	Context []ContextEntry
-}
+// AlarmEvent is one member of an alarm's anomaly chain; its Context is
+// sorted by name, which is the order the frame encodes.
+type AlarmEvent = event.AlarmEvent
 
 // Alarm is one detection alarm pushed back to the producer. Seq is the
 // sequence number of the event that completed (or abruptly terminated) the
 // chain — zero when the alarm was raised by an operator flush rather than
-// an event.
-type Alarm struct {
-	Seq    uint64
-	Score  float64
-	Abrupt bool
-	Events []AlarmEvent
-}
+// an event. It is the detector's own alarm type, encoded as it is.
+type Alarm = event.Alarm
 
 const (
 	headerLen       = 4
@@ -583,7 +571,7 @@ func parseAlarmBody(d *decoder) (Alarm, error) {
 	}
 	for i := 0; i < n && !d.fail; i++ {
 		ev := AlarmEvent{Device: d.str()}
-		ev.State = int32(d.u32())
+		ev.State = int(int32(d.u32()))
 		ev.Score = math.Float64frombits(d.u64())
 		nctx := int(d.u16())
 		if nctx > len(d.p)/6+1 {
@@ -591,7 +579,7 @@ func parseAlarmBody(d *decoder) (Alarm, error) {
 		}
 		for j := 0; j < nctx && !d.fail; j++ {
 			c := ContextEntry{Name: d.str()}
-			c.State = int32(d.u32())
+			c.State = int(int32(d.u32()))
 			ev.Context = append(ev.Context, c)
 		}
 		a.Events = append(a.Events, ev)

@@ -1,15 +1,20 @@
 package wire
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // FuzzWireFrames is the error-never-panic contract for the decoders that
 // read untrusted network input: no payload may crash ParseEvent,
-// ParseEventBatch, ParseSubmitBatch or ParseHello, and no batch decoder may
-// return more events than the payload's bytes can encode. Each input is fed
-// to every decoder, with and without a name table.
+// ParseEventBatch, ParseSubmitBatch, ParseHello or the three alarm
+// decoders, and no batch decoder may return more events than the payload's
+// bytes can encode. Each input is fed to every decoder, the event decoders
+// with and without a name table. An alarm that decodes must re-encode and
+// decode to an equal alarm.
 func FuzzWireFrames(f *testing.F) {
 	now := time.Unix(1700000000, 0)
 	evs := []Event{{Seq: 1, Time: now, Device: "light", Value: 1}, {Seq: 2, Time: now, Device: "door"}}
@@ -25,6 +30,10 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(payload(AppendSubmitBatch(nil, "home-0", []BatchEvent{{Link: 1, Ev: evs[0]}, {Link: 2, Ev: evs[1]}})))
 	f.Add(payload(AppendHello(nil, "tok", "home-0")))
 	f.Add(payload(AppendHelloSession(nil, "tok", "home-0")))
+	f.Add(payload(AppendAlarm(nil, goldenAlarm)))
+	f.Add(payload(AppendAlarm(nil, Alarm{Seq: 3})))
+	f.Add(payload(AppendSessionAlarm(nil, 7, goldenAlarm)))
+	f.Add(payload(AppendAlarmStream(nil, "home-3", 11, goldenAlarm)))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -46,5 +55,50 @@ func FuzzWireFrames(f *testing.F) {
 			}
 		}
 		ParseHello(p)
+		if a, err := ParseAlarm(p); err == nil {
+			alarmRoundTrip(t, a, func(a Alarm) ([]byte, error) { return AppendAlarm(nil, a) }, ParseAlarm)
+		}
+		if idx, a, err := ParseSessionAlarm(p); err == nil {
+			alarmRoundTrip(t, a, func(a Alarm) ([]byte, error) { return AppendSessionAlarm(nil, idx, a) },
+				func(p []byte) (Alarm, error) { _, a, err := ParseSessionAlarm(p); return a, err })
+		}
+		if tenant, idx, a, err := ParseAlarmStream(p); err == nil {
+			alarmRoundTrip(t, a, func(a Alarm) ([]byte, error) { return AppendAlarmStream(nil, tenant, idx, a) },
+				func(p []byte) (Alarm, error) { _, _, a, err := ParseAlarmStream(p); return a, err })
+		}
 	})
+}
+
+// alarmRoundTrip re-encodes a decoded alarm and decodes it again: the
+// result must equal the first decode, and encode to the same bytes. A NaN
+// score never equals itself, so an alarm holding one is held to the bytes.
+func alarmRoundTrip(t *testing.T, a Alarm, enc func(Alarm) ([]byte, error), parse func([]byte) (Alarm, error)) {
+	t.Helper()
+	frame, err := enc(a)
+	if err != nil {
+		t.Fatalf("re-encode %+v: %v", a, err)
+	}
+	got, err := parse(frame[headerLen+1:])
+	if err != nil {
+		t.Fatalf("re-parse %+v: %v", a, err)
+	}
+	again, err := enc(got)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("round trip re-encodes differently: %x, want %x (%v)", again, frame, err)
+	}
+	if !hasNaN(a) && !reflect.DeepEqual(got, a) {
+		t.Fatalf("round trip: %+v, want %+v", got, a)
+	}
+}
+
+func hasNaN(a Alarm) bool {
+	if math.IsNaN(a.Score) {
+		return true
+	}
+	for _, ev := range a.Events {
+		if math.IsNaN(ev.Score) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -209,6 +210,60 @@ func TestAlarmRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("alarm = %+v, want %+v", got, want)
+	}
+}
+
+// goldenAlarm is a fixed multi-event alarm with several context entries,
+// in the canonical name order.
+var goldenAlarm = Alarm{
+	Seq:    4242,
+	Score:  0.98765,
+	Abrupt: true,
+	Events: []AlarmEvent{
+		{Device: "light", State: 1, Score: 0.98765, Context: []ContextEntry{
+			{Name: "door@t-1", State: 1},
+			{Name: "light@t-1", State: 0},
+			{Name: "presence@t-1", State: 0},
+			{Name: "presence@t-2", State: 1},
+		}},
+		{Device: "heater", State: 1, Score: 0.61, Context: []ContextEntry{{Name: "light@t-1", State: 1}}},
+		{Device: "fan", State: 0, Score: 0.42},
+	},
+}
+
+// TestAlarmFrameGolden pins the encoded bytes of goldenAlarm in all three
+// alarm frames, as the protocol's first release encoded them: any change
+// to the alarm's field layout or context order breaks v1 peers, and this
+// test catches it. Each frame also decodes back to the same alarm.
+func TestAlarmFrameGolden(t *testing.T) {
+	const body = "00000000000010923fef9ad42c3c9eed01000300056c69676874000000013fef9ad42c3c9eed00040008646f6f7240742d310000000100096c6967687440742d3100000000000c70726573656e636540742d3100000000000c70726573656e636540742d32000000010006686561746572000000013fe3851eb851eb85000100096c6967687440742d3100000001000366616e000000003fdae147ae147ae10000"
+	cases := []struct {
+		name   string
+		encode func() ([]byte, error)
+		parse  func([]byte) (Alarm, error)
+		want   string
+	}{
+		{"Alarm", func() ([]byte, error) { return AppendAlarm(nil, goldenAlarm) }, ParseAlarm,
+			"000000a205" + body},
+		{"SessionAlarm", func() ([]byte, error) { return AppendSessionAlarm(nil, 7, goldenAlarm) },
+			func(p []byte) (Alarm, error) { _, a, err := ParseSessionAlarm(p); return a, err },
+			"000000aa0d0000000000000007" + body},
+		{"AlarmStream", func() ([]byte, error) { return AppendAlarmStream(nil, "home-3", 11, goldenAlarm) },
+			func(p []byte) (Alarm, error) { _, _, a, err := ParseAlarmStream(p); return a, err },
+			"000000b22a0006686f6d652d33000000000000000b" + body},
+	}
+	for _, tc := range cases {
+		frame, err := tc.encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		got, err := tc.parse(frame[headerLen+1:])
+		if err != nil || !reflect.DeepEqual(got, goldenAlarm) {
+			t.Errorf("%s: parsed %+v, %v", tc.name, got, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"net"
-	"sort"
 	"time"
 
 	"github.com/causaliot/causaliot/internal/wire"
@@ -214,7 +213,7 @@ func (b *hostBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) error {
 		}
 		return err
 	}
-	return b.host.SetAlarmRoute(tenant, func(ta TenantAlarm) { sink(wireAlarm(ta)) })
+	return b.host.SetAlarmRoute(tenant, func(ta TenantAlarm) { sink(*ta.Alarm) })
 }
 
 // classifyWireError maps a host error onto the Nack code a producer
@@ -238,31 +237,4 @@ func classifyWireError(err error) wire.Code {
 	default:
 		return wire.CodeInternal
 	}
-}
-
-// wireAlarm flattens one TenantAlarm into its wire representation; context
-// entries are emitted in sorted name order so the encoding is canonical.
-func wireAlarm(ta TenantAlarm) wire.Alarm {
-	wa := wire.Alarm{Seq: ta.Seq, Score: ta.Score}
-	if ta.Alarm == nil {
-		return wa
-	}
-	wa.Abrupt = ta.Alarm.Abrupt
-	wa.Events = make([]wire.AlarmEvent, len(ta.Alarm.Events))
-	for i, ev := range ta.Alarm.Events {
-		we := wire.AlarmEvent{Device: ev.Device, State: int32(ev.State), Score: ev.Score}
-		if len(ev.Context) > 0 {
-			names := make([]string, 0, len(ev.Context))
-			for name := range ev.Context {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			we.Context = make([]wire.ContextEntry, len(names))
-			for j, name := range names {
-				we.Context[j] = wire.ContextEntry{Name: name, State: int32(ev.Context[name])}
-			}
-		}
-		wa.Events[i] = we
-	}
-	return wa
 }
