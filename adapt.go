@@ -184,12 +184,8 @@ type adaptState struct {
 // inline (Synchronous) or exposes the verdict for a background refresher
 // (the Hub picks it up automatically for hub-hosted monitors).
 //
-// Requires the compiled scoring path (NewMonitor); reference monitors are
-// rejected. Must be called before the monitor is handed to a Hub.
+// Must be called before the monitor is handed to a Hub.
 func (m *Monitor) EnableAdaptive(cfg AdaptConfig) error {
-	if m.ref {
-		return errors.New("causaliot: adaptive mode requires a compiled monitor")
-	}
 	if m.lc != nil {
 		return errors.New("causaliot: adaptive mode already enabled")
 	}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/sim"
 )
 
 // driftedLog synthesizes the same home as trainingLog after a behavior
@@ -48,13 +50,6 @@ func mustAdaptiveMonitor(t *testing.T, sys *System, cfg AdaptConfig) *Monitor {
 
 func TestEnableAdaptiveValidation(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
-	ref, err := sys.NewReferenceMonitor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.EnableAdaptive(AdaptConfig{}); err == nil {
-		t.Error("reference monitor accepted adaptive mode")
-	}
 	mon := mustAdaptiveMonitor(t, sys, AdaptConfig{})
 	if err := mon.EnableAdaptive(AdaptConfig{}); err == nil {
 		t.Error("double enable accepted")
@@ -388,5 +383,60 @@ func TestRefitAndRemineValidation(t *testing.T) {
 	}
 	if fresh.Threshold() <= 0 || fresh.Threshold() > 1 {
 		t.Fatalf("refit threshold %v", fresh.Threshold())
+	}
+}
+
+// simHome trains a System on four simulated days of the ContextAct-like
+// testbed (KMax 3) and returns it with the facade events it was trained on.
+func simHome(tb testing.TB, seed int64) (*System, []Event) {
+	tb.Helper()
+	bed := sim.ContextActLike()
+	s, err := sim.NewSimulator(bed, sim.Config{Seed: seed, Days: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	log, err := s.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	devices := make([]Device, len(bed.Devices))
+	for i, d := range bed.Devices {
+		typ, err := typeOfAttribute(d.Attribute)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		devices[i] = Device{Name: d.Name, Type: typ, Location: d.Location}
+	}
+	events := make([]Event, len(log))
+	for i, ev := range log {
+		events[i] = Event{Time: ev.Timestamp, Device: ev.Device, Value: ev.Value}
+	}
+	sys, err := Train(devices, events, Config{KMax: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys, events
+}
+
+// BenchmarkRefresh times the two lifecycle refresh paths over the same
+// 8192-event sliding log: the counts-only refit against the full
+// structural re-mine it replaces when drift is not structural.
+func BenchmarkRefresh(b *testing.B) {
+	sys, events := simHome(b, 7)
+	window := events[:min(len(events), 8192)]
+	for _, tc := range []struct {
+		name    string
+		refresh func([]Event) (*System, error)
+	}{
+		{"refit", sys.Refit},
+		{"remine", sys.Remine},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.refresh(window); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

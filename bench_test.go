@@ -379,21 +379,16 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 }
 
 // BenchmarkPhantomUpdate measures the phantom state machine's sliding
-// window update.
+// window update: the detector's timeseries.Window advanced in place.
 func BenchmarkPhantomUpdate(b *testing.B) {
-	reg, err := timeseries.NewRegistry(sim.ContextActLike().DeviceNames())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm, err := monitor.NewPhantom(reg, 3, make(timeseries.State, reg.Len()))
+	n := len(sim.ContextActLike().DeviceNames())
+	win, err := timeseries.NewWindow(3, make(timeseries.State, n))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pm.Update(timeseries.Step{Device: i % reg.Len(), Value: i % 2}); err != nil {
-			b.Fatal(err)
-		}
+		win.Advance(i%n, i%2)
 	}
 }
 

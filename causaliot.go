@@ -549,10 +549,6 @@ type Detection struct {
 type Monitor struct {
 	sys *System
 	det *monitor.Detector
-	// ref marks a reference-path monitor: value unification goes through
-	// the original name-keyed UnifyValue so the baseline stays byte-for-
-	// byte pre-change.
-	ref bool
 	// observed counts every ObserveEvent call, including ones that failed
 	// with a skippable error and never reached the detector. It is the
 	// stream-position a resumed process skips to when replaying a source
@@ -562,9 +558,8 @@ type Monitor struct {
 	// log, refresh signalling); nil unless EnableAdaptive was called.
 	lc *adaptState
 	// fpRef is the fingerprint this monitor holds a model-cache reference
-	// on (zero for reference monitors and cache-disabled acquires). It is
-	// tracked separately from m.sys.fp so error paths in Swap release the
-	// right entry.
+	// on. It is tracked separately from m.sys.fp so error paths in Swap
+	// release the right entry.
 	fpRef dig.Fingerprint
 	// closed marks the cache reference as released; further cache
 	// operations are skipped.
@@ -609,43 +604,17 @@ func (m *Monitor) Close() {
 	m.fpRef = dig.Fingerprint{}
 }
 
-// NewReferenceMonitor starts runtime monitoring on the original
-// clone-window, error-checked scoring path. It exists as the differential
-// and benchmarking baseline the compiled path is held bit-identical to;
-// production serving should use NewMonitor.
-func (s *System) NewReferenceMonitor() (*Monitor, error) {
-	det, err := monitor.NewReferenceDetector(s.graph, s.threshold, s.cfg.KMax, s.initial)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{sys: s, det: det, ref: true}, nil
-}
-
 // ObserveEvent ingests one raw device event and reports what the detector
 // did with it. Errors matching ErrUnknownDevice or ErrValueOutOfRange are
 // skippable: the detector state is untouched and the stream can resume with
 // the next event.
 func (m *Monitor) ObserveEvent(e Event) (Detection, error) {
 	m.observed++
-	var idx int
-	var ok bool
-	var state int
-	var err error
-	if m.ref {
-		// Reference path: the pre-change map lookup and name-keyed
-		// unification, kept byte-for-byte as the benchmark baseline.
-		idx, ok = m.sys.graph.Registry.Index(e.Device)
-		if !ok {
-			return Detection{}, fmt.Errorf("%w %q", ErrUnknownDevice, e.Device)
-		}
-		state, err = m.sys.pre.UnifyValue(e.Device, e.Value)
-	} else {
-		idx, ok = m.sys.nameIdx.Index(e.Device)
-		if !ok {
-			return Detection{}, fmt.Errorf("%w %q", ErrUnknownDevice, e.Device)
-		}
-		state, err = m.sys.unify.Unify(idx, e.Value)
+	idx, ok := m.sys.nameIdx.Index(e.Device)
+	if !ok {
+		return Detection{}, fmt.Errorf("%w %q", ErrUnknownDevice, e.Device)
 	}
+	state, err := m.sys.unify.Unify(idx, e.Value)
 	if err != nil {
 		switch {
 		case errors.Is(err, preprocess.ErrValueOutOfRange):
@@ -701,9 +670,8 @@ func (m *Monitor) Swap(sys *System) error {
 	// Acquire the incoming model's cache entry before touching the
 	// detector, transfer the reference only on success, and release the
 	// outgoing model after — so no window exists where either entry's
-	// residency is unpinned. Reference and closed monitors keep the
-	// pre-cache behaviour (no references held).
-	useCache := !m.ref && !m.closed
+	// residency is unpinned. A closed monitor holds no reference.
+	useCache := !m.closed
 	comp := sys.compiled
 	if useCache {
 		comp = dig.CacheAcquire(sys.fp, sys.compiled)

@@ -2,7 +2,7 @@
 // producer connections and reports sustained throughput and alarm push-back
 // latency percentiles — the load side of the million-home serving story.
 //
-//	loadgen -self-serve -conns 64 -rate 2000 -out BENCH_serve.json
+//	loadgen -self-serve -conns 64 -rate 2000
 //	loadgen -addr 10.0.0.5:9070 -token secret -conns 256 -homes 256
 //	loadgen -self-serve -conns 16 -chaos 42
 //
@@ -59,12 +59,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(string(data))
-	if cfg.out != "" {
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-	}
 }
 
 type config struct {
@@ -81,7 +75,6 @@ type config struct {
 	chaos     int64
 	testbed   string
 	token     string
-	out       string
 	tau       int
 	kmax      int
 	shards    int
@@ -108,7 +101,6 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&cfg.chaos, "chaos", 0, "route traffic through a seeded network-chaos proxy with session producers (0 = off)")
 	fs.StringVar(&cfg.testbed, "testbed", "contextact", "testbed to synthesize: contextact|casas")
 	fs.StringVar(&cfg.token, "token", "", "auth token to present in Hello")
-	fs.StringVar(&cfg.out, "out", "", "write the JSON report to this file as well as stdout")
 	fs.IntVar(&cfg.tau, "tau", 2, "maximum time lag for the self-served model (0 = automatic)")
 	fs.IntVar(&cfg.kmax, "kmax", 1, "maximum anomaly chain length for the self-served model")
 	fs.IntVar(&cfg.shards, "shards", 1, "self-serve hub shards (>1 serves through a Fleet)")

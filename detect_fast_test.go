@@ -5,7 +5,47 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/causaliot/causaliot/internal/monitor"
+	"github.com/causaliot/causaliot/internal/timeseries"
 )
+
+// newReferenceMonitor wraps the clone-window, error-checked reference
+// detector in a Monitor. Feed it through observeReference, not ObserveEvent:
+// the reference path must also resolve names independently of the compiled
+// NameIndex and Unifier the production path uses.
+func newReferenceMonitor(t *testing.T, sys *System) *Monitor {
+	t.Helper()
+	det, err := monitor.NewReferenceDetector(sys.graph, sys.threshold, sys.cfg.KMax, sys.initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Monitor{sys: sys, det: det}
+}
+
+// observeReference is ObserveEvent on the reference path: the registry's
+// map lookup and the preprocessor's name-keyed UnifyValue resolve the event
+// before the reference detector scores it.
+func observeReference(m *Monitor, e Event) (Detection, error) {
+	idx, ok := m.sys.graph.Registry.Index(e.Device)
+	if !ok {
+		return Detection{}, fmt.Errorf("%w %q", ErrUnknownDevice, e.Device)
+	}
+	state, err := m.sys.pre.UnifyValue(e.Device, e.Value)
+	if err != nil {
+		return Detection{}, err
+	}
+	res, err := m.det.ProcessStep(timeseries.Step{Device: idx, Value: state, Time: e.Time})
+	if err != nil {
+		return Detection{}, err
+	}
+	return Detection{
+		Alarm:     m.convertAlarm(res.Alarm, e.Seq, res.Score),
+		Score:     res.Score,
+		State:     state,
+		Duplicate: res.Duplicate,
+	}, nil
+}
 
 // TestReferenceMonitorMatchesMonitor holds the compiled serving path
 // bit-identical to the reference clone-window path through the public API:
@@ -17,10 +57,7 @@ func TestReferenceMonitorMatchesMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sys.NewReferenceMonitor()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newReferenceMonitor(t, sys)
 	stream := trainingLog(30, 7)
 	// Splice in anomalies: ghost light activations without presence, an
 	// unknown device, and a glitched reading.
@@ -32,7 +69,7 @@ func TestReferenceMonitorMatchesMonitor(t *testing.T) {
 	)
 	for i, e := range stream {
 		fd, fErr := fast.ObserveEvent(e)
-		rd, rErr := ref.ObserveEvent(e)
+		rd, rErr := observeReference(ref, e)
 		if (fErr == nil) != (rErr == nil) {
 			t.Fatalf("event %d: fast err %v, reference err %v", i, fErr, rErr)
 		}
@@ -94,13 +131,10 @@ func TestExtendRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sys.NewReferenceMonitor()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newReferenceMonitor(t, sys)
 	for i, e := range trainingLog(10, 11) {
 		fd, fErr := fast.ObserveEvent(e)
-		rd, rErr := ref.ObserveEvent(e)
+		rd, rErr := observeReference(ref, e)
 		if (fErr == nil) != (rErr == nil) || !reflect.DeepEqual(fd, rd) {
 			t.Fatalf("event %d diverged after Extend: %+v/%v vs %+v/%v", i, fd, fErr, rd, rErr)
 		}

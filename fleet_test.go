@@ -444,8 +444,13 @@ func TestFleetCloseWithinMigrationInFlight(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
 	f := NewFleet(FleetConfig{Shards: 2, Hub: HubConfig{Workers: 1, QueueSize: 8}})
 	release := make(chan struct{})
+	entered := make(chan struct{})
+	var once sync.Once
 	if err := f.Register("wedge", sys, TenantOptions{
-		OnError: func(string, Event, error) { <-release },
+		OnError: func(string, Event, error) {
+			once.Do(func() { close(entered) })
+			<-release
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +459,7 @@ func TestFleetCloseWithinMigrationInFlight(t *testing.T) {
 	if err := f.Submit("wedge", Event{Time: t0, Device: "intruder", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	<-entered
 	from, err := f.ShardOf("wedge")
 	if err != nil {
 		t.Fatal(err)

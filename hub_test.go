@@ -466,7 +466,12 @@ func TestHubCloseWithinDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	h := NewHub(HubConfig{Workers: 1})
-	wedged := func(string, *Alarm, float64) { <-release }
+	entered := make(chan struct{})
+	var once sync.Once
+	wedged := func(string, *Alarm, float64) {
+		once.Do(func() { close(entered) })
+		<-release
+	}
 	if err := h.Register("home", sys, TenantOptions{OnAlarm: wedged}); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +480,7 @@ func TestHubCloseWithinDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond) // let the worker wedge in the callback
+	<-entered // the worker is wedged in the callback
 	if err := h.CloseWithin(100 * time.Millisecond); !errors.Is(err, ErrDrainTimeout) {
 		t.Fatalf("CloseWithin = %v, want ErrDrainTimeout", err)
 	}

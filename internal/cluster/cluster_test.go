@@ -268,7 +268,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// An alarm raised by the backend streams to the proxy's sink.
-	backend.raise("t1", wire.Alarm{Seq: 42, Score: 0.9, Events: []wire.AlarmEvent{{Device: "dev-0", State: 2, Score: 0.9}}})
+	backend.raise("t1", wire.Alarm{Seq: 42, Score: 0.9, Events: []wire.AlarmEvent{{Device: "dev-0", State: 1, Score: 0.9}}})
 	waitCond(t, 5*time.Second, "alarm delivery", func() bool {
 		alarmMu.Lock()
 		defer alarmMu.Unlock()

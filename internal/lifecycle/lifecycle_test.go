@@ -34,7 +34,7 @@ func chainSteps(n int, seed int64, noise float64) []timeseries.Step {
 
 // fittedChain builds and fits the two-device chain DIG (device 1 caused by
 // device 0 at lag 1, plus autocorrelation), compiled for serving.
-func fittedChain(t *testing.T) *dig.Compiled {
+func fittedChain(t testing.TB) *dig.Compiled {
 	t.Helper()
 	reg, err := timeseries.NewRegistry([]string{"cause", "effect"})
 	if err != nil {
@@ -149,7 +149,7 @@ func TestFoldZeroAlloc(t *testing.T) {
 
 // streamInto replays steps through a fresh window bound to comp, folding
 // each into acc.
-func streamInto(t *testing.T, comp *dig.Compiled, acc *Accumulator, steps []timeseries.Step) {
+func streamInto(t testing.TB, comp *dig.Compiled, acc *Accumulator, steps []timeseries.Step) {
 	t.Helper()
 	w, err := timeseries.NewWindow(comp.Tau(), timeseries.State{0, 0})
 	if err != nil {
@@ -437,5 +437,49 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewAccumulator(nil); err == nil {
 		t.Fatal("NewAccumulator accepted nil graph")
+	}
+}
+
+// BenchmarkFold times the per-step evidence fold on the observation hot
+// path: one window advance plus one Fold.
+func BenchmarkFold(b *testing.B) {
+	comp := fittedChain(b)
+	w, err := timeseries.NewWindow(comp.Tau(), timeseries.State{0, 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc, err := NewAccumulator(comp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := chainSteps(4096, 3, 0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := steps[i%len(steps)]
+		w.Advance(st.Device, st.Value)
+		acc.Fold(w)
+	}
+}
+
+// BenchmarkScan times one drift scan over evidence primed with a full
+// stream, so every parent configuration that occurs is populated.
+func BenchmarkScan(b *testing.B) {
+	comp := fittedChain(b)
+	acc, err := NewAccumulator(comp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	streamInto(b, comp, acc, chainSteps(4000, 9, 0.02))
+	scorer, err := NewScorer(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scorer.Scan(acc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -9,8 +9,8 @@
 // against a compiled DIG (dig.Compiled) whose dense score tables replace
 // the error-checked mixed-radix CPT lookup. The original clone-per-event
 // window and error-checked scoring survive as the reference path
-// (NewReferenceDetector), which differential tests and benchmarks hold the
-// compiled path bit-identical to.
+// (NewReferenceDetector), which the differential tests hold the compiled
+// path bit-identical to.
 package monitor
 
 import (
@@ -30,86 +30,9 @@ import (
 // in the normality of the logged events (§V-C).
 const DefaultQuantile = 99.0
 
-// PhantomStateMachine maintains the recent τ+1 system states, continuously
-// tracking the latest graph snapshot G^t = (S^{t-τ}, ..., S^t). It is a
-// validated facade over the flat ring-buffer window: Update advances the
-// ring in place instead of cloning a fresh state per event.
-type PhantomStateMachine struct {
-	reg *timeseries.Registry
-	win *timeseries.Window
-}
-
-// NewPhantom builds a phantom state machine whose window is seeded with the
-// initial system state.
-func NewPhantom(reg *timeseries.Registry, tau int, initial timeseries.State) (*PhantomStateMachine, error) {
-	if reg == nil {
-		return nil, errors.New("monitor: nil registry")
-	}
-	if tau < 1 {
-		return nil, fmt.Errorf("monitor: tau %d < 1", tau)
-	}
-	if len(initial) != reg.Len() {
-		return nil, fmt.Errorf("monitor: initial state has %d devices, registry has %d", len(initial), reg.Len())
-	}
-	win, err := timeseries.NewWindow(tau, initial)
-	if err != nil {
-		return nil, err
-	}
-	return &PhantomStateMachine{reg: reg, win: win}, nil
-}
-
-// Tau returns the machine's maximum time lag.
-func (m *PhantomStateMachine) Tau() int { return m.win.Tau() }
-
-// Window exposes the underlying ring-buffer window for unchecked hot-path
-// reads; callers must respect its bounds contract.
-func (m *PhantomStateMachine) Window() *timeseries.Window { return m.win }
-
-// Update ingests the event e^t: it derives the new present state in place,
-// sliding out the oldest state. No allocation.
-func (m *PhantomStateMachine) Update(step timeseries.Step) error {
-	if step.Device < 0 || step.Device >= m.reg.Len() {
-		return fmt.Errorf("monitor: device index %d out of range", step.Device)
-	}
-	if step.Value != 0 && step.Value != 1 {
-		return fmt.Errorf("monitor: non-binary value %d", step.Value)
-	}
-	m.win.Advance(step.Device, step.Value)
-	return nil
-}
-
-// Value returns the device state at the node's lag: lag 0 is the present.
-func (m *PhantomStateMachine) Value(n dig.Node) (int, error) {
-	if n.Lag < 0 || n.Lag > m.win.Tau() {
-		return 0, fmt.Errorf("monitor: lag %d outside [0,%d]", n.Lag, m.win.Tau())
-	}
-	if n.Device < 0 || n.Device >= m.reg.Len() {
-		return 0, fmt.Errorf("monitor: device index %d out of range", n.Device)
-	}
-	return m.win.At(n.Device, n.Lag), nil
-}
-
-// CauseValues fetches the values ca(S_i^t) for a cause set.
-func (m *PhantomStateMachine) CauseValues(causes []dig.Node) ([]int, error) {
-	out := make([]int, len(causes))
-	for i, c := range causes {
-		v, err := m.Value(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Current returns a copy of the present system state.
-func (m *PhantomStateMachine) Current() timeseries.State {
-	return m.win.State()
-}
-
 // cloneWindow is the original clone-per-event phantom window, kept verbatim
 // as the reference implementation the ring buffer is held bit-identical to
-// (differential tests) and benchmarked against (cmd/benchdetect).
+// by the differential tests.
 type cloneWindow struct {
 	reg    *timeseries.Registry
 	tau    int

@@ -3,7 +3,6 @@ package monitor
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/causaliot/causaliot/internal/dig"
 	"github.com/causaliot/causaliot/internal/timeseries"
@@ -16,87 +15,6 @@ func mustRegistry(t *testing.T, names ...string) *timeseries.Registry {
 		t.Fatal(err)
 	}
 	return r
-}
-
-func TestPhantomStateMachineTracksWindow(t *testing.T) {
-	reg := mustRegistry(t, "a", "b")
-	pm, err := NewPhantom(reg, 2, timeseries.State{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.Update(timeseries.Step{Device: 0, Value: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.Update(timeseries.Step{Device: 1, Value: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Window should now be: S^{t-2}={0,0}, S^{t-1}={1,0}, S^t={1,1}.
-	checks := []struct {
-		node dig.Node
-		want int
-	}{
-		{dig.Node{Device: 0, Lag: 0}, 1},
-		{dig.Node{Device: 1, Lag: 0}, 1},
-		{dig.Node{Device: 0, Lag: 1}, 1},
-		{dig.Node{Device: 1, Lag: 1}, 0},
-		{dig.Node{Device: 0, Lag: 2}, 0},
-		{dig.Node{Device: 1, Lag: 2}, 0},
-	}
-	for _, c := range checks {
-		got, err := pm.Value(c.node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Value(%+v) = %d, want %d", c.node, got, c.want)
-		}
-	}
-	cur := pm.Current()
-	if !cur.Equal(timeseries.State{1, 1}) {
-		t.Errorf("Current = %v", cur)
-	}
-	cur[0] = 9 // must be a copy
-	if v, _ := pm.Value(dig.Node{Device: 0, Lag: 0}); v != 1 {
-		t.Error("Current() leaked internal state")
-	}
-}
-
-func TestPhantomSlidesOldStatesOut(t *testing.T) {
-	reg := mustRegistry(t, "a")
-	pm, _ := NewPhantom(reg, 1, timeseries.State{1})
-	_ = pm.Update(timeseries.Step{Device: 0, Value: 0})
-	_ = pm.Update(timeseries.Step{Device: 0, Value: 1})
-	// After two updates with tau=1, the initial state must be gone:
-	// window = (S^{t-1}={0}, S^t={1}).
-	if v, _ := pm.Value(dig.Node{Device: 0, Lag: 1}); v != 0 {
-		t.Errorf("lag-1 value = %d, want 0", v)
-	}
-}
-
-func TestPhantomValidation(t *testing.T) {
-	reg := mustRegistry(t, "a")
-	if _, err := NewPhantom(nil, 1, timeseries.State{0}); err == nil {
-		t.Error("nil registry accepted")
-	}
-	if _, err := NewPhantom(reg, 0, timeseries.State{0}); err == nil {
-		t.Error("tau 0 accepted")
-	}
-	if _, err := NewPhantom(reg, 1, timeseries.State{0, 0}); err == nil {
-		t.Error("mis-shaped initial state accepted")
-	}
-	pm, _ := NewPhantom(reg, 1, timeseries.State{0})
-	if err := pm.Update(timeseries.Step{Device: 5, Value: 0}); err == nil {
-		t.Error("out-of-range device accepted")
-	}
-	if err := pm.Update(timeseries.Step{Device: 0, Value: 7}); err == nil {
-		t.Error("non-binary value accepted")
-	}
-	if _, err := pm.Value(dig.Node{Device: 0, Lag: 5}); err == nil {
-		t.Error("out-of-range lag accepted")
-	}
-	if _, err := pm.Value(dig.Node{Device: 9, Lag: 0}); err == nil {
-		t.Error("out-of-range device in Value accepted")
-	}
 }
 
 // fittedChainGraph builds a DIG for a two-device system where device 1
@@ -360,56 +278,15 @@ func TestNewDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(g, 0.5, 1, timeseries.State{0}); err == nil {
 		t.Error("mis-shaped initial state accepted")
 	}
-}
-
-// Property: the phantom state machine agrees with the series-derived states
-// for any random stream.
-func TestPhantomMatchesSeriesProperty(t *testing.T) {
-	f := func(seed int64, rawTau uint8) bool {
-		tau := int(rawTau%3) + 1
-		rng := rand.New(rand.NewSource(seed))
-		reg, err := timeseries.NewRegistry([]string{"a", "b", "c"})
-		if err != nil {
-			return false
-		}
-		steps := make([]timeseries.Step, 25)
-		for i := range steps {
-			steps[i] = timeseries.Step{Device: rng.Intn(3), Value: rng.Intn(2)}
-		}
-		series, err := timeseries.FromSteps(reg, timeseries.State{0, 0, 0}, steps)
-		if err != nil {
-			return false
-		}
-		pm, err := NewPhantom(reg, tau, timeseries.State{0, 0, 0})
-		if err != nil {
-			return false
-		}
-		for j, st := range steps {
-			if err := pm.Update(st); err != nil {
-				return false
-			}
-			// After processing step j (state index j+1), every lag
-			// within range must match the series.
-			for lag := 0; lag <= tau; lag++ {
-				idx := j + 1 - lag
-				if idx < 0 {
-					idx = 0 // phantom seeds the window with the initial state
-				}
-				for dev := 0; dev < 3; dev++ {
-					v, err := pm.Value(dig.Node{Device: dev, Lag: lag})
-					if err != nil {
-						return false
-					}
-					if v != series.State(idx)[dev] {
-						return false
-					}
-				}
-			}
-		}
-		return true
+	d, err := NewDetector(g, 0.5, 1, timeseries.State{0, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	if _, err := d.ProcessStep(timeseries.Step{Device: 5, Value: 0}); err == nil {
+		t.Error("out-of-range device accepted")
+	}
+	if _, err := d.ProcessStep(timeseries.Step{Device: 0, Value: 7}); err == nil {
+		t.Error("non-binary value accepted")
 	}
 }
 

@@ -52,8 +52,8 @@ func mineBenchInput(b *testing.B) (*timeseries.Series, int) {
 }
 
 // BenchmarkMine measures full skeleton construction + CPT fitting on the
-// simulated testbed under each counting kernel; `make bench` records both
-// numbers (and their ratio) in BENCH_pc.json.
+// simulated testbed under each counting kernel, side by side; run it with
+// -benchmem to see the allocations too.
 func BenchmarkMine(b *testing.B) {
 	series, tau := mineBenchInput(b)
 	for _, k := range []stats.Kernel{stats.KernelBit, stats.KernelScalar} {

@@ -201,7 +201,7 @@ func TestCardinalityOverflowBoundary(t *testing.T) {
 }
 
 // BenchmarkGSquare compares the scalar and popcount counting kernels on a
-// single CI test; `make bench` records the numbers in BENCH_pc.json.
+// single CI test at conditioning-set sizes 0, 2 and 3.
 func BenchmarkGSquare(b *testing.B) {
 	n := 10000
 	rng := rand.New(rand.NewSource(9))

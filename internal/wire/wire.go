@@ -560,8 +560,14 @@ func ParseSessionAlarm(p []byte) (uint64, Alarm, error) {
 	return idx, a, nil
 }
 
+// parseAlarmBody decodes an alarm and refuses values the detector never
+// produces: a score (the alarm's or an event's) outside [0, 1], NaN
+// included, and a device state other than 0 or 1.
 func parseAlarmBody(d *decoder) (Alarm, error) {
 	a := Alarm{Seq: d.u64(), Score: math.Float64frombits(d.u64())}
+	if !validScore(a.Score) {
+		return Alarm{}, fmt.Errorf("%w: alarm score %v", ErrBadFrame, a.Score)
+	}
 	a.Abrupt = d.u8()&alarmFlagAbrupt != 0
 	n := int(d.u16())
 	// Each chain event costs at least 16 payload bytes; a count that
@@ -571,15 +577,23 @@ func parseAlarmBody(d *decoder) (Alarm, error) {
 	}
 	for i := 0; i < n && !d.fail; i++ {
 		ev := AlarmEvent{Device: d.str()}
-		ev.State = int(int32(d.u32()))
+		st := d.u32()
 		ev.Score = math.Float64frombits(d.u64())
+		if st > 1 || !validScore(ev.Score) {
+			return Alarm{}, fmt.Errorf("%w: alarm event state %d score %v", ErrBadFrame, int32(st), ev.Score)
+		}
+		ev.State = int(st)
 		nctx := int(d.u16())
 		if nctx > len(d.p)/6+1 {
 			return Alarm{}, fmt.Errorf("%w: alarm", ErrBadFrame)
 		}
 		for j := 0; j < nctx && !d.fail; j++ {
 			c := ContextEntry{Name: d.str()}
-			c.State = int(int32(d.u32()))
+			st := d.u32()
+			if st > 1 {
+				return Alarm{}, fmt.Errorf("%w: alarm context state %d", ErrBadFrame, int32(st))
+			}
+			c.State = int(st)
 			ev.Context = append(ev.Context, c)
 		}
 		a.Events = append(a.Events, ev)
@@ -589,6 +603,10 @@ func parseAlarmBody(d *decoder) (Alarm, error) {
 	}
 	return a, nil
 }
+
+// validScore reports whether s is an anomaly score: a probability in
+// [0, 1]. NaN fails both comparisons.
+func validScore(s float64) bool { return s >= 0 && s <= 1 }
 
 // AppendBye encodes a Bye frame onto dst.
 func AppendBye(dst []byte) []byte {

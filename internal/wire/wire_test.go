@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -263,6 +265,82 @@ func TestAlarmFrameGolden(t *testing.T) {
 		got, err := tc.parse(frame[headerLen+1:])
 		if err != nil || !reflect.DeepEqual(got, goldenAlarm) {
 			t.Errorf("%s: parsed %+v, %v", tc.name, got, err)
+		}
+	}
+}
+
+// TestAlarmDecoderRefusesImpossibleValues patches values the detector
+// never produces into goldenAlarm's encoding, in each of the three alarm
+// frames: every decoder must refuse them with ErrBadFrame. The offsets are
+// into the alarm body (see TestAlarmFrameGolden's hex): the alarm score at
+// 8, then the first event's state at 26, its score at 30, and its first
+// context entry's state at 50.
+func TestAlarmDecoderRefusesImpossibleValues(t *testing.T) {
+	const (
+		alarmScore = 8
+		eventState = 26
+		eventScore = 30
+		ctxState   = 50
+	)
+	score := func(v float64) []byte { return binary.BigEndian.AppendUint64(nil, math.Float64bits(v)) }
+	state := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	patches := []struct {
+		name string
+		at   int
+		was  []byte
+		bad  []byte
+	}{
+		{"alarm score NaN", alarmScore, score(0.98765), score(math.NaN())},
+		{"alarm score +Inf", alarmScore, score(0.98765), score(math.Inf(1))},
+		{"alarm score -Inf", alarmScore, score(0.98765), score(math.Inf(-1))},
+		{"alarm score below 0", alarmScore, score(0.98765), score(-0.25)},
+		{"alarm score above 1", alarmScore, score(0.98765), score(math.Nextafter(1, 2))},
+		{"event score NaN", eventScore, score(0.98765), score(math.NaN())},
+		{"event score +Inf", eventScore, score(0.98765), score(math.Inf(1))},
+		{"event score above 1", eventScore, score(0.98765), score(1.5)},
+		{"event score below 0", eventScore, score(0.98765), score(-math.SmallestNonzeroFloat64)},
+		{"event state 2", eventState, state(1), state(2)},
+		{"event state -1", eventState, state(1), state(math.MaxUint32)},
+		{"context state 2", ctxState, state(1), state(2)},
+		{"context state -1", ctxState, state(1), state(math.MaxUint32)},
+	}
+	plain, err := AppendAlarm(nil, goldenAlarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := len(plain) - headerLen - 1
+	decoders := []struct {
+		name   string
+		encode func() ([]byte, error)
+		parse  func([]byte) error
+	}{
+		{"Alarm", func() ([]byte, error) { return AppendAlarm(nil, goldenAlarm) },
+			func(p []byte) error { _, err := ParseAlarm(p); return err }},
+		{"SessionAlarm", func() ([]byte, error) { return AppendSessionAlarm(nil, 7, goldenAlarm) },
+			func(p []byte) error { _, _, err := ParseSessionAlarm(p); return err }},
+		{"AlarmStream", func() ([]byte, error) { return AppendAlarmStream(nil, "home-3", 11, goldenAlarm) },
+			func(p []byte) error { _, _, _, err := ParseAlarmStream(p); return err }},
+	}
+	for _, dec := range decoders {
+		frame, err := dec.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := frame[headerLen+1:]
+		off := len(payload) - body // the alarm body is every frame's suffix
+		if err := dec.parse(payload); err != nil {
+			t.Fatalf("%s: unpatched frame refused: %v", dec.name, err)
+		}
+		for _, pc := range patches {
+			at := off + pc.at
+			if !bytes.Equal(payload[at:at+len(pc.was)], pc.was) {
+				t.Fatalf("%s/%s: bytes at %d are %x, want %x", dec.name, pc.name, pc.at, payload[at:at+len(pc.was)], pc.was)
+			}
+			bad := append([]byte(nil), payload...)
+			copy(bad[at:], pc.bad)
+			if err := dec.parse(bad); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s/%s: err = %v, want ErrBadFrame", dec.name, pc.name, err)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -443,6 +444,66 @@ func TestFleetSubmitZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s allocates %.1f allocs/op steady-state, want 0", tc.name, allocs)
 			}
+		})
+	}
+}
+
+// BenchmarkModelDedup is the many-homes-few-models memory scenario: 1000
+// homes restore monitors from four distinct saved models, first each with a
+// private copy of its model (the model cache off), then sharing one
+// compiled model per fingerprint (the cache on). It reports the settled
+// heap cost per home.
+func BenchmarkModelDedup(b *testing.B) {
+	const homes, models = 1000, 4
+	blobs := make([][]byte, models)
+	for m := range blobs {
+		sys, _ := simHome(b, int64(7+m))
+		var buf bytes.Buffer
+		if err := sys.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		blobs[m] = buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name  string
+		cache bool
+	}{
+		{"private", false},
+		{"shared", true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			dig.SetCacheEnabled(tc.cache)
+			defer func() {
+				dig.CacheReset()
+				dig.SetCacheEnabled(true)
+			}()
+			var perHome float64
+			for i := 0; i < b.N; i++ {
+				dig.CacheReset()
+				systems := make([]*System, homes)
+				monitors := make([]*Monitor, homes)
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				for h := range monitors {
+					sys, err := Load(bytes.NewReader(blobs[h%models]))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if monitors[h], err = sys.NewMonitor(); err != nil {
+						b.Fatal(err)
+					}
+					systems[h] = sys
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&m1)
+				perHome = (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / homes
+				for _, mon := range monitors {
+					mon.Close()
+				}
+				runtime.KeepAlive(systems)
+			}
+			b.ReportMetric(perHome, "B/tenant")
 		})
 	}
 }

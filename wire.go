@@ -60,42 +60,9 @@ type WireConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// WireStats is a point-in-time snapshot of a wire server's counters.
-type WireStats struct {
-	// ActiveConns is the number of currently authenticated connections;
-	// Conns counts every connection ever accepted.
-	ActiveConns int
-	Conns       uint64
-	// Events counts event frames admitted to the host; Nacks the refused
-	// ones; Duplicates the frames dropped at a session watermark because
-	// an earlier connection already delivered them (acknowledged to the
-	// producer, never re-admitted). Every event frame received is exactly
-	// one of the three: accepted == admitted + duplicates.
-	Events     uint64
-	Nacks      uint64
-	Duplicates uint64
-	// Retransmits counts EventRetx frames received — the tail a resuming
-	// producer replays; each lands as an admission, Nack, or Duplicate.
-	Retransmits uint64
-	// Sessions is the current durable-session count; Resumes the accepted
-	// Resume frames (session attach or re-attach).
-	Sessions int
-	Resumes  uint64
-	// EvictedIdle counts connections cut by the read-idle or write
-	// deadline.
-	EvictedIdle uint64
-	// Alarms counts alarm frames pushed to live producers; AlarmsBuffered
-	// the alarms banked in a session ring while no responsive connection
-	// was attached (delivered on resume); AlarmReplays the banked alarms
-	// re-pushed after a Resume; AlarmsDropped the alarms lost for real (a
-	// plain connection's full queue, or a session ring overflowing).
-	Alarms         uint64
-	AlarmsBuffered uint64
-	AlarmReplays   uint64
-	AlarmsDropped  uint64
-	// AuthFailures counts refused Hellos.
-	AuthFailures uint64
-}
+// WireStats is a point-in-time snapshot of a wire server's counters: the
+// wire server's own stats type, so the two never drift apart.
+type WireStats = wire.ServerStats
 
 // WireServer puts a Host on the network: producers connect over TCP, bind
 // each connection to one home with an authenticated Hello, and stream
@@ -148,25 +115,7 @@ func (s *WireServer) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 func (s *WireServer) Close() error { return s.srv.Close() }
 
 // Stats snapshots the server's counters.
-func (s *WireServer) Stats() WireStats {
-	ss := s.srv.Stats()
-	return WireStats{
-		ActiveConns:    ss.ActiveConns,
-		Conns:          ss.Conns,
-		Events:         ss.Events,
-		Nacks:          ss.Nacks,
-		Duplicates:     ss.Duplicates,
-		Retransmits:    ss.Retransmits,
-		Sessions:       ss.Sessions,
-		Resumes:        ss.Resumes,
-		EvictedIdle:    ss.EvictedIdle,
-		Alarms:         ss.Alarms,
-		AlarmsBuffered: ss.AlarmsBuffered,
-		AlarmReplays:   ss.AlarmReplays,
-		AlarmsDropped:  ss.AlarmsDropped,
-		AuthFailures:   ss.AuthFailures,
-	}
-}
+func (s *WireServer) Stats() WireStats { return s.srv.Stats() }
 
 // hostBackend adapts a Host to the wire server's Backend surface.
 type hostBackend struct {
