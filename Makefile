@@ -78,13 +78,15 @@ cluster-smoke:
 	$(GO) test -race -run 'TestServeCluster' -v ./cmd/causaliot
 
 # Short fuzz pass over the model and checkpoint deserializers and the wire
-# frame decoders (the error-never-panic contract); extend -fuzztime for a
-# deeper run.
+# frame decoders (the error-never-panic contract), and over the CI test's
+# popcount kernel against the scalar one (bit-identical results); extend
+# -fuzztime for a deeper run.
 fuzz:
 	$(GO) test -fuzz FuzzLoad -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreMonitor -fuzztime 10s .
 	$(GO) test -fuzz FuzzRestoreLifecycle -fuzztime 10s .
 	$(GO) test -fuzz FuzzWireFrames -fuzztime 10s ./internal/wire
+	$(GO) test -fuzz '^FuzzGSquare$$' -fuzztime 10s ./internal/stats
 
 # Bench bitrot smoke: compile and run every benchmark exactly once (no
 # timing) so a refactor can't silently strand a benchmark that no longer

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,6 +339,83 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if st := w.Stats(); st.EnvelopeBytesIn == 0 || st.EnvelopeBytesOut == 0 {
 		t.Fatalf("envelope byte counters not moving: %+v", st)
+	}
+}
+
+// TestProxyMalformedAlarmEndsLink has the worker stream alarms its peer's
+// decoder refuses: a score outside [0, 1] and an event state of 2. The
+// proxy must not drop such a frame silently: it logs the parse error with
+// the frame type, delivers nothing, and ends the link (it turns degraded),
+// so the link's own reconnect and resume take over.
+func TestProxyMalformedAlarmEndsLink(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alarm wire.Alarm
+	}{
+		{"score", wire.Alarm{Seq: 1, Score: 1.5, Events: []wire.AlarmEvent{{Device: "dev-0", State: 1, Score: 0.9}}}},
+		{"state", wire.Alarm{Seq: 1, Score: 0.9, Events: []wire.AlarmEvent{{Device: "dev-0", State: 2, Score: 0.9}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := newFakeBackend("")
+			_, addr := startWorker(t, WorkerConfig{Backend: backend})
+			logs := make(chan string, 256)
+			degraded := make(chan struct{}, 1)
+			p, err := Open(ProxyConfig{
+				Addr:        addr,
+				BackoffMin:  5 * time.Millisecond,
+				BackoffMax:  50 * time.Millisecond,
+				MaxAttempts: 400,
+				JitterSeed:  3,
+				OnStateChange: func(st wire.SessionState) {
+					if st == wire.StateDegraded {
+						select {
+						case degraded <- struct{}{}:
+						default:
+						}
+					}
+				},
+				Logf: func(format string, args ...any) {
+					select {
+					case logs <- fmt.Sprintf(format, args...):
+					default:
+					}
+				},
+			})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer p.Close()
+			var alarmMu sync.Mutex
+			var alarms []wire.Alarm
+			if err := p.Register("t1", []byte("m"), nil, 0, 0, false, func(a wire.Alarm) {
+				alarmMu.Lock()
+				alarms = append(alarms, a)
+				alarmMu.Unlock()
+			}); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+
+			backend.raise("t1", tc.alarm)
+			deadline := time.After(10 * time.Second)
+			for found := false; !found; {
+				select {
+				case line := <-logs:
+					found = strings.Contains(line, "bad alarm-stream frame") && strings.Contains(line, wire.ErrBadFrame.Error())
+				case <-deadline:
+					t.Fatal("malformed alarm-stream frame dropped without a log line")
+				}
+			}
+			select {
+			case <-degraded:
+			case <-time.After(10 * time.Second):
+				t.Fatal("link stayed up after the refused frame")
+			}
+			alarmMu.Lock()
+			defer alarmMu.Unlock()
+			if len(alarms) != 0 {
+				t.Fatalf("refused alarm reached the sink: %+v", alarms)
+			}
+		})
 	}
 }
 

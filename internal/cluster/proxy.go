@@ -382,85 +382,100 @@ func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 			}
 			return
 		}
-		switch t {
-		case wire.FrameShardAck:
-			tenant, wm, err := wire.ParseShardAck(payload)
-			if err != nil {
-				continue
-			}
-			p.ackTenant(tenant, wm)
-		case wire.FrameShardNack:
-			n, err := wire.ParseShardNack(payload)
-			if err != nil {
-				continue
-			}
-			p.mu.Lock()
-			p.nacksReceived++
-			p.mu.Unlock()
-			// A nack is decided: the worker's watermark advanced to n.Link,
-			// so the window prunes through it like an ack.
-			p.ackTenant(n.Tenant, n.Link)
-			if p.cfg.OnNack != nil {
-				p.cfg.OnNack(n)
-			}
-		case wire.FrameAlarmStream:
-			tenant, idx, alarm, err := wire.ParseAlarmStream(payload)
-			if err != nil {
-				continue
-			}
-			p.dispatchAlarm(l, tenant, idx, alarm)
-		case wire.FrameTenantOK:
-			ok, err := wire.ParseTenantOK(payload)
-			if err != nil {
-				continue
-			}
-			// The reply's watermark doubles as a cumulative ack.
-			if ok.Tenant != "" {
-				p.ackTenant(ok.Tenant, ok.Watermark)
-			}
-			p.completeCtl(ctlResult{ok: ok})
-		case wire.FrameShardErr:
-			e, err := wire.ParseShardErr(payload)
-			if err != nil {
-				continue
-			}
-			p.completeCtl(ctlResult{err: e})
-		case wire.FrameEnvelopeChunk:
-			c, err := wire.ParseEnvelopeChunk(payload)
-			if err != nil {
-				continue
-			}
-			p.mu.Lock()
-			if pc := p.ctl; pc != nil && pc.op == wire.OpExport && pc.tenant == c.Tenant {
-				if c.Kind == wire.EnvModel {
-					pc.model = append(pc.model, c.Data...)
-				} else {
-					pc.state = append(pc.state, c.Data...)
-				}
-				p.envBytesIn += uint64(len(c.Data))
-			}
-			p.mu.Unlock()
-		case wire.FrameEnvelopeDone:
-			tenant, err := wire.ParseTenantFrame(payload)
-			if err != nil {
-				continue
-			}
-			p.mu.Lock()
-			pc := p.ctl
-			p.mu.Unlock()
-			if pc != nil && pc.op == wire.OpExport && pc.tenant == tenant {
-				p.completeCtl(ctlResult{model: pc.model, state: pc.state})
-			}
-		case wire.FrameShardStats:
-			doc := make([]byte, len(payload))
-			copy(doc, payload)
-			p.completeCtl(ctlResult{stats: doc})
-		case wire.FramePong:
-			// keepalive echo; nothing to do
-		default:
-			p.logf("cluster: shard %s: unexpected %s frame", p.cfg.Addr, t)
+		if err := p.dispatch(l, t, payload); err != nil {
+			// A frame this end cannot parse ends the link, as in
+			// wire.Client: skipping it would lose what it carried
+			// without a trace (a refused alarm stays banked,
+			// unacknowledged, on the worker). The link's reconnect and
+			// resume take it from here.
+			p.logf("cluster: shard %s: bad %s frame: %v", p.cfg.Addr, t, err)
+			return
 		}
 	}
+}
+
+// dispatch handles one inbound frame; the error is the frame's parse
+// failure.
+func (p *Proxy) dispatch(l *wire.Writer, t wire.FrameType, payload []byte) error {
+	switch t {
+	case wire.FrameShardAck:
+		tenant, wm, err := wire.ParseShardAck(payload)
+		if err != nil {
+			return err
+		}
+		p.ackTenant(tenant, wm)
+	case wire.FrameShardNack:
+		n, err := wire.ParseShardNack(payload)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		p.nacksReceived++
+		p.mu.Unlock()
+		// A nack is decided: the worker's watermark advanced to n.Link,
+		// so the window prunes through it like an ack.
+		p.ackTenant(n.Tenant, n.Link)
+		if p.cfg.OnNack != nil {
+			p.cfg.OnNack(n)
+		}
+	case wire.FrameAlarmStream:
+		tenant, idx, alarm, err := wire.ParseAlarmStream(payload)
+		if err != nil {
+			return err
+		}
+		p.dispatchAlarm(l, tenant, idx, alarm)
+	case wire.FrameTenantOK:
+		ok, err := wire.ParseTenantOK(payload)
+		if err != nil {
+			return err
+		}
+		// The reply's watermark doubles as a cumulative ack.
+		if ok.Tenant != "" {
+			p.ackTenant(ok.Tenant, ok.Watermark)
+		}
+		p.completeCtl(ctlResult{ok: ok})
+	case wire.FrameShardErr:
+		e, err := wire.ParseShardErr(payload)
+		if err != nil {
+			return err
+		}
+		p.completeCtl(ctlResult{err: e})
+	case wire.FrameEnvelopeChunk:
+		c, err := wire.ParseEnvelopeChunk(payload)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		if pc := p.ctl; pc != nil && pc.op == wire.OpExport && pc.tenant == c.Tenant {
+			if c.Kind == wire.EnvModel {
+				pc.model = append(pc.model, c.Data...)
+			} else {
+				pc.state = append(pc.state, c.Data...)
+			}
+			p.envBytesIn += uint64(len(c.Data))
+		}
+		p.mu.Unlock()
+	case wire.FrameEnvelopeDone:
+		tenant, err := wire.ParseTenantFrame(payload)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		pc := p.ctl
+		p.mu.Unlock()
+		if pc != nil && pc.op == wire.OpExport && pc.tenant == tenant {
+			p.completeCtl(ctlResult{model: pc.model, state: pc.state})
+		}
+	case wire.FrameShardStats:
+		doc := make([]byte, len(payload))
+		copy(doc, payload)
+		p.completeCtl(ctlResult{stats: doc})
+	case wire.FramePong:
+		// keepalive echo; nothing to do
+	default:
+		p.logf("cluster: shard %s: unexpected %s frame", p.cfg.Addr, t)
+	}
+	return nil
 }
 
 // ackTenant prunes a tenant's window through the cumulative watermark and

@@ -1,7 +1,6 @@
 package pc
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/causaliot/causaliot/internal/preprocess"
@@ -10,60 +9,45 @@ import (
 	"github.com/causaliot/causaliot/internal/timeseries"
 )
 
-var (
-	mineBenchOnce   sync.Once
-	mineBenchSeries *timeseries.Series
-	mineBenchTau    int
-	mineBenchErr    error
-)
-
 // mineBenchInput prepares the simulated-testbed series BenchmarkMine mines:
-// the ContextAct-like home, four simulated days, default preprocessing.
-func mineBenchInput(b *testing.B) (*timeseries.Series, int) {
-	b.Helper()
-	mineBenchOnce.Do(func() {
-		tb := sim.ContextActLike()
-		simulator, err := sim.NewSimulator(tb, sim.Config{Seed: 7, Days: 4})
-		if err != nil {
-			mineBenchErr = err
-			return
-		}
-		log, err := simulator.Run()
-		if err != nil {
-			mineBenchErr = err
-			return
-		}
-		pre, err := preprocess.New(tb.Devices, preprocess.Config{})
-		if err != nil {
-			mineBenchErr = err
-			return
-		}
-		res, err := pre.Process(log)
-		if err != nil {
-			mineBenchErr = err
-			return
-		}
-		mineBenchSeries, mineBenchTau = res.Series, res.Tau
-	})
-	if mineBenchErr != nil {
-		b.Fatal(mineBenchErr)
+// the ContextAct-like home, four simulated days, default preprocessing with
+// the given τ override (0 selects τ from the data).
+func mineBenchInput(tb testing.TB, tauOverride int) (*timeseries.Series, int) {
+	tb.Helper()
+	testbed := sim.ContextActLike()
+	simulator, err := sim.NewSimulator(testbed, sim.Config{Seed: 7, Days: 4})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return mineBenchSeries, mineBenchTau
+	log, err := simulator.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pre, err := preprocess.New(testbed.Devices, preprocess.Config{TauOverride: tauOverride})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := pre.Process(log)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Series, res.Tau
 }
+
+// trainMinerConfig is the miner configuration causaliot.Train uses by
+// default.
+var trainMinerConfig = Config{MaxCondSize: 3, MinObsPerDOF: 5, MaxParents: 8}
 
 // BenchmarkMine measures full skeleton construction + CPT fitting on the
 // simulated testbed under each counting kernel, side by side; run it with
 // -benchmem to see the allocations too.
 func BenchmarkMine(b *testing.B) {
-	series, tau := mineBenchInput(b)
+	series, tau := mineBenchInput(b, 0)
 	for _, k := range []stats.Kernel{stats.KernelBit, stats.KernelScalar} {
 		b.Run(k.String(), func(b *testing.B) {
-			miner := NewMiner(Config{
-				MaxCondSize:  3,
-				MinObsPerDOF: 5,
-				MaxParents:   8,
-				Kernel:       k,
-			})
+			cfg := trainMinerConfig
+			cfg.Kernel = k
+			miner := NewMiner(cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := miner.Mine(series, tau, 0.01); err != nil {

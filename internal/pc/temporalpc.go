@@ -6,6 +6,7 @@
 package pc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -22,10 +23,18 @@ import (
 const DefaultAlpha = 0.001
 
 // bitKernelMaxCond caps the conditioning-set size routed through the
-// popcount kernel. The kernel enumerates all 2^l conditioning strata over
-// n/64 packed words, so its advantage over the O(n·l) scalar walk fades
-// once 2^l outgrows the 64× packing factor; past l=8 the scalar path is
-// used even when the kernel is enabled.
+// popcount kernel. A stats.Strata drops empty strata and empty words, so
+// a test costs two popcounts per remaining (stratum, word) entry — at most
+// min(2^l, 64) per word — and TemporalPC builds one per conditioning set
+// and level, then reuses it for every candidate. Measured at n = 36,000
+// observations on uniform random columns (2-vCPU Xeon, Go 1.24), a test
+// against a cached Strata costs 162 µs at l = 8 against the scalar walk's
+// 1,174 µs, and building the Strata costs 2.5 scalar tests, repaid after
+// three candidates. Past l = 8 the cached advantage shrinks (2.3× at
+// l = 14) while each Strata grows towards 64 24-byte entries per word and
+// a 2^l-entry stratum index, so the cap stays 8 and deeper sets use the
+// scalar path even when the kernel is enabled. Classic PC, which builds a
+// Strata per test, shares the cap.
 const bitKernelMaxCond = 8
 
 // Config controls TemporalPC.
@@ -120,6 +129,9 @@ type Removal struct {
 type Miner struct {
 	cfg    Config
 	tester stats.CITester
+	// bitTester is the tester's popcount fast path, nil when the tester
+	// has none or Config.Kernel forces the scalar path.
+	bitTester stats.BitCITester
 }
 
 // NewMiner returns a TemporalPC miner with the given configuration.
@@ -129,31 +141,40 @@ func NewMiner(cfg Config) *Miner {
 	if tester == nil {
 		tester = stats.GSquareTester{MinObsPerDOF: cfg.MinObsPerDOF}
 	}
-	return &Miner{cfg: cfg, tester: tester}
+	m := &Miner{cfg: cfg, tester: tester}
+	if bt, ok := tester.(stats.BitCITester); ok && cfg.Kernel != stats.KernelScalar {
+		m.bitTester = bt
+	}
+	return m
 }
 
-// columns caches the lagged state columns restricted to the snapshots at
-// which one outcome device reported. Conditioning the CI tests on the
-// report mirrors the CPT estimation (see dig.Graph.Fit): the question is
-// whether a lagged state influences the device's *reported value*, not its
-// persistence.
+// columns is the view of the lagged state columns one outcome device is
+// tested over. With EventAnchors the anchors are only the snapshots at
+// which the outcome reported: conditioning the CI tests on the report
+// mirrors the CPT estimation (see dig.Graph.Fit), asking whether a lagged
+// state influences the device's *reported value*, not its persistence.
+// Otherwise they are every snapshot j ∈ {τ, ..., m}, the same for every
+// outcome.
 type columns struct {
 	anchors []int
 	series  *timeseries.Series
-	cache   map[dig.Node][]int
-	// packed caches the bit-packed form of each column for the popcount
-	// kernel, built lazily from the scalar column.
-	packed map[dig.Node]stats.BitSample
+	devices int
+	// packed holds every lagged column (lags 0..τ) bit-packed, indexed by
+	// lag·devices + device; nil when the bit kernel is off. It is
+	// read-only once built, so outcomes with the same anchors share it.
+	packed []stats.BitSample
+	// scalar caches the unpacked columns, built only when the scalar
+	// path runs.
+	scalar map[dig.Node][]int
 }
 
-// newOutcomeColumns builds the column view for one outcome device: with
-// eventAnchors, only the snapshots at which the device reported; otherwise
-// every snapshot j ∈ {τ, ..., m}.
-func newOutcomeColumns(series *timeseries.Series, tau, outcome int, eventAnchors bool) (*columns, error) {
-	m := series.Len()
+// newColumns builds the column view for one outcome device (any outcome
+// when the miner is not event-anchored), packing every lagged column up
+// front when the bit kernel is on.
+func (m *Miner) newColumns(series *timeseries.Series, tau, outcome int) (*columns, error) {
 	var anchors []int
-	for j := tau; j <= m; j++ {
-		if eventAnchors {
+	for j := tau; j <= series.Len(); j++ {
+		if m.cfg.EventAnchors {
 			step, err := series.StepAt(j)
 			if err != nil {
 				return nil, err
@@ -164,41 +185,52 @@ func newOutcomeColumns(series *timeseries.Series, tau, outcome int, eventAnchors
 		}
 		anchors = append(anchors, j)
 	}
-	return &columns{
-		anchors: anchors,
-		series:  series,
-		cache:   make(map[dig.Node][]int),
-		packed:  make(map[dig.Node]stats.BitSample),
-	}, nil
+	c := &columns{anchors: anchors, series: series, devices: series.NumDevices()}
+	if m.bitTester == nil {
+		return c, nil
+	}
+	c.packed = make([]stats.BitSample, (tau+1)*c.devices)
+	col := make([]int, len(anchors))
+	for lag := 0; lag <= tau; lag++ {
+		for dev := 0; dev < c.devices; dev++ {
+			for i, j := range anchors {
+				col[i] = series.State(j - lag)[dev]
+			}
+			b, err := stats.PackSample(stats.Sample{Values: col, Arity: 2})
+			if err != nil {
+				// Unreachable in practice: series states are
+				// validated binary.
+				return nil, err
+			}
+			c.packed[lag*c.devices+dev] = b
+		}
+	}
+	return c, nil
 }
 
-func (c *columns) column(n dig.Node) []int {
-	if col, ok := c.cache[n]; ok {
-		return col
-	}
-	col := make([]int, len(c.anchors))
-	for i, j := range c.anchors {
-		col[i] = c.series.State(j - n.Lag)[n.Device]
-	}
-	c.cache[n] = col
-	return col
+// fork returns a view sharing c's anchors and packed columns, with a
+// scalar cache of its own, for another outcome's worker.
+func (c *columns) fork() *columns {
+	return &columns{anchors: c.anchors, series: c.series, devices: c.devices, packed: c.packed}
 }
+
+func (c *columns) index(n dig.Node) int { return n.Lag*c.devices + n.Device }
+
+func (c *columns) bits(n dig.Node) stats.BitSample { return c.packed[c.index(n)] }
 
 func (c *columns) sample(n dig.Node) stats.Sample {
-	return stats.Sample{Values: c.column(n), Arity: 2}
-}
-
-func (c *columns) bits(n dig.Node) (stats.BitSample, error) {
-	if b, ok := c.packed[n]; ok {
-		return b, nil
+	col, ok := c.scalar[n]
+	if !ok {
+		if c.scalar == nil {
+			c.scalar = make(map[dig.Node][]int)
+		}
+		col = make([]int, len(c.anchors))
+		for i, j := range c.anchors {
+			col[i] = c.series.State(j - n.Lag)[n.Device]
+		}
+		c.scalar[n] = col
 	}
-	b, err := stats.PackSample(c.sample(n))
-	if err != nil {
-		// Unreachable in practice: series states are validated binary.
-		return stats.BitSample{}, err
-	}
-	c.packed[n] = b
-	return b, nil
+	return stats.Sample{Values: col, Arity: 2}
 }
 
 // DiscoverParents runs Algorithm 1 for a single outcome device: it starts
@@ -216,7 +248,7 @@ func (m *Miner) DiscoverParents(series *timeseries.Series, tau, outcome int) ([]
 	if series.SnapshotCount(tau) == 0 {
 		return nil, nil, Stats{}, fmt.Errorf("pc: series too short for tau %d", tau)
 	}
-	cols, err := newOutcomeColumns(series, tau, outcome, m.cfg.EventAnchors)
+	cols, err := m.newColumns(series, tau, outcome)
 	if err != nil {
 		return nil, nil, Stats{}, err
 	}
@@ -255,40 +287,45 @@ func (m *Miner) discoverParents(cols *columns, n, tau, outcome int) ([]dig.Node,
 		}
 	}
 	outcomeNode := dig.Node{Device: outcome, Lag: 0}
-	outcomeSample := cols.sample(outcomeNode)
 
 	// Route eligible tests through the popcount kernel: the state columns
 	// are binary, so when the tester supports bit-packed samples and the
 	// conditioning set is small, contingency cells come from popcounts
-	// over AND-ed word lanes instead of a per-observation table walk.
-	bitTester, bitOK := m.tester.(stats.BitCITester)
-	useBits := bitOK && m.cfg.Kernel != stats.KernelScalar
-	var outcomeBits stats.BitSample
-	if useBits {
-		var err error
-		if outcomeBits, err = cols.bits(outcomeNode); err != nil {
-			return nil, nil, st, err
-		}
-	}
+	// over packed words instead of a per-observation table walk.
+	//
+	// strata caches the (outcome, Z) side of those tests by conditioning
+	// set within one level: every remaining candidate is tested against
+	// subsets of the same adjacency, so each Z recurs across candidates
+	// and only the candidate's own counts are taken per test. The cache is
+	// cleared when the level ends.
+	strata := make(map[string]*stats.Strata)
+	var key []byte
+	var zbuf []stats.BitSample
 	runTest := func(parent dig.Node, cs []dig.Node) (stats.CIResult, error) {
-		if useBits && len(cs) <= bitKernelMaxCond {
-			pb, err := cols.bits(parent)
-			if err != nil {
-				return stats.CIResult{}, err
+		if m.bitTester != nil && len(cs) <= bitKernelMaxCond {
+			key = key[:0]
+			for _, z := range cs {
+				key = binary.AppendUvarint(key, uint64(cols.index(z)))
 			}
-			zs := make([]stats.BitSample, len(cs))
-			for i, z := range cs {
-				if zs[i], err = cols.bits(z); err != nil {
+			s, ok := strata[string(key)]
+			if !ok {
+				zbuf = zbuf[:0]
+				for _, z := range cs {
+					zbuf = append(zbuf, cols.bits(z))
+				}
+				var err error
+				if s, err = stats.NewStrata(cols.bits(outcomeNode), zbuf); err != nil {
 					return stats.CIResult{}, err
 				}
+				strata[string(key)] = s
 			}
-			return bitTester.TestBits(pb, outcomeBits, zs)
+			return m.bitTester.TestStrata(cols.bits(parent), s)
 		}
 		zs := make([]stats.Sample, len(cs))
 		for i, z := range cs {
 			zs[i] = cols.sample(z)
 		}
-		return m.tester.Test(cols.sample(parent), outcomeSample, zs)
+		return m.tester.Test(cols.sample(parent), cols.sample(outcomeNode), zs)
 	}
 
 	// marginal memoizes the l=0 test per candidate so the MaxParents
@@ -372,6 +409,7 @@ func (m *Miner) discoverParents(cols *columns, n, tau, outcome int) ([]dig.Node,
 		for _, parent := range deferred {
 			ca = removeNode(ca, parent)
 		}
+		clear(strata)
 	}
 	if m.cfg.MaxParents > 0 && len(ca) > m.cfg.MaxParents {
 		// Rank survivors by marginal G² strength and keep the top ones.
@@ -426,6 +464,16 @@ func (m *Miner) Mine(series *timeseries.Series, tau int, smoothing float64) (*di
 		mu       sync.Mutex
 		firstErr error
 	)
+	// Without event anchoring every outcome is tested over the same
+	// snapshots, so the lagged columns are packed once and shared
+	// read-only by every outcome's worker.
+	var shared *columns
+	if !m.cfg.EventAnchors {
+		var err error
+		if shared, err = m.newColumns(series, tau, 0); err != nil {
+			return nil, nil, Stats{}, err
+		}
+	}
 	sem := make(chan struct{}, m.cfg.Workers)
 	for dev := 0; dev < n; dev++ {
 		wg.Add(1)
@@ -433,14 +481,19 @@ func (m *Miner) Mine(series *timeseries.Series, tau int, smoothing float64) (*di
 		go func(dev int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			cols, err := newOutcomeColumns(series, tau, dev, m.cfg.EventAnchors)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			var cols *columns
+			if shared != nil {
+				cols = shared.fork()
+			} else {
+				var err error
+				if cols, err = m.newColumns(series, tau, dev); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
 				}
-				mu.Unlock()
-				return
 			}
 			ps, rem, st, err := m.discoverParents(cols, n, tau, dev)
 			mu.Lock()

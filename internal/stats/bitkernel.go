@@ -86,10 +86,13 @@ func (b BitSample) Ones() int {
 // samples. TestBits must return exactly what Test would return on the
 // corresponding unpacked samples — same statistic, DOF, p-value, and
 // reliability verdict — so callers may route any eligible test through
-// either entry point.
+// either entry point. TestStrata is the same test with the outcome and
+// conditioning side prepared once by NewStrata, for callers that test many
+// candidates x against one (y, Z); TestBits is NewStrata then TestStrata.
 type BitCITester interface {
 	CITester
 	TestBits(x, y BitSample, zs []BitSample) (CIResult, error)
+	TestStrata(x BitSample, s *Strata) (CIResult, error)
 }
 
 var (
@@ -97,113 +100,226 @@ var (
 	_ BitCITester = PearsonChiSquareTester{}
 )
 
-// bitPrologue mirrors ciPrologue for bit-packed samples: every variable is
-// binary, so ∏|Z_i| = 2^len(zs) and dof = (2−1)(2−1)·2^len(zs).
-func bitPrologue(x, y BitSample, zs []BitSample) (n, zCard, dof int, err error) {
-	n = x.n
-	if y.n != n {
-		return 0, 0, 0, ErrSampleMismatch
+// Strata is the (y, Z) side of a CI test over bit-packed binary samples:
+// the observations split into the 2^l strata of the conditioning set Z,
+// each stratum holding only the words in which it has observations, as
+// (word index, stratum mask, stratum mask ∧ y) entries, plus its N(z) and
+// N(y=1, z) counts. A test of a candidate x against it then costs two
+// popcounts per entry — x∧(mask∧y) and x∧mask — and nothing that depends
+// on Z alone is recomputed. A Strata is immutable once built and safe for
+// concurrent tests.
+type Strata struct {
+	n     int
+	zCard int
+	// strata are the nonempty strata in increasing stratum index (z_0 the
+	// most significant bit, as in the scalar layout); empty strata add
+	// nothing to either statistic and are not kept.
+	strata  []stratum
+	entries []strataWord
+}
+
+type stratum struct {
+	end     int // entries[previous end:end] are this stratum's words
+	nz, ny1 int
+}
+
+type strataWord struct {
+	w          int
+	mask, yAnd uint64
+}
+
+// leaf is one node of a word's stratum tree: the observations of the word
+// that fall in stratum (a prefix of Z's values, z_0 first).
+type leaf struct {
+	stratum int
+	mask    uint64
+}
+
+// wordTree splits one word of observations into its nonempty strata.
+// Nonempty strata are disjoint nonzero masks of one 64-bit word, so no
+// level of the tree holds more than 64 of them.
+type wordTree struct {
+	a, b [64]leaf
+}
+
+// split builds the stratum masks of word w as a binary tree: each level
+// splits every node on one conditioning column, so a full tree takes
+// 2^(l+1)−2 ANDs per word, each shared by two children, and empty nodes
+// are dropped before they are split further. It returns the nonempty
+// leaves in increasing stratum order; the slice is reused by the next call.
+func (t *wordTree) split(zs []BitSample, w int, root uint64) []leaf {
+	cur, next := &t.a, &t.b
+	cur[0] = leaf{0, root}
+	nc := 1
+	for _, z := range zs {
+		zw := z.words[w]
+		nn := 0
+		for _, p := range cur[:nc] {
+			if m := p.mask &^ zw; m != 0 {
+				next[nn] = leaf{2 * p.stratum, m}
+				nn++
+			}
+			if m := p.mask & zw; m != 0 {
+				next[nn] = leaf{2*p.stratum + 1, m}
+				nn++
+			}
+		}
+		cur, next, nc = next, cur, nn
 	}
-	zCard = 1
+	return cur[:nc]
+}
+
+// NewStrata splits outcome y over the strata of the conditioning columns
+// zs. It fails when the samples differ in length, when 2^len(zs) exceeds
+// the conditioning-cardinality bound, or when they are empty.
+func NewStrata(y BitSample, zs []BitSample) (*Strata, error) {
+	n := y.n
+	zCard := 1
 	for _, z := range zs {
 		if z.n != n {
-			return 0, 0, 0, ErrSampleMismatch
+			return nil, ErrSampleMismatch
 		}
 		if 2 > maxZCard/zCard {
-			return 0, 0, 0, ErrCardinalityOverflow
+			return nil, ErrCardinalityOverflow
 		}
 		zCard *= 2
 	}
 	if n == 0 {
-		return 0, 0, 0, ErrEmpty
+		return nil, ErrEmpty
 	}
-	return n, zCard, zCard, nil
+	words := len(y.words)
+	// Padding bits beyond n are zero in every packed word, but the
+	// complement of a conditioning word sets them; the final word's root
+	// mask keeps them out of every stratum.
+	root := func(w int) uint64 {
+		if r := n % 64; w == words-1 && r != 0 {
+			return 1<<uint(r) - 1
+		}
+		return ^uint64(0)
+	}
+	// Two passes over the words: the first counts each stratum's
+	// nonempty words, the second places them, grouped by stratum.
+	var tree wordTree
+	// at counts, then places, each stratum's entries; the miner's sets
+	// (l ≤ 8) fit the stack array.
+	var small [256]int
+	at := small[:0]
+	if zCard <= len(small) {
+		at = small[:zCard]
+	} else {
+		at = make([]int, zCard)
+	}
+	nonempty := 0
+	for w := 0; w < words; w++ {
+		for _, lf := range tree.split(zs, w, root(w)) {
+			if at[lf.stratum] == 0 {
+				nonempty++
+			}
+			at[lf.stratum]++
+		}
+	}
+	s := &Strata{n: n, zCard: zCard, strata: make([]stratum, 0, nonempty)}
+	total := 0
+	for z, c := range at {
+		at[z] = total
+		if c > 0 {
+			total += c
+			s.strata = append(s.strata, stratum{end: total})
+		}
+	}
+	s.entries = make([]strataWord, total)
+	for w := 0; w < words; w++ {
+		yw := y.words[w]
+		for _, lf := range tree.split(zs, w, root(w)) {
+			s.entries[at[lf.stratum]] = strataWord{w: w, mask: lf.mask, yAnd: lf.mask & yw}
+			at[lf.stratum]++
+		}
+	}
+	start := 0
+	for i := range s.strata {
+		st := &s.strata[i]
+		for _, e := range s.entries[start:st.end] {
+			st.nz += bits.OnesCount64(e.mask)
+			st.ny1 += bits.OnesCount64(e.yAnd)
+		}
+		start = st.end
+	}
+	return s, nil
 }
 
-// bitJointCounts computes the stratified contingency table N(x,y,z) over
-// bit-packed columns in the same [z][x*2+y] layout countJoint produces.
-// For each of the 2^l conditioning strata it builds the stratum mask by
-// AND-ing the (possibly complemented) conditioning words and derives all
-// four cells from popcounts of mask∧x∧y, mask∧x, mask∧y, and mask — four
-// OnesCount64 per word and stratum, versus one table update per
-// observation on the scalar path.
-func bitJointCounts(x, y BitSample, zs []BitSample, zCard int) []float64 {
-	words := len(x.words)
-	l := len(zs)
-	joint := make([]float64, zCard*4)
-	// Padding bits beyond n are zero in every packed word, but the
-	// complement of a conditioning word sets them; the final word's mask
-	// keeps them out of the counts.
-	last := ^uint64(0)
-	if r := x.n % 64; r != 0 {
-		last = 1<<uint(r) - 1
-	}
-	for s := 0; s < zCard; s++ {
-		var n11, nx1, ny1, nz int
-		for w := 0; w < words; w++ {
-			mask := ^uint64(0)
-			if w == words-1 {
-				mask = last
-			}
-			for k := 0; k < l; k++ {
-				zw := zs[k].words[w]
-				// Stratum index s encodes z_0 as its most
-				// significant bit, matching the scalar layout
-				// zIdx = Σ zIdx·2 + z_k.
-				if s>>(uint(l-1-k))&1 == 0 {
-					zw = ^zw
-				}
-				mask &= zw
-			}
-			xw := x.words[w] & mask
-			yw := y.words[w] & mask
-			n11 += bits.OnesCount64(xw & yw)
-			nx1 += bits.OnesCount64(xw)
-			ny1 += bits.OnesCount64(yw)
-			nz += bits.OnesCount64(mask)
+// jointCounts computes the stratified contingency table N(x,y,z) of x
+// against the strata, in the [z][x*2+y] layout countJoint produces but
+// over the nonempty strata only: the one popcount counting loop of the bit
+// kernel.
+func (s *Strata) jointCounts(x BitSample) []float64 {
+	joint := make([]float64, len(s.strata)*4)
+	start := 0
+	for i, st := range s.strata {
+		var n11, nx1 int
+		for _, e := range s.entries[start:st.end] {
+			xw := x.words[e.w]
+			n11 += bits.OnesCount64(xw & e.yAnd)
+			nx1 += bits.OnesCount64(xw & e.mask)
 		}
-		joint[s*4+0] = float64(nz - nx1 - ny1 + n11) // x=0, y=0
-		joint[s*4+1] = float64(ny1 - n11)            // x=0, y=1
-		joint[s*4+2] = float64(nx1 - n11)            // x=1, y=0
-		joint[s*4+3] = float64(n11)                  // x=1, y=1
+		start = st.end
+		joint[i*4+0] = float64(st.nz - nx1 - st.ny1 + n11) // x=0, y=0
+		joint[i*4+1] = float64(st.ny1 - n11)               // x=0, y=1
+		joint[i*4+2] = float64(nx1 - n11)                  // x=1, y=0
+		joint[i*4+3] = float64(n11)                        // x=1, y=1
 	}
 	return joint
+}
+
+// testStrata runs one bit-kernel test of x against s, folding the
+// contingency table with statistic. Every variable is binary, so
+// dof = (2−1)(2−1)·2^l. The statistic folds skip empty strata, so folding
+// the nonempty ones alone gives the bit-identical value.
+func testStrata(x BitSample, s *Strata, minObsPerDOF int, statistic func(joint []float64, xArity, yArity, zCard int) float64) (CIResult, error) {
+	if x.n != s.n {
+		return CIResult{}, ErrSampleMismatch
+	}
+	res := CIResult{DOF: s.zCard, Reliable: true}
+	if minObsPerDOF > 0 && s.n < minObsPerDOF*res.DOF {
+		res.Reliable = false
+		res.PValue = 1
+		return res, nil
+	}
+	res.Statistic = statistic(s.jointCounts(x), 2, 2, len(s.strata))
+	res.PValue = ChiSquareSurvival(res.Statistic, res.DOF)
+	return res, nil
+}
+
+// testBits is NewStrata then testStrata, with the x/y length check first
+// as in the scalar prologue.
+func testBits(x, y BitSample, zs []BitSample, minObsPerDOF int, statistic func(joint []float64, xArity, yArity, zCard int) float64) (CIResult, error) {
+	if x.n != y.n {
+		return CIResult{}, ErrSampleMismatch
+	}
+	s, err := NewStrata(y, zs)
+	if err != nil {
+		return CIResult{}, err
+	}
+	return testStrata(x, s, minObsPerDOF, statistic)
 }
 
 // TestBits is the popcount fast path of Test: identical statistic, DOF,
 // p-value, and reliability over bit-packed binary samples.
 func (t GSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResult, error) {
-	n, zCard, dof, err := bitPrologue(x, y, zs)
-	if err != nil {
-		return CIResult{}, err
-	}
-	res := CIResult{DOF: dof, Reliable: true}
-	if t.MinObsPerDOF > 0 && n < t.MinObsPerDOF*dof {
-		res.Reliable = false
-		res.PValue = 1
-		return res, nil
-	}
-	joint := bitJointCounts(x, y, zs, zCard)
-	res.Statistic = gsquareStatistic(joint, 2, 2, zCard)
-	res.PValue = ChiSquareSurvival(res.Statistic, dof)
-	return res, nil
+	return testBits(x, y, zs, t.MinObsPerDOF, gsquareStatistic)
+}
+
+// TestStrata is TestBits against a prepared (y, Z).
+func (t GSquareTester) TestStrata(x BitSample, s *Strata) (CIResult, error) {
+	return testStrata(x, s, t.MinObsPerDOF, gsquareStatistic)
 }
 
 // TestBits is the popcount fast path of Test: identical statistic, DOF,
 // p-value, and reliability over bit-packed binary samples.
 func (t PearsonChiSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResult, error) {
-	n, zCard, dof, err := bitPrologue(x, y, zs)
-	if err != nil {
-		return CIResult{}, err
-	}
-	res := CIResult{DOF: dof, Reliable: true}
-	if t.MinObsPerDOF > 0 && n < t.MinObsPerDOF*dof {
-		res.Reliable = false
-		res.PValue = 1
-		return res, nil
-	}
-	joint := bitJointCounts(x, y, zs, zCard)
-	res.Statistic = pearsonStatistic(joint, 2, 2, zCard)
-	res.PValue = ChiSquareSurvival(res.Statistic, dof)
-	return res, nil
+	return testBits(x, y, zs, t.MinObsPerDOF, pearsonStatistic)
+}
+
+// TestStrata is TestBits against a prepared (y, Z).
+func (t PearsonChiSquareTester) TestStrata(x BitSample, s *Strata) (CIResult, error) {
+	return testStrata(x, s, t.MinObsPerDOF, pearsonStatistic)
 }

@@ -56,9 +56,41 @@ func TestPackSampleRejectsNonBinary(t *testing.T) {
 	}
 }
 
+// kernelTrialN draws a sample length: mostly on either side of a multiple
+// of 64, so the tail mask and whole-word boundaries are always in play.
+func kernelTrialN(rng *rand.Rand) int {
+	if rng.Intn(4) == 0 {
+		return 1 + rng.Intn(400)
+	}
+	n := 64*rng.Intn(7) + rng.Intn(3) - 1 // 64k−1, 64k, 64k+1
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// kernelTrialBias draws a column's probability of 1: often so close to 0
+// or 1 that whole words, and whole strata, hold no observations.
+func kernelTrialBias(rng *rand.Rand) float64 {
+	switch rng.Intn(5) {
+	case 0:
+		return 0.002 * rng.Float64()
+	case 1:
+		return 1 - 0.002*rng.Float64()
+	case 2:
+		return 0.03 * rng.Float64()
+	case 3:
+		return 1 - 0.03*rng.Float64()
+	default:
+		return rng.Float64()
+	}
+}
+
 // TestBitKernelMatchesScalar is the differential contract of the popcount
-// kernel: across randomized binary tables of every shape, TestBits must
-// return exactly — bit for bit — what Test returns.
+// kernel: across randomized binary tables of every shape — conditioning
+// sets up to bitKernelMaxCond (8) columns, near-constant columns that
+// leave words and strata empty, lengths on both sides of every word
+// boundary — TestBits must return exactly, bit for bit, what Test returns.
 func TestBitKernelMatchesScalar(t *testing.T) {
 	testers := []struct {
 		name   string
@@ -73,12 +105,12 @@ func TestBitKernelMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range testers {
 		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 300; trial++ {
-				n := 1 + rng.Intn(400)
-				l := rng.Intn(4)
-				bias := 0.05 + 0.9*rng.Float64()
+			for trial := 0; trial < 400; trial++ {
+				n := kernelTrialN(rng)
+				l := rng.Intn(9)
+				bias := kernelTrialBias(rng)
 				x := randomBinarySample(rng, n, bias)
-				y := randomBinarySample(rng, n, 1-bias)
+				y := randomBinarySample(rng, n, kernelTrialBias(rng))
 				// Correlate y with x on some trials so the test
 				// exercises non-trivial statistics.
 				if trial%2 == 0 {
@@ -91,7 +123,7 @@ func TestBitKernelMatchesScalar(t *testing.T) {
 				zs := make([]Sample, l)
 				zb := make([]BitSample, l)
 				for k := range zs {
-					zs[k] = randomBinarySample(rng, n, rng.Float64())
+					zs[k] = randomBinarySample(rng, n, kernelTrialBias(rng))
 					zb[k] = mustPack(t, zs[k])
 				}
 				want, err := tc.scalar.Test(x, y, zs)
@@ -110,9 +142,55 @@ func TestBitKernelMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestStrataReuseMatchesScalar pins the cached path the miner takes: one
+// Strata built for (y, Z) and tested against many candidates x must give,
+// for every x, exactly what Test gives on the unpacked samples.
+func TestStrataReuseMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, tester := range []BitCITester{GSquareTester{MinObsPerDOF: 5}, PearsonChiSquareTester{}} {
+		for trial := 0; trial < 40; trial++ {
+			n := kernelTrialN(rng)
+			l := rng.Intn(9)
+			y := randomBinarySample(rng, n, kernelTrialBias(rng))
+			zs := make([]Sample, l)
+			zb := make([]BitSample, l)
+			for k := range zs {
+				zs[k] = randomBinarySample(rng, n, kernelTrialBias(rng))
+				zb[k] = mustPack(t, zs[k])
+			}
+			strata, err := NewStrata(mustPack(t, y), zb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cand := 0; cand < 25; cand++ {
+				x := randomBinarySample(rng, n, kernelTrialBias(rng))
+				if cand%3 == 0 {
+					for i := range x.Values {
+						if rng.Float64() < 0.8 {
+							x.Values[i] = y.Values[i]
+						}
+					}
+				}
+				want, err := tester.Test(x, y, zs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tester.TestStrata(mustPack(t, x), strata)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%T trial %d candidate %d (n=%d l=%d): strata %+v != scalar %+v",
+						tester, trial, cand, n, l, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBitJointCountsTailBits pins the padding-bit handling: complemented
-// conditioning words set the bits beyond n, and the final-word mask must
-// keep them out of the counts.
+// conditioning words set the bits beyond n, and the final word's root mask
+// must keep them out of every stratum. Empty strata are not kept.
 func TestBitJointCountsTailBits(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 127, 129} {
 		ones := Sample{Values: make([]int, n), Arity: 2}
@@ -122,7 +200,14 @@ func TestBitJointCountsTailBits(t *testing.T) {
 		}
 		x, z := mustPack(t, ones), mustPack(t, zeros)
 		// Stratum z=0 holds all n observations; z=1 holds none.
-		joint := bitJointCounts(x, x, []BitSample{z}, 2)
+		s, err := NewStrata(x, []BitSample{z})
+		if err != nil {
+			t.Fatal(err)
+		}
+		joint := s.jointCounts(x)
+		if len(joint) != 4 {
+			t.Fatalf("n=%d: %d cells, want the one nonempty stratum's 4", n, len(joint))
+		}
 		total := 0.0
 		for _, c := range joint {
 			total += c
@@ -149,6 +234,13 @@ func TestBitKernelValidation(t *testing.T) {
 	empty := mustPack(t, Sample{Arity: 2})
 	if _, err := g.TestBits(empty, empty, nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty samples: err = %v", err)
+	}
+	strata, err := NewStrata(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.TestStrata(a, strata); !errors.Is(err, ErrSampleMismatch) {
+		t.Errorf("candidate length differs from strata: err = %v", err)
 	}
 }
 
@@ -201,7 +293,8 @@ func TestCardinalityOverflowBoundary(t *testing.T) {
 }
 
 // BenchmarkGSquare compares the scalar and popcount counting kernels on a
-// single CI test at conditioning-set sizes 0, 2 and 3.
+// single CI test at conditioning-set sizes 0, 2 and 3: bit builds the
+// strata and tests once, strata tests against strata built beforehand.
 func BenchmarkGSquare(b *testing.B) {
 	n := 10000
 	rng := rand.New(rand.NewSource(9))
@@ -231,6 +324,20 @@ func BenchmarkGSquare(b *testing.B) {
 		b.Run(fmt.Sprintf("bit/l%d", l), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := tester.TestBits(xb, yb, zb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// strata: the miner's cached path, (y, Z) prepared once and
+		// only the candidate's counts taken per test.
+		b.Run(fmt.Sprintf("strata/l%d", l), func(b *testing.B) {
+			strata, err := NewStrata(yb, zb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tester.TestStrata(xb, strata); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,8 +110,8 @@ func ciPrologue(x, y Sample, zs []Sample) (n, zCard, dof int, err error) {
 
 // countJoint accumulates the stratified contingency table N(x,y,z), laid
 // out as [z][x*|Y|+y], one observation at a time — the generic scalar
-// counting path. bitJointCounts is the popcount equivalent for bit-packed
-// binary samples.
+// counting path. Strata.jointCounts is the popcount equivalent for
+// bit-packed binary samples.
 func countJoint(x, y Sample, zs []Sample, zCard int) []float64 {
 	xy := x.Arity * y.Arity
 	joint := make([]float64, zCard*xy)
