@@ -359,8 +359,10 @@ func (p *producer) run(cfg config, stream []causaliot.Event) error {
 }
 
 // send forwards one event, absorbing the session window's typed
-// backpressure: a full retransmit window flushes and retries instead of
-// failing the run (a plain client never returns ErrSendWindowFull).
+// backpressure. A connected session's Send waits for window room itself;
+// ErrSendWindowFull comes only while the session is degraded, and the run
+// retries until it resumes instead of failing (a plain client never
+// returns it).
 func (p *producer) send(ev wire.Event) error {
 	for {
 		err := p.client.Send(ev)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,7 +347,10 @@ func TestClusterEndToEnd(t *testing.T) {
 // decoder refuses: a score outside [0, 1] and an event state of 2. The
 // proxy must not drop such a frame silently: it logs the parse error with
 // the frame type, delivers nothing, and ends the link (it turns degraded),
-// so the link's own reconnect and resume take over.
+// so the link's own reconnect and resume take over. Its receipt moves past
+// the refused alarm first, so the resume prunes it from the worker's bank:
+// the link ends once and resumes once, and a later good alarm is
+// delivered.
 func TestProxyMalformedAlarmEndsLink(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -360,6 +364,7 @@ func TestProxyMalformedAlarmEndsLink(t *testing.T) {
 			_, addr := startWorker(t, WorkerConfig{Backend: backend})
 			logs := make(chan string, 256)
 			degraded := make(chan struct{}, 1)
+			var degradations atomic.Int32
 			p, err := Open(ProxyConfig{
 				Addr:        addr,
 				BackoffMin:  5 * time.Millisecond,
@@ -368,6 +373,7 @@ func TestProxyMalformedAlarmEndsLink(t *testing.T) {
 				JitterSeed:  3,
 				OnStateChange: func(st wire.SessionState) {
 					if st == wire.StateDegraded {
+						degradations.Add(1)
 						select {
 						case degraded <- struct{}{}:
 						default:
@@ -411,9 +417,28 @@ func TestProxyMalformedAlarmEndsLink(t *testing.T) {
 				t.Fatal("link stayed up after the refused frame")
 			}
 			alarmMu.Lock()
-			defer alarmMu.Unlock()
 			if len(alarms) != 0 {
 				t.Fatalf("refused alarm reached the sink: %+v", alarms)
+			}
+			alarmMu.Unlock()
+
+			waitCond(t, 10*time.Second, "the link to resume", func() bool { return p.Stats().Reconnects == 1 && p.Stats().State == wire.StateConnected })
+			good := wire.Alarm{Seq: 2, Score: 0.9, Events: []wire.AlarmEvent{{Device: "dev-0", State: 1, Score: 0.9}}}
+			backend.raise("t1", good)
+			waitCond(t, 10*time.Second, "the good alarm", func() bool {
+				alarmMu.Lock()
+				defer alarmMu.Unlock()
+				return len(alarms) == 1
+			})
+			alarmMu.Lock()
+			defer alarmMu.Unlock()
+			if alarms[0].Seq != good.Seq {
+				t.Fatalf("delivered %+v, want the good alarm", alarms)
+			}
+			st := p.Stats()
+			if st.Reconnects != 1 || st.SkippedAlarms != 1 || st.Alarms != 1 || degradations.Load() != 1 {
+				t.Fatalf("reconnects %d skipped %d alarms %d degradations %d, want 1 each",
+					st.Reconnects, st.SkippedAlarms, st.Alarms, degradations.Load())
 			}
 		})
 	}

@@ -97,10 +97,13 @@ type ProxyStats struct {
 	// Retransmits counts events re-sent from tenant windows on resume.
 	Retransmits uint64
 	// Nacks counts worker-side refusals received; DuplicateAlarms alarm
-	// replays dropped by index dedup; Alarms alarms dispatched.
+	// replays dropped by index dedup; Alarms alarms dispatched;
+	// SkippedAlarms alarms whose body did not decode, receipted past
+	// without delivery.
 	Nacks           uint64
 	Alarms          uint64
 	DuplicateAlarms uint64
+	SkippedAlarms   uint64
 	// Pending is the total event count across tenant windows.
 	Pending int
 	// EnvelopeBytesOut counts checkpoint bytes shipped to the worker;
@@ -169,6 +172,7 @@ type Proxy struct {
 	nacksReceived    uint64
 	alarmsDispatched uint64
 	duplicateAlarms  uint64
+	skippedAlarms    uint64
 	envBytesOut      uint64
 	envBytesIn       uint64
 }
@@ -421,6 +425,9 @@ func (p *Proxy) dispatch(l *wire.Writer, t wire.FrameType, payload []byte) error
 	case wire.FrameAlarmStream:
 		tenant, idx, alarm, err := wire.ParseAlarmStream(payload)
 		if err != nil {
+			if tenant != "" {
+				p.skipAlarm(tenant, idx)
+			}
 			return err
 		}
 		p.dispatchAlarm(l, tenant, idx, alarm)
@@ -514,6 +521,21 @@ func (p *Proxy) dispatchAlarm(l *wire.Writer, tenant string, idx uint64, a wire.
 	if frame, err := wire.AppendAlarmStreamAck(nil, tenant, idx); err == nil {
 		l.TrySend(frame) // a lost receipt only means a bigger replay later
 	}
+}
+
+// skipAlarm moves the tenant's receipt past an alarm whose body this end
+// cannot decode. The link still ends on the frame, and the resume's receipt
+// prunes the alarm from the worker's bank instead of replaying it into the
+// same refusal on every new link.
+func (p *Proxy) skipAlarm(tenant string, idx uint64) {
+	t := p.tenant(tenant)
+	if t == nil || !t.alarms.Receive(idx) {
+		return
+	}
+	p.mu.Lock()
+	p.skippedAlarms++
+	p.mu.Unlock()
+	p.logf("cluster: shard %s: tenant %q alarm %d skipped: its body does not decode", p.cfg.Addr, tenant, idx)
 }
 
 // completeCtl resolves the pending control op, including one whose frames
@@ -803,6 +825,7 @@ func (p *Proxy) Stats() ProxyStats {
 		Nacks:            p.nacksReceived,
 		Alarms:           p.alarmsDispatched,
 		DuplicateAlarms:  p.duplicateAlarms,
+		SkippedAlarms:    p.skippedAlarms,
 		Pending:          pending,
 		EnvelopeBytesOut: p.envBytesOut,
 		EnvelopeBytesIn:  p.envBytesIn,

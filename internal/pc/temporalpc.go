@@ -297,10 +297,12 @@ func (m *Miner) discoverParents(cols *columns, n, tau, outcome int) ([]dig.Node,
 	// set within one level: every remaining candidate is tested against
 	// subsets of the same adjacency, so each Z recurs across candidates
 	// and only the candidate's own counts are taken per test. The cache is
-	// cleared when the level ends.
+	// cleared when the level ends. Every test counts into one scratch
+	// table, this outcome's worker's own.
 	strata := make(map[string]*stats.Strata)
 	var key []byte
 	var zbuf []stats.BitSample
+	var scratch stats.Scratch
 	runTest := func(parent dig.Node, cs []dig.Node) (stats.CIResult, error) {
 		if m.bitTester != nil && len(cs) <= bitKernelMaxCond {
 			key = key[:0]
@@ -319,7 +321,7 @@ func (m *Miner) discoverParents(cols *columns, n, tau, outcome int) ([]dig.Node,
 				}
 				strata[string(key)] = s
 			}
-			return m.bitTester.TestStrata(cols.bits(parent), s)
+			return m.bitTester.TestStrata(cols.bits(parent), s, &scratch)
 		}
 		zs := make([]stats.Sample, len(cs))
 		for i, z := range cs {

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Kernel selects the counting substrate of the conditional-independence
@@ -89,10 +90,20 @@ func (b BitSample) Ones() int {
 // either entry point. TestStrata is the same test with the outcome and
 // conditioning side prepared once by NewStrata, for callers that test many
 // candidates x against one (y, Z); TestBits is NewStrata then TestStrata.
+// TestStrata counts into the caller's Scratch (nil allocates a fresh
+// table), so a caller that keeps one Scratch per goroutine runs its tests
+// without allocating.
 type BitCITester interface {
 	CITester
 	TestBits(x, y BitSample, zs []BitSample) (CIResult, error)
-	TestStrata(x BitSample, s *Strata) (CIResult, error)
+	TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error)
+}
+
+// Scratch is reusable working memory for TestStrata: the contingency table
+// of the test in progress. It is not safe for concurrent use; keep one per
+// goroutine. The zero value is ready to use.
+type Scratch struct {
+	joint []float64
 }
 
 var (
@@ -250,9 +261,10 @@ func NewStrata(y BitSample, zs []BitSample) (*Strata, error) {
 // jointCounts computes the stratified contingency table N(x,y,z) of x
 // against the strata, in the [z][x*2+y] layout countJoint produces but
 // over the nonempty strata only: the one popcount counting loop of the bit
-// kernel.
-func (s *Strata) jointCounts(x BitSample) []float64 {
-	joint := make([]float64, len(s.strata)*4)
+// kernel. It overwrites and returns dst when dst is large enough.
+func (s *Strata) jointCounts(x BitSample, dst []float64) []float64 {
+	size := len(s.strata) * 4
+	joint := slices.Grow(dst[:0], size)[:size]
 	start := 0
 	for i, st := range s.strata {
 		var n11, nx1 int
@@ -273,8 +285,9 @@ func (s *Strata) jointCounts(x BitSample) []float64 {
 // testStrata runs one bit-kernel test of x against s, folding the
 // contingency table with statistic. Every variable is binary, so
 // dof = (2−1)(2−1)·2^l. The statistic folds skip empty strata, so folding
-// the nonempty ones alone gives the bit-identical value.
-func testStrata(x BitSample, s *Strata, minObsPerDOF int, statistic func(joint []float64, xArity, yArity, zCard int) float64) (CIResult, error) {
+// the nonempty ones alone gives the bit-identical value. The table is
+// counted into sc, or a fresh one when sc is nil.
+func testStrata(x BitSample, s *Strata, sc *Scratch, minObsPerDOF int, statistic func(joint []float64, xArity, yArity, zCard int) float64) (CIResult, error) {
 	if x.n != s.n {
 		return CIResult{}, ErrSampleMismatch
 	}
@@ -284,7 +297,11 @@ func testStrata(x BitSample, s *Strata, minObsPerDOF int, statistic func(joint [
 		res.PValue = 1
 		return res, nil
 	}
-	res.Statistic = statistic(s.jointCounts(x), 2, 2, len(s.strata))
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.joint = s.jointCounts(x, sc.joint)
+	res.Statistic = statistic(sc.joint, 2, 2, len(s.strata))
 	res.PValue = ChiSquareSurvival(res.Statistic, res.DOF)
 	return res, nil
 }
@@ -299,7 +316,7 @@ func testBits(x, y BitSample, zs []BitSample, minObsPerDOF int, statistic func(j
 	if err != nil {
 		return CIResult{}, err
 	}
-	return testStrata(x, s, minObsPerDOF, statistic)
+	return testStrata(x, s, nil, minObsPerDOF, statistic)
 }
 
 // TestBits is the popcount fast path of Test: identical statistic, DOF,
@@ -308,9 +325,9 @@ func (t GSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResult, error
 	return testBits(x, y, zs, t.MinObsPerDOF, gsquareStatistic)
 }
 
-// TestStrata is TestBits against a prepared (y, Z).
-func (t GSquareTester) TestStrata(x BitSample, s *Strata) (CIResult, error) {
-	return testStrata(x, s, t.MinObsPerDOF, gsquareStatistic)
+// TestStrata is TestBits against a prepared (y, Z), counting into sc.
+func (t GSquareTester) TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error) {
+	return testStrata(x, s, sc, t.MinObsPerDOF, gsquareStatistic)
 }
 
 // TestBits is the popcount fast path of Test: identical statistic, DOF,
@@ -319,7 +336,7 @@ func (t PearsonChiSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResu
 	return testBits(x, y, zs, t.MinObsPerDOF, pearsonStatistic)
 }
 
-// TestStrata is TestBits against a prepared (y, Z).
-func (t PearsonChiSquareTester) TestStrata(x BitSample, s *Strata) (CIResult, error) {
-	return testStrata(x, s, t.MinObsPerDOF, pearsonStatistic)
+// TestStrata is TestBits against a prepared (y, Z), counting into sc.
+func (t PearsonChiSquareTester) TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error) {
+	return testStrata(x, s, sc, t.MinObsPerDOF, pearsonStatistic)
 }

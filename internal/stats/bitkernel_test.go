@@ -147,6 +147,9 @@ func TestBitKernelMatchesScalar(t *testing.T) {
 // for every x, exactly what Test gives on the unpacked samples.
 func TestStrataReuseMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	// One scratch table across every test, as a miner worker keeps it:
+	// strata of every size reuse and regrow it.
+	var scratch Scratch
 	for _, tester := range []BitCITester{GSquareTester{MinObsPerDOF: 5}, PearsonChiSquareTester{}} {
 		for trial := 0; trial < 40; trial++ {
 			n := kernelTrialN(rng)
@@ -175,7 +178,7 @@ func TestStrataReuseMatchesScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tester.TestStrata(mustPack(t, x), strata)
+				got, err := tester.TestStrata(mustPack(t, x), strata, &scratch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +207,7 @@ func TestBitJointCountsTailBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joint := s.jointCounts(x)
+		joint := s.jointCounts(x, nil)
 		if len(joint) != 4 {
 			t.Fatalf("n=%d: %d cells, want the one nonempty stratum's 4", n, len(joint))
 		}
@@ -239,7 +242,7 @@ func TestBitKernelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.TestStrata(a, strata); !errors.Is(err, ErrSampleMismatch) {
+	if _, err := g.TestStrata(a, strata, nil); !errors.Is(err, ErrSampleMismatch) {
 		t.Errorf("candidate length differs from strata: err = %v", err)
 	}
 }
@@ -335,9 +338,10 @@ func BenchmarkGSquare(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var scratch Scratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tester.TestStrata(xb, strata); err != nil {
+				if _, err := tester.TestStrata(xb, strata, &scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,8 +31,8 @@ type PearsonChiSquareTester struct {
 func pearsonStatistic(joint []float64, xArity, yArity, zCard int) float64 {
 	xy := xArity * yArity
 	var x2 float64
-	nx := make([]float64, xArity)
-	ny := make([]float64, yArity)
+	var buf marginalBuf
+	nx, ny := buf.split(xArity, yArity)
 	for zIdx := 0; zIdx < zCard; zIdx++ {
 		cells := joint[zIdx*xy : (zIdx+1)*xy]
 		var nz float64

@@ -125,14 +125,28 @@ func countJoint(x, y Sample, zs []Sample, zCard int) []float64 {
 	return joint
 }
 
+// marginalBuf holds a statistic fold's per-stratum marginals N(x, z) and
+// N(y, z) on the caller's stack for every arity the miner tests.
+type marginalBuf [16]float64
+
+// split returns the x and y marginal accumulators, backed by b unless the
+// arities outgrow it.
+func (b *marginalBuf) split(xArity, yArity int) (nx, ny []float64) {
+	m := b[:]
+	if xArity+yArity > len(b) {
+		m = make([]float64, xArity+yArity)
+	}
+	return m[:xArity], m[xArity : xArity+yArity]
+}
+
 // gsquareStatistic folds a stratified contingency table into the G²
 // statistic. Both the scalar and the bit-packed counting paths feed this
 // same accumulation, so the two kernels produce bit-identical statistics.
 func gsquareStatistic(joint []float64, xArity, yArity, zCard int) float64 {
 	xy := xArity * yArity
 	var g2 float64
-	nx := make([]float64, xArity)
-	ny := make([]float64, yArity)
+	var buf marginalBuf
+	nx, ny := buf.split(xArity, yArity)
 	for zIdx := 0; zIdx < zCard; zIdx++ {
 		cells := joint[zIdx*xy : (zIdx+1)*xy]
 		var nz float64

@@ -456,7 +456,9 @@ func AppendAlarmStream(dst []byte, tenant string, idx uint64, a Alarm) ([]byte, 
 	return appendAlarmBody(dst, at, a)
 }
 
-// ParseAlarmStream decodes an AlarmStream payload.
+// ParseAlarmStream decodes an AlarmStream payload. A frame whose tenant
+// and index parse but whose alarm body does not returns them with the
+// error, so the receiver can still move its receipt past the alarm.
 func ParseAlarmStream(p []byte) (tenant string, idx uint64, a Alarm, err error) {
 	d := decoder{p: p}
 	tenant = d.str()
@@ -466,7 +468,7 @@ func ParseAlarmStream(p []byte) (tenant string, idx uint64, a Alarm, err error) 
 	}
 	a, err = parseAlarmBody(&d)
 	if err != nil {
-		return "", 0, Alarm{}, err
+		return tenant, idx, Alarm{}, err
 	}
 	return tenant, idx, a, nil
 }

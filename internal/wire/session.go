@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -18,8 +19,11 @@ type SessionConfig struct {
 	// left zero; OnAlarm receives session alarms with the index stripped.
 	Client ClientConfig
 	// Window caps the ring of sent-but-unacknowledged events held for
-	// retransmit. A full window surfaces as ErrSendWindowFull — typed
-	// backpressure, never silent shedding. Defaults to 1024.
+	// retransmit. While connected, a Send into a full window waits for an
+	// ack to free a slot; while degraded it returns ErrSendWindowFull at
+	// once — typed backpressure, never silent shedding. The server acks
+	// every AckEvery events (32 by default) and on each Ping, so a window
+	// below its AckEvery drains only through Pings. Defaults to 1024.
 	Window int
 	// MaxAttempts is the number of consecutive failed reconnect attempts
 	// before the client gives up (StateGaveUp, sticky ErrSessionGaveUp).
@@ -76,8 +80,10 @@ type SessionStats struct {
 //
 // Events must carry strictly increasing Seq (ErrSeqOrder otherwise) — the
 // cumulative-ack protocol depends on it. Send accepts an event into the
-// window and returns nil even while degraded (delivery happens on resume);
-// a full window returns ErrSendWindowFull and the caller owns the retry.
+// window and returns nil even while degraded (delivery happens on resume).
+// A full window holds Send back while connected, until the server's acks
+// free a slot; while degraded it returns ErrSendWindowFull and the caller
+// owns the retry (or sheds at the edge).
 //
 // Send/Flush/Close/Stats are safe for concurrent use.
 type SessionClient struct {
@@ -86,6 +92,7 @@ type SessionClient struct {
 	alarms AlarmCursor
 
 	mu          sync.Mutex
+	room        sync.Cond // on mu: a slot freed, the connection died, or Close ran
 	window      Window
 	retransmits uint64
 }
@@ -99,7 +106,9 @@ func OpenSession(cfg SessionConfig) (*SessionClient, error) {
 		return nil, fmt.Errorf("%w: empty session name", ErrBadFrame)
 	}
 	s := &SessionClient{cfg: cfg, window: NewWindow(cfg.Window)}
-	s.link = NewLink(LinkVocab[*Client]{Dial: s.dial, Resume: s.resume, ErrClosed: ErrClientClosed, ErrGaveUp: ErrSessionGaveUp},
+	s.room.L = &s.mu
+	s.link = NewLink(LinkVocab[*Client]{Dial: s.dial, Resume: s.resume, Degraded: s.wake,
+		ErrClosed: ErrClientClosed, ErrGaveUp: ErrSessionGaveUp},
 		cfg.MaxAttempts, NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed), cfg.OnStateChange)
 	if err := s.link.Open(); err != nil {
 		return nil, err
@@ -125,10 +134,21 @@ func (s *SessionClient) dial() (*Client, error) {
 	return dial(s.cfg.Addr, cc, &s.alarms)
 }
 
-// onAck prunes the window through the server's cumulative decided seq.
+// onAck prunes the window through the server's cumulative decided seq and
+// wakes every Send waiting for room.
 func (s *SessionClient) onAck(seq uint64) {
 	s.mu.Lock()
-	s.window.Confirm(seq)
+	if s.window.Confirm(seq) {
+		s.room.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// wake releases every Send waiting for room to re-check the session: the
+// connection died (degraded) or Close ran.
+func (s *SessionClient) wake() {
+	s.mu.Lock()
+	s.room.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -154,7 +174,7 @@ func (s *SessionClient) resume(conn *Client) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	wm, _ := conn.ResumeState()
-	s.window.Confirm(wm)
+	s.window.Confirm(wm) // no Send waits while degraded: nothing to wake
 	for _, be := range s.window.Items() {
 		s.retransmits++
 		if err := conn.SendRetx(be.Ev); err != nil {
@@ -171,26 +191,36 @@ func (s *SessionClient) resume(conn *Client) error {
 
 // Send accepts one event into the session window and, when a connection is
 // live, streams it. Events must carry strictly increasing Seq. While
-// degraded the event is banked and delivered on resume; a full window
-// returns ErrSendWindowFull; after give-up, ErrSessionGaveUp.
+// degraded the event is banked and delivered on resume. A full window
+// waits while the connection is live — flushing first, since the acks that
+// free it answer the buffered frames — until an ack or Nack frees
+// a slot; while degraded, or once the connection it waited on dies, a full
+// window returns ErrSendWindowFull. After Close it returns ErrClientClosed,
+// after give-up ErrSessionGaveUp.
 func (s *SessionClient) Send(ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	conn, live := s.link.Current()
-	if !live {
-		if err := s.link.Err(); err != nil {
+	for {
+		conn, live := s.link.Current()
+		if !live {
+			if err := s.link.Err(); err != nil {
+				return err
+			}
+		}
+		err := s.window.Add(BatchEvent{Link: ev.Seq, Ev: ev})
+		if err == nil {
+			if live {
+				// A write error here is not a loss: the event is in the
+				// window and the next resume retransmits it.
+				conn.Send(ev)
+			}
+			return nil
+		}
+		if !errors.Is(err, ErrSendWindowFull) || !live || conn.Flush() != nil {
 			return err
 		}
+		s.room.Wait()
 	}
-	if err := s.window.Add(BatchEvent{Link: ev.Seq, Ev: ev}); err != nil {
-		return err
-	}
-	if live {
-		// A write error here is not a loss: the event is in the window
-		// and the next resume retransmits it.
-		conn.Send(ev)
-	}
-	return nil
 }
 
 // Flush pushes buffered frames on the live connection, if any.
@@ -236,10 +266,13 @@ func (s *SessionClient) Pending() int {
 }
 
 // Close tears the session client down: stops the reconnect machinery,
-// closes the live connection (a clean Bye retires the server-side session),
-// and waits for the watcher goroutines. Idempotent.
+// releases every waiting Send with ErrClientClosed, closes the live
+// connection (a clean Bye retires the server-side session), and waits for
+// the watcher goroutines. Idempotent.
 func (s *SessionClient) Close() error {
-	if conn, ok := s.link.Close(); ok && conn != nil {
+	conn, ok := s.link.Close()
+	s.wake()
+	if ok && conn != nil {
 		conn.Close()
 	}
 	s.link.Wait()

@@ -438,6 +438,8 @@ func TestSessionClientReconnectsThroughFlaps(t *testing.T) {
 			if err == nil {
 				break
 			}
+			// A full window refuses only while degraded (a connected Send
+			// waits for room): retry until the session resumes.
 			if errors.Is(err, ErrSendWindowFull) {
 				sc.Flush()
 				time.Sleep(time.Millisecond)
@@ -471,10 +473,15 @@ func TestSessionClientReconnectsThroughFlaps(t *testing.T) {
 	if !ok {
 		t.Fatal("admitted sequence has gaps or duplicates")
 	}
-	cst := sc.Stats()
-	if cst.Reconnects == 0 {
-		t.Error("no reconnects despite scripted kills")
+	// The server admits a resume's retransmitted tail before the client
+	// publishes the connection, counts the reconnect and reports it.
+	reconnected := func() bool {
+		stMu.Lock()
+		defer stMu.Unlock()
+		return sc.Stats().Reconnects > 0 && len(states) > 1 && states[len(states)-1] == StateConnected
 	}
+	waitFor(t, "a reconnect after the scripted kills", reconnected)
+	cst := sc.Stats()
 	if len(cst.Recoveries) != int(cst.Reconnects) {
 		t.Errorf("recoveries %d != reconnects %d", len(cst.Recoveries), cst.Reconnects)
 	}
@@ -734,5 +741,163 @@ func TestSessionClientSurvivesServerRestart(t *testing.T) {
 	}
 	if st := s2.Stats(); st.AlarmsDropped != 0 || st.Alarms != 5 {
 		t.Errorf("restarted server: alarms %d dropped %d, want 5 0", st.Alarms, st.AlarmsDropped)
+	}
+}
+
+// openFullSession opens a session with a window of 4 against a server that
+// acks only on a Ping, and fills the window with events 1..4.
+func openFullSession(t *testing.T, tweak func(*SessionConfig)) (*SessionClient, *Server) {
+	t.Helper()
+	b := newFakeBackend("", "home-0")
+	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 1 << 20 })
+	cfg := SessionConfig{Addr: addr, Session: "prod", Client: ClientConfig{Tenant: "home-0"}, Window: 4,
+		BackoffMin: time.Hour, BackoffMax: time.Hour}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	sc, err := OpenSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	for seq := uint64(1); seq <= 4; seq++ {
+		if err := sc.Send(Event{Seq: seq, Device: "light"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sc, s
+}
+
+// sendAsync runs Send in a goroutine and returns the channel of its result.
+func sendAsync(sc *SessionClient, seq uint64) chan error {
+	done := make(chan error, 1)
+	go func() { done <- sc.Send(Event{Seq: seq, Device: "light"}) }()
+	return done
+}
+
+// expectBlocked fails when done yields within a short grace period.
+func expectBlocked(t *testing.T, done chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("Send into a full window returned %v while connected, want it to wait", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+}
+
+// expectResult waits for done and checks its error.
+func expectResult(t *testing.T, done chan error, want error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if !errors.Is(err, want) {
+			t.Fatalf("blocked Send returned %v, want %v", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocked Send never returned")
+	}
+}
+
+// TestSessionSendWaitsForAck: while connected, a Send into a full window
+// waits until an ack frees a slot, then returns nil; the event it waited
+// with is delivered.
+func TestSessionSendWaitsForAck(t *testing.T) {
+	sc, _ := openFullSession(t, nil)
+	done := sendAsync(sc, 5)
+	expectBlocked(t, done)
+	// The Ping earns the cumulative ack of 1..4, which the blocked Send
+	// flushed before it waited.
+	if err := sc.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	expectResult(t, done, nil)
+	if st := sc.Stats(); st.Acked != 4 || st.Window != 1 {
+		t.Errorf("acked %d window %d, want 4 and 1", st.Acked, st.Window)
+	}
+}
+
+// TestSessionCloseReleasesSend: Close releases a Send waiting on a full
+// window with ErrClientClosed.
+func TestSessionCloseReleasesSend(t *testing.T) {
+	sc, _ := openFullSession(t, nil)
+	done := sendAsync(sc, 5)
+	expectBlocked(t, done)
+	sc.Close()
+	expectResult(t, done, ErrClientClosed)
+}
+
+// TestSessionConnDeathReleasesSend: the connection's death releases a Send
+// waiting on a full window with ErrSendWindowFull, and while the session is
+// degraded a full window refuses at once.
+func TestSessionConnDeathReleasesSend(t *testing.T) {
+	sc, s := openFullSession(t, nil)
+	done := sendAsync(sc, 5)
+	expectBlocked(t, done)
+	s.ep.CloseConns()
+	expectResult(t, done, ErrSendWindowFull)
+	waitFor(t, "degraded", func() bool { return sc.Stats().State == StateDegraded })
+	if err := sc.Send(Event{Seq: 5, Device: "light"}); !errors.Is(err, ErrSendWindowFull) {
+		t.Fatalf("degraded Send into a full window returned %v, want ErrSendWindowFull", err)
+	}
+}
+
+// TestSessionGiveUpEndsSendRetry: a producer released by the connection's
+// death retries on ErrSendWindowFull, the degraded path, until the session
+// gives up; its loop ends with ErrSessionGaveUp.
+func TestSessionGiveUpEndsSendRetry(t *testing.T) {
+	sc, s := openFullSession(t, func(cfg *SessionConfig) {
+		cfg.MaxAttempts, cfg.BackoffMin, cfg.BackoffMax = 2, time.Millisecond, 5*time.Millisecond
+	})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			err := sc.Send(Event{Seq: 5, Device: "light"})
+			if errors.Is(err, ErrSendWindowFull) {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			done <- err
+			return
+		}
+	}()
+	expectBlocked(t, done)
+	s.Close() // no server to reconnect to: the link gives up
+	expectResult(t, done, ErrSessionGaveUp)
+}
+
+// TestSessionConcurrentSendersAllWake: four Sends waiting on one full
+// window all return once one ack frees room for all of them. A wake-up of
+// a single waiter would leave three waiting for acks that never come. The
+// senders race for the window, so one that finds a higher Seq added first
+// gets ErrSeqOrder; the rest are added, in ascending order.
+func TestSessionConcurrentSendersAllWake(t *testing.T) {
+	sc, _ := openFullSession(t, nil)
+	var dones []chan error
+	for seq := uint64(5); seq <= 8; seq++ {
+		dones = append(dones, sendAsync(sc, seq))
+	}
+	for _, done := range dones {
+		expectBlocked(t, done)
+	}
+	if err := sc.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	added := 0
+	for i, done := range dones {
+		select {
+		case err := <-done:
+			switch {
+			case err == nil:
+				added++
+			case !errors.Is(err, ErrSeqOrder):
+				t.Fatalf("sender %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("sender %d still waiting after the ack freed the window", i)
+		}
+	}
+	st := sc.Stats()
+	if added == 0 || st.Window != added {
+		t.Fatalf("%d senders added, window holds %d", added, st.Window)
 	}
 }

@@ -326,7 +326,7 @@ type Receiver struct {
 	w        *Writer // attached writer; nil while detached
 	alarmSeq uint64  // last assigned alarm index
 	sent     uint64  // highest index handed to w
-	ring     []bankedAlarm
+	ring     fifo[bankedAlarm]
 }
 
 // bankedAlarm is one bank entry: its index and the encoded frame, so a
@@ -404,11 +404,11 @@ func (r *Receiver) Push(e *Endpoint, a Alarm, enc func(dst []byte, idx uint64, a
 		e.AlarmsDropped.Add(1)
 		return false
 	}
-	if len(r.ring) >= e.AlarmRing {
-		r.ring = append(r.ring[:0], r.ring[1:]...)
+	if r.ring.len() >= e.AlarmRing {
+		r.ring.drop(1)
 		e.AlarmsDropped.Add(1)
 	}
-	r.ring = append(r.ring, bankedAlarm{idx: r.alarmSeq, frame: frame})
+	r.ring.push(bankedAlarm{idx: r.alarmSeq, frame: frame})
 	if r.w == nil {
 		e.AlarmsBuffered.Add(1)
 		return false
@@ -429,11 +429,12 @@ func (r *Receiver) Push(e *Endpoint, a Alarm, enc func(dst []byte, idx uint64, a
 // space: it reports how many alarms went out, or -1 when the writer's
 // queue refused them (they stay unsent for the next push or attach).
 func (r *Receiver) flushLocked() int {
-	i := len(r.ring)
-	for i > 0 && r.ring[i-1].idx > r.sent {
+	ring := r.ring.items()
+	i := len(ring)
+	for i > 0 && ring[i-1].idx > r.sent {
 		i--
 	}
-	tail := r.ring[i:]
+	tail := ring[i:]
 	if len(tail) == 0 {
 		return 0
 	}
@@ -506,13 +507,12 @@ func (r *Receiver) confirmLocked(idx uint64) {
 	if idx > r.alarmSeq {
 		return
 	}
-	keep := 0
-	for keep < len(r.ring) && r.ring[keep].idx <= idx {
-		keep++
+	ring := r.ring.items()
+	n := 0
+	for n < len(ring) && ring[n].idx <= idx {
+		n++
 	}
-	if keep > 0 {
-		r.ring = append(r.ring[:0], r.ring[keep:]...)
-	}
+	r.ring.drop(n)
 }
 
 // Window is a sending end's bounded retransmit window: the events sent but
@@ -522,7 +522,7 @@ func (r *Receiver) confirmLocked(idx uint64) {
 // through Confirm. It is not safe for concurrent use.
 type Window struct {
 	limit int
-	items []BatchEvent
+	items fifo[BatchEvent]
 	acked uint64 // highest sequence known decided
 	last  uint64 // highest sequence added (or confirmed)
 }
@@ -540,7 +540,7 @@ func (w *Window) Add(be BatchEvent) error {
 		return ErrSendWindowFull
 	}
 	w.last = be.Link
-	w.items = append(w.items, be)
+	w.items.push(be)
 	return nil
 }
 
@@ -551,27 +551,65 @@ func (w *Window) Confirm(wm uint64) bool {
 		return false
 	}
 	w.acked, w.last = wm, max(w.last, wm)
-	keep := 0
-	for keep < len(w.items) && w.items[keep].Link <= wm {
-		keep++
+	items := w.items.items()
+	n := 0
+	for n < len(items) && items[n].Link <= wm {
+		n++
 	}
-	w.items = append(w.items[:0], w.items[keep:]...)
+	w.items.drop(n)
 	return true
 }
 
 // Full reports whether the window is at its limit.
-func (w *Window) Full() bool { return len(w.items) >= w.limit }
+func (w *Window) Full() bool { return w.items.len() >= w.limit }
 
 // Items returns the unconfirmed events, oldest first; valid until the next
 // Add or Confirm.
-func (w *Window) Items() []BatchEvent { return w.items }
+func (w *Window) Items() []BatchEvent { return w.items.items() }
 
 // Len reports how many events are unconfirmed.
-func (w *Window) Len() int { return len(w.items) }
+func (w *Window) Len() int { return w.items.len() }
 
 // Acked reports the highest sequence known decided; Last the highest added.
 func (w *Window) Acked() uint64 { return w.acked }
 func (w *Window) Last() uint64  { return w.last }
+
+// fifo is a first-in, first-out slice whose drops from the front advance a
+// head offset instead of moving the survivors. The survivors move down only
+// when a push finds the backing array full and at least a fifth of it
+// dropped, so a drop costs O(dropped), a push amortized O(1) (at most four
+// moves per dropped item), and the array grows only when more than four
+// fifths of it are live.
+type fifo[T any] struct {
+	buf  []T // buf[head:] are the items, oldest first
+	head int
+}
+
+// items returns the items, oldest first; valid until the next push or drop.
+func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// push appends v, first moving the items to the front of a full backing
+// array when enough of it was dropped.
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= q.len()/4 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// drop removes the n oldest items, clearing their slots so the array keeps
+// nothing they reference alive.
+func (q *fifo[T]) drop(n int) {
+	clear(q.buf[q.head : q.head+n])
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
 
 // AlarmCursor is a sending end's alarm receipt cursor: it dedups alarms by
 // index (a replay may overlap deliveries) and holds the receipt to echo
@@ -724,8 +762,10 @@ type LinkVocab[C LinkConn] struct {
 	// per-stream resumes — and installs it with Link.Publish. On error it
 	// must discard the connection.
 	Resume func(C) error
-	// GaveUp, when non-nil, runs once the link gives up.
-	GaveUp func()
+	// Degraded, when non-nil, runs each time the live connection dies,
+	// once it is no longer published; GaveUp, when non-nil, runs once the
+	// link gives up.
+	Degraded, GaveUp func()
 	// ErrClosed and ErrGaveUp are the errors Err reports.
 	ErrClosed, ErrGaveUp error
 }
@@ -833,6 +873,9 @@ func (l *Link[C]) watch(c C) {
 	l.state, l.died = StateDegraded, time.Now()
 	l.live.Store(zero)
 	l.mu.Unlock()
+	if l.v.Degraded != nil {
+		l.v.Degraded()
+	}
 	l.notify(StateDegraded)
 	for attempt := 0; ; attempt++ {
 		select {

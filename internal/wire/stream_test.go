@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -315,5 +316,82 @@ func TestStreamBackoff(t *testing.T) {
 		if !differs {
 			t.Errorf("%s: seeds %d and %d drew the same jitter", tc.name, tc.seed, tc.seed+2)
 		}
+	}
+}
+
+// TestStreamWindowChurn drives a window through seeded rounds of adds and
+// partial confirms against a plain slice: Items stays oldest-first and
+// equal to the reference, the backing array stays within one growth past
+// five fourths of the limit, and a steady full window confirms and refills
+// without allocating.
+func TestStreamWindowChurn(t *testing.T) {
+	const limit = 64
+	w := NewWindow(limit)
+	rng := rand.New(rand.NewSource(5))
+	var ref []uint64
+	var next uint64
+	// The array grows only when more than four fifths of it are live, so
+	// from at most five fourths of the limit.
+	maxCap := cap(append(make([]BatchEvent, limit*5/4), BatchEvent{}))
+	for round := range 2000 {
+		for n := rng.Intn(limit); n > 0 && !w.Full(); n-- {
+			next++
+			if err := w.Add(BatchEvent{Link: next}); err != nil {
+				t.Fatalf("round %d: add %d: %v", round, next, err)
+			}
+			ref = append(ref, next)
+		}
+		if len(ref) > 0 {
+			k := rng.Intn(len(ref) + 1)
+			if k > 0 {
+				w.Confirm(ref[k-1])
+				ref = ref[k:]
+			}
+		}
+		items := w.Items()
+		if len(items) != len(ref) {
+			t.Fatalf("round %d: %d items, want %d", round, len(items), len(ref))
+		}
+		for i, be := range items {
+			if be.Link != ref[i] {
+				t.Fatalf("round %d: item %d is %d, want %d", round, i, be.Link, ref[i])
+			}
+		}
+		if c := cap(w.items.buf); c > maxCap {
+			t.Fatalf("round %d: backing array of %d for a window of %d, want at most %d", round, c, limit, maxCap)
+		}
+	}
+	w = fillWindow(limit)
+	if allocs := testing.AllocsPerRun(100, func() { confirmAndRefill(&w, 8) }); allocs != 0 {
+		t.Errorf("steady confirm and refill: %v allocs, want 0", allocs)
+	}
+}
+
+// fillWindow returns a full window of limit events.
+func fillWindow(limit int) Window {
+	w := NewWindow(limit)
+	for !w.Full() {
+		w.Add(BatchEvent{Link: w.Last() + 1, Ev: Event{Seq: w.Last() + 1, Device: "light"}})
+	}
+	return w
+}
+
+// confirmAndRefill confirms the k oldest events of a full window and adds
+// k new ones: one ack's worth of a producer running at the window limit.
+func confirmAndRefill(w *Window, k int) {
+	w.Confirm(w.Items()[k-1].Link)
+	for range k {
+		w.Add(BatchEvent{Link: w.Last() + 1, Ev: Event{Seq: w.Last() + 1, Device: "light"}})
+	}
+}
+
+// BenchmarkWindowConfirm is a cluster proxy's full 4096-event window
+// confirmed 64 events at a time and refilled: one op is one ack.
+func BenchmarkWindowConfirm(b *testing.B) {
+	w := fillWindow(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		confirmAndRefill(&w, 64)
 	}
 }

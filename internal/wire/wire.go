@@ -56,9 +56,10 @@ var (
 	// ErrClientClosed reports an operation on a closed client.
 	ErrClientClosed = errors.New("wire: client closed")
 	// ErrSendWindowFull reports a SessionClient whose bounded ring of
-	// sent-but-unacknowledged events is full: the producer is outrunning
-	// the server (or a reconnect is in progress). Typed backpressure — the
-	// caller owns the retry; nothing is silently shed.
+	// sent-but-unacknowledged events is full while the session is
+	// degraded (a reconnect is in progress), or whose connection died
+	// while Send waited for room; a connected Send waits instead. Typed
+	// backpressure — the caller owns the retry; nothing is silently shed.
 	ErrSendWindowFull = errors.New("wire: send window full")
 	// ErrSessionGaveUp reports a SessionClient that exhausted its
 	// reconnect attempts; every later Send and Err returns it.

@@ -158,6 +158,8 @@ func TestNetchaosSessionSoak(t *testing.T) {
 			if err == nil {
 				break
 			}
+			// A full window refuses only while the session is degraded
+			// (a connected Send waits for room): retry until it resumes.
 			if errors.Is(err, wire.ErrSendWindowFull) {
 				sc.Flush()
 				time.Sleep(time.Millisecond)
@@ -297,6 +299,8 @@ func TestNetchaosKillDuringMigration(t *testing.T) {
 			if err == nil {
 				break
 			}
+			// A full window refuses only while the session is degraded
+			// (a connected Send waits for room): retry until it resumes.
 			if errors.Is(err, wire.ErrSendWindowFull) {
 				sc.Flush()
 				time.Sleep(time.Millisecond)
