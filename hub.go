@@ -158,11 +158,12 @@ type TenantStats struct {
 	Rejected   uint64
 	Errors     uint64
 	QueueDepth int
-	// P50 and P99 are per-event service-time percentiles (the observe
-	// call plus the hub's per-event bookkeeping) over the home's 512 most
-	// recent events. Each sample is kept as a log-linear bucket, 16 per
-	// power of two, and a percentile reports its bucket's midpoint, within
-	// 1/32 of every sample in the bucket. A Hub's Total merges every
+	// P50 and P99 are service-time percentiles over the home's 512 most
+	// recent samples. A sample is the observe call alone of one event in
+	// 64 that the home serves, its first event included, so the window
+	// spans about 32K events. Each sample is kept as a log-linear bucket,
+	// 16 per power of two, and a percentile reports its bucket's midpoint,
+	// within 1/32 of every sample in the bucket. A Hub's Total merges every
 	// home's window; a Fleet's Total takes the largest of its shards'.
 	P50 time.Duration
 	P99 time.Duration

@@ -194,7 +194,8 @@ func (p *FailFirst) Handle(hub.Event) (bool, error) {
 func (p *FailFirst) Calls() int { return int(p.calls.Load()) }
 
 // Clock is a deterministic, manually advanced time source for the hub's
-// quarantine backoff: chaos tests step it instead of sleeping.
+// quarantine backoff and sampled service times: chaos tests step it
+// instead of sleeping.
 type Clock struct {
 	mu sync.Mutex
 	t  time.Time

@@ -3,6 +3,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -78,7 +79,7 @@ func TestChaosSubmitBatchBlockOverflow(t *testing.T) {
 // fit are admitted, the first that does not is refused with
 // ErrBackpressure, and the rest are not attempted.
 func TestChaosSubmitBatchRejectPrefix(t *testing.T) {
-	h := workerlessHub(Config{QueueSize: 4, Policy: Reject})
+	h := newHub(Config{QueueSize: 4, Policy: Reject})
 	if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +99,8 @@ func TestChaosSubmitBatchRejectPrefix(t *testing.T) {
 // TestChaosSubmitBatchDropOldestParity checks that a DropOldest batch
 // evicts exactly what the same events submitted one at a time evict.
 func TestChaosSubmitBatchDropOldestParity(t *testing.T) {
-	batch := workerlessHub(Config{QueueSize: 4, Policy: DropOldest})
-	single := workerlessHub(Config{QueueSize: 4, Policy: DropOldest})
+	batch := newHub(Config{QueueSize: 4, Policy: DropOldest})
+	single := newHub(Config{QueueSize: 4, Policy: DropOldest})
 	for _, h := range []*Hub{batch, single} {
 		if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
 			t.Fatal(err)
@@ -134,7 +135,7 @@ func TestChaosSubmitBatchDropOldestParity(t *testing.T) {
 // event as the probe and refuses the next with ErrQuarantined.
 func TestQuarantineProbeOneEventPerBatch(t *testing.T) {
 	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	h := workerlessHub(Config{Clock: func() time.Time { return now }})
+	h := newHub(Config{Clock: func() time.Time { return now }})
 	if err := h.Register("home", &recorder{}, TenantConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestQuarantineProbeOneEventPerBatch(t *testing.T) {
 // place between runs and the tenant stays scheduled, so the measurement
 // covers the submit path alone.
 func TestChaosHubSubmitZeroAlloc(t *testing.T) {
-	h := workerlessHub(Config{QueueSize: 128})
+	h := newHub(Config{QueueSize: 128})
 	if err := h.Register("home", &keyedProc{}, TenantConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestQuarantineBreakerSkipsLockWhenClean(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-			h := workerlessHub(Config{QuarantineAfter: c.after, BatchSize: 16, Clock: func() time.Time { return now }})
+			h := newHub(Config{QuarantineAfter: c.after, BatchSize: 16, Clock: func() time.Time { return now }})
 			p := &scriptProc{}
 			if err := h.Register("home", p, TenantConfig{}); err != nil {
 				t.Fatal(err)
@@ -257,4 +258,45 @@ func TestQuarantineBreakerSkipsLockWhenClean(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkHubOverhead times the hub's fixed cost per event with a no-op
+// processor: each op Submits 64 events to each of 64 tenants (four model
+// keys, interleaved across tenants) and then drains the run queue on the
+// benchmark goroutine through the workers' own drainTurn. It reports
+// ns/event and allocs/event over the whole op: lookup, enqueue, scheduling,
+// grouping, the drained batch and the per-event bookkeeping.
+func BenchmarkHubOverhead(b *testing.B) {
+	const tenants, perTenant = 64, 64
+	h := newHub(Config{})
+	h.stopping = true // drainTurn returns once the run queue is empty
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("home-%02d", i)
+		if err := h.Register(names[i], &keyedProc{key: uint64(i%4 + 1)}, TenantConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	group := make([]*tenant, 0, h.cfg.GroupBatch)
+	ev := Event{Device: "d", Value: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < perTenant; j++ {
+			for _, name := range names {
+				if err := h.Submit(name, ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for ok := true; ok; {
+			group, ok = h.drainTurn(group)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N) * tenants * perTenant
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
 }

@@ -2,7 +2,6 @@ package hub
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -18,15 +17,6 @@ func (p *keyedProc) Handle(Event) (bool, error) {
 }
 
 func (p *keyedProc) ModelKey() uint64 { return p.key }
-
-// workerlessHub builds a hub with no worker goroutines, so tests drive the
-// scheduler by calling drainTurn directly and observe its decisions
-// deterministically.
-func workerlessHub(cfg Config) *Hub {
-	h := &Hub{cfg: cfg.withDefaults(), tenants: make(map[string]*tenant)}
-	h.qcond = sync.NewCond(&h.qmu)
-	return h
-}
 
 // queuedKeys reads the run queue's model keys in FIFO order.
 func (h *Hub) queuedKeys() []uint64 {
@@ -44,7 +34,7 @@ func (h *Hub) queuedKeys() []uint64 {
 // non-zero model key, leaves the remainder in FIFO order, and never groups
 // zero-key (unknown-model) tenants.
 func TestExtractGroupSameModel(t *testing.T) {
-	h := workerlessHub(Config{Workers: 1, GroupBatch: 3})
+	h := newHub(Config{Workers: 1, GroupBatch: 3})
 	// Model keys across seven tenants: leader A, then B A 0 A B A queued.
 	keys := []uint64{7, 9, 7, 0, 7, 9, 7}
 	ev := Event{Device: "d", Value: 1}
@@ -106,7 +96,7 @@ func TestExtractGroupSameModel(t *testing.T) {
 	}
 	// Every submitted event was processed exactly once.
 	for i := range keys {
-		p := h.tenants[fmt.Sprintf("t%d", i)].proc.(*keyedProc)
+		p := h.table()[fmt.Sprintf("t%d", i)].proc.(*keyedProc)
 		if p.handled != 1 {
 			t.Fatalf("t%d handled %d events, want 1", i, p.handled)
 		}
@@ -116,7 +106,7 @@ func TestExtractGroupSameModel(t *testing.T) {
 // TestExtractGroupDisabled pins GroupBatch < 0: every turn drains exactly
 // one tenant regardless of matching keys.
 func TestExtractGroupDisabled(t *testing.T) {
-	h := workerlessHub(Config{Workers: 1, GroupBatch: -1})
+	h := newHub(Config{Workers: 1, GroupBatch: -1})
 	ev := Event{Device: "d", Value: 1}
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("t%d", i)
@@ -145,7 +135,7 @@ func TestExtractGroupDisabled(t *testing.T) {
 // scratch is worker-owned and reused; extraction compacts the run queue in
 // place).
 func TestGroupedDrainTurnZeroAlloc(t *testing.T) {
-	h := workerlessHub(Config{Workers: 1, GroupBatch: 4})
+	h := newHub(Config{Workers: 1, GroupBatch: 4})
 	const tenants = 4
 	names := make([]string, tenants)
 	for i := range names {

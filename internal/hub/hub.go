@@ -6,15 +6,23 @@
 // Each tenant queue has an explicit backpressure policy — Block, DropOldest,
 // or Reject — and the hub keeps per-tenant and global runtime counters
 // (ingested, processed, alarms, drops, rejects, errors, queue depth,
-// p50/p99 processing latency) exposed through Stats. Update pauses a
-// tenant's stream between events to hot-swap its processor (or mutate it in
-// place, e.g. swapping a retrained model into a monitor) without losing
-// queued or in-flight events.
+// p50/p99 service time) exposed through Stats. Service times are sampled:
+// the hub times the Handle call of one event in latSampleEvery (64) that a
+// tenant serves, the tenant's first event included, so the event path reads
+// no clock for the other 63. Update pauses a tenant's stream between events
+// to hot-swap its processor (or mutate it in place, e.g. swapping a
+// retrained model into a monitor) without losing queued or in-flight
+// events.
+//
+// The tenant table is copy-on-write: Submit and Stats load it from an
+// atomic pointer and take no hub-wide lock; Register and Deregister
+// serialize on the hub's mutex and publish a changed copy.
 package hub
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -139,11 +147,13 @@ type Config struct {
 	// tenant before yielding the worker, bounding the latency a busy
 	// tenant can inflict on its neighbours. Defaults to 64.
 	BatchSize int
-	// LatencySamples is how many of a tenant's most recent events its
-	// p50/p99 service-time stats cover. Each sample is kept as a log-linear
-	// bucket (16 per power of two, so a bucket spans at most 1/16 of its
-	// lower bound; clamped at about 68.7 s) and a percentile reports its
-	// bucket's midpoint. Defaults to 512.
+	// LatencySamples is how many of a tenant's most recent service-time
+	// samples its p50/p99 stats cover. A sample is the Handle call of one
+	// served event in latSampleEvery (64), so the default 512 samples span
+	// about 32K events. Each sample is kept as a log-linear bucket (16 per
+	// power of two, so a bucket spans at most 1/16 of its lower bound;
+	// clamped at about 68.7 s) and a percentile reports its bucket's
+	// midpoint. Defaults to 512.
 	LatencySamples int
 	// QuarantineAfter is the consecutive-failure count (per-event errors
 	// and recovered panics) that trips a tenant's circuit breaker: the
@@ -157,8 +167,8 @@ type Config struct {
 	// QuarantineMaxBackoff caps the exponential backoff. Defaults to 60s.
 	QuarantineMaxBackoff time.Duration
 	// Clock overrides the hub's time source for quarantine backoff
-	// scheduling; nil selects time.Now. Deterministic chaos tests inject
-	// a fake clock.
+	// scheduling and sampled service times; nil selects time.Now.
+	// Deterministic chaos tests inject a fake clock.
 	Clock func() time.Time
 	// GroupBatch caps how many same-model tenants one scheduling turn
 	// drains back-to-back on a single worker. Tenants whose processors
@@ -268,6 +278,9 @@ type tenant struct {
 	// clears the flag first, so while the flag is set a success changes no
 	// breaker state and noteOutcome skips t.mu.
 	breakerClean bool
+	// served, guarded by procMu, counts the events handed to the
+	// processor; runBatch times the events latSampled picks from it.
+	served uint64
 
 	// modelKey caches the processor's ModelKey for the scheduler's grouping
 	// scan. Written at Register and after every successful Update (both
@@ -292,8 +305,11 @@ type tenant struct {
 type Hub struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	tenants map[string]*tenant
+	// tenants is the copy-on-write tenant table: readers load the current
+	// map and never write it; Register and Deregister, serialized by mu,
+	// publish a changed copy.
+	mu      sync.Mutex
+	tenants atomic.Pointer[map[string]*tenant]
 
 	// Unbounded FIFO run queue of tenants with pending work. A tenant
 	// appears at most once (the scheduled flag), so the queue length is
@@ -313,14 +329,25 @@ type Hub struct {
 
 // New starts a hub and its worker pool.
 func New(cfg Config) *Hub {
-	h := &Hub{cfg: cfg.withDefaults(), tenants: make(map[string]*tenant)}
-	h.qcond = sync.NewCond(&h.qmu)
+	h := newHub(cfg)
 	h.wg.Add(h.cfg.Workers)
 	for i := 0; i < h.cfg.Workers; i++ {
 		go h.worker()
 	}
 	return h
 }
+
+// newHub builds a hub with an empty tenant table and no worker goroutines;
+// New starts the workers, and tests drive the scheduler through drainTurn.
+func newHub(cfg Config) *Hub {
+	h := &Hub{cfg: cfg.withDefaults()}
+	h.tenants.Store(&map[string]*tenant{})
+	h.qcond = sync.NewCond(&h.qmu)
+	return h
+}
+
+// table returns the current tenant table; callers must not modify it.
+func (h *Hub) table() map[string]*tenant { return *h.tenants.Load() }
 
 // Workers returns the worker pool size.
 func (h *Hub) Workers() int { return h.cfg.Workers }
@@ -359,17 +386,20 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// The closed check must run under h.mu: Close's drain sweep takes
-	// h.mu after flipping the flag, so a tenant registered here either
-	// observes the closed hub or lands before the sweep — never after it,
-	// silently stranded.
+	// The closed check must run under h.mu: Close takes h.mu after
+	// flipping the flag before it loads the table it sweeps, so a tenant
+	// registered here either observes the closed hub or is published before
+	// the sweep's load — never after it, silently stranded.
 	if h.closed.Load() {
 		return ErrClosed
 	}
-	if _, dup := h.tenants[name]; dup {
+	old := h.table()
+	if _, dup := old[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateTenant, name)
 	}
-	h.tenants[name] = t
+	next := maps.Clone(old)
+	next[name] = t
+	h.tenants.Store(&next)
 	return nil
 }
 
@@ -377,8 +407,13 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 // any producers blocked on its queue.
 func (h *Hub) Deregister(name string) error {
 	h.mu.Lock()
-	t := h.tenants[name]
-	delete(h.tenants, name)
+	old := h.table()
+	t := old[name]
+	if t != nil {
+		next := maps.Clone(old)
+		delete(next, name)
+		h.tenants.Store(&next)
+	}
 	h.mu.Unlock()
 	if t == nil {
 		return fmt.Errorf("%w %q", ErrUnknownTenant, name)
@@ -391,11 +426,9 @@ func (h *Hub) Deregister(name string) error {
 	return nil
 }
 
-// lookup fetches a live tenant by name.
+// lookup fetches a live tenant by name from the current table, lock-free.
 func (h *Hub) lookup(name string) (*tenant, error) {
-	h.mu.RLock()
-	t := h.tenants[name]
-	h.mu.RUnlock()
+	t := h.table()[name]
 	if t == nil {
 		return nil, fmt.Errorf("%w %q", ErrUnknownTenant, name)
 	}
@@ -613,11 +646,11 @@ func (h *Hub) extractGroupLocked(t *tenant, group []*tenant) []*tenant {
 // event, freeing every slot at once before processing outside the lock —
 // blocked producers are woken once per chunk, not once per event.
 //
-// Service times chain off one wall-and-monotonic read per chunk: each event
-// takes one monotonic reading right after its Handle returns, and its
-// service time runs from the previous reading (the chunk's base for the
-// first event) to its own. It thus includes the previous event's
-// bookkeeping: latency record, counters, error callback, circuit breaker.
+// Service times are sampled: latSampled picks one event in latSampleEvery
+// from the tenant's served counter, the tenant's first event always among
+// them. A sample is its Handle call alone (the processor's work and the
+// panic recovery), read with the hub's Clock before and after; the other
+// events read no clock at all.
 func (t *tenant) runBatch(max int) {
 	t.procMu.Lock()
 	defer t.procMu.Unlock()
@@ -644,13 +677,17 @@ func (t *tenant) runBatch(max int) {
 	t.notFull.Broadcast()
 	t.mu.Unlock()
 
-	base := time.Now()
-	var prev time.Duration
 	for i := range batch {
-		alarmed, err := t.handleOne(batch[i])
-		now := time.Since(base)
-		t.lat.record(now - prev)
-		prev = now
+		var alarmed bool
+		var err error
+		if latSampled(t.served) {
+			start := t.hub.cfg.Clock()
+			alarmed, err = t.handleOne(batch[i])
+			t.lat.record(t.hub.cfg.Clock().Sub(start))
+		} else {
+			alarmed, err = t.handleOne(batch[i])
+		}
+		t.served++
 		t.processed.Add(1)
 		if alarmed {
 			t.alarms.Add(1)
@@ -829,15 +866,19 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 	if h.closed.Swap(true) {
 		return nil
 	}
+	// Taking h.mu orders this load after every Register that saw the hub
+	// open: no later Register succeeds, so the table holds every tenant the
+	// sweeps below must reach.
+	h.mu.Lock()
+	tenants := h.table()
+	h.mu.Unlock()
 	// Release producers blocked on full queues; they observe the closed
 	// hub and fail their Submit.
-	h.mu.RLock()
-	for _, t := range h.tenants {
+	for _, t := range tenants {
 		t.mu.Lock()
 		t.notFull.Broadcast()
 		t.mu.Unlock()
 	}
-	h.mu.RUnlock()
 	h.qmu.Lock()
 	h.stopping = true
 	h.qmu.Unlock()
@@ -848,9 +889,7 @@ func (h *Hub) CloseWithin(d time.Duration) error {
 		h.wg.Wait()
 		// Sweep events that slipped in between the closed check of a
 		// racing Submit and worker shutdown.
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		for _, t := range h.tenants {
+		for _, t := range tenants {
 			for {
 				t.mu.Lock()
 				pending := t.n
@@ -884,10 +923,12 @@ type TenantStats struct {
 	Rejected   uint64
 	Errors     uint64
 	QueueDepth int
-	// P50 and P99 are service-time percentiles over the tenant's most
-	// recent LatencySamples events (nearest rank). Each is the midpoint of
-	// its log-linear bucket, within 1/32 of every sample in that bucket
-	// (16 buckets per power of two); zero only when no event was served.
+	// P50 and P99 are service-time percentiles (nearest rank) over the
+	// tenant's most recent LatencySamples samples. A sample is the Handle
+	// call of one served event in latSampleEvery (64), the first event
+	// included. Each percentile is the midpoint of its log-linear bucket,
+	// within 1/32 of every sample in that bucket (16 buckets per power of
+	// two); zero only when no event was served.
 	P50 time.Duration
 	P99 time.Duration
 	// Health is the tenant's circuit-breaker state; Panics counts
@@ -961,12 +1002,11 @@ func (h *Hub) TenantStats(name string) (TenantStats, error) {
 
 // Stats snapshots the hub's runtime counters.
 func (h *Hub) Stats() Stats {
-	h.mu.RLock()
-	tenants := make([]*tenant, 0, len(h.tenants))
-	for _, t := range h.tenants {
+	table := h.table()
+	tenants := make([]*tenant, 0, len(table))
+	for _, t := range table {
 		tenants = append(tenants, t)
 	}
-	h.mu.RUnlock()
 	slices.SortFunc(tenants, func(a, b *tenant) int { return strings.Compare(a.name, b.name) })
 
 	s := Stats{Tenants: make([]TenantStats, 0, len(tenants)), Workers: h.cfg.Workers, Grouped: h.grouped.Load()}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -145,5 +146,149 @@ func TestConcurrentSubmitDeregisterCloseStress(t *testing.T) {
 	wg.Wait()
 	if err := h.Close(); err != nil {
 		t.Errorf("idempotent close after stress = %v", err)
+	}
+}
+
+// TestTenantTableStress races the copy-on-write tenant table (run under
+// -race): Register/Deregister churn on some names while producers Submit
+// and SubmitBatch to stable and churned names and readers take Stats and
+// TenantStats, and the hub closes with the churn still running. A refused
+// submit is only ever ErrUnknownTenant or ErrClosed, stable tenants lose no
+// event, and every producer returns.
+func TestTenantTableStress(t *testing.T) {
+	const stable, churned, events = 3, 3, 600
+	h := New(Config{Workers: 2, QueueSize: 8, BatchSize: 4})
+	stableProcs := make([]*recorder, stable)
+	for i := range stableProcs {
+		stableProcs[i] = &recorder{}
+		if err := h.Register(fmt.Sprintf("stable-%d", i), stableProcs[i], TenantConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refusedOK := func(err error) bool {
+		return errors.Is(err, ErrUnknownTenant) || errors.Is(err, ErrClosed)
+	}
+
+	var stableWG, rest sync.WaitGroup
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	// Churn: register and deregister the churned names until the hub
+	// closes; a Register that loses to Close must say ErrClosed.
+	for i := 0; i < churned; i++ {
+		rest.Add(1)
+		go func(name string) {
+			defer rest.Done()
+			for {
+				err := h.Register(name, &recorder{}, TenantConfig{})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("register %s: %v", name, err)
+					return
+				}
+				runtime.Gosched()
+				if err := h.Deregister(name); err != nil && !errors.Is(err, ErrUnknownTenant) {
+					t.Errorf("deregister %s: %v", name, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("churn-%d", i))
+	}
+	// Producers on churned names, until stopped.
+	for i := 0; i < churned; i++ {
+		rest.Add(1)
+		go func(name string) {
+			defer rest.Done()
+			batch := make([]Event, 3)
+			for j := 0; !stopped(); j++ {
+				var err error
+				if j%2 == 0 {
+					err = h.Submit(name, Event{Value: float64(j)})
+				} else {
+					_, err = h.SubmitBatch(name, batch)
+				}
+				if err != nil && !refusedOK(err) {
+					t.Errorf("submit %s: %v", name, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("churn-%d", i))
+	}
+	// Readers, until stopped.
+	for i := 0; i < 2; i++ {
+		rest.Add(1)
+		go func() {
+			defer rest.Done()
+			for !stopped() {
+				s := h.Stats()
+				if len(s.Tenants) < stable || len(s.Tenants) > stable+churned {
+					t.Errorf("Stats lists %d tenants, want %d to %d", len(s.Tenants), stable, stable+churned)
+					return
+				}
+				if _, err := h.TenantStats("stable-0"); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := h.TenantStats("churn-0"); err != nil && !errors.Is(err, ErrUnknownTenant) {
+					t.Errorf("TenantStats(churn-0): %v", err)
+					return
+				}
+			}
+		}()
+	}
+	// Producers on stable names: every event admitted, alternating Submit
+	// and SubmitBatch.
+	for i := 0; i < stable; i++ {
+		stableWG.Add(1)
+		go func(name string) {
+			defer stableWG.Done()
+			for j := 0; j < events; j += 2 {
+				if err := h.Submit(name, Event{Value: float64(j)}); err != nil {
+					t.Errorf("submit %s: %v", name, err)
+					return
+				}
+				if n, err := h.SubmitBatch(name, []Event{{Value: float64(j + 1)}}); n != 1 || err != nil {
+					t.Errorf("submit batch %s: %d, %v", name, n, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("stable-%d", i))
+	}
+	stableWG.Wait()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	rest.Wait()
+
+	for i, p := range stableProcs {
+		seen := p.seen()
+		if len(seen) != events {
+			t.Fatalf("stable-%d processed %d events, want %d", i, len(seen), events)
+		}
+		for j, v := range seen {
+			if v != float64(j) {
+				t.Fatalf("stable-%d event %d has value %v, want %d", i, j, v, j)
+			}
+		}
+	}
+	for _, ts := range h.Stats().Tenants {
+		if ts.QueueDepth != 0 || ts.Processed != ts.Ingested {
+			t.Errorf("%s after close: depth %d, processed %d of %d ingested", ts.Tenant, ts.QueueDepth, ts.Processed, ts.Ingested)
+		}
+	}
+	if err := h.Register("late", &recorder{}, TenantConfig{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("register after close = %v, want ErrClosed", err)
+	}
+	if err := h.Submit("stable-0", Event{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after close = %v, want ErrClosed", err)
 	}
 }

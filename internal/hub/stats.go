@@ -20,6 +20,25 @@ const (
 	latBuckets = (latMaxBits - latSubBits + 1) << latSubBits
 )
 
+// Service-time sampling: runBatch times one event in latSampleEvery that a
+// tenant serves, chosen by latSampled from the tenant's served-event
+// counter alone.
+const (
+	latSampleBits  = 6
+	latSampleEvery = 1 << latSampleBits
+	// latSampleMul is 2^64 divided by the golden ratio, rounded down (odd).
+	latSampleMul = 0x9E3779B97F4A7C15
+)
+
+// latSampled reports whether the tenant's n-th served event (from 0) is
+// timed: whether n·latSampleMul, wrapped to 64 bits, falls in the lowest
+// 1/latSampleEvery of the range. Event 0 always is, and any long run times
+// one event in latSampleEvery (exactly 512 of the first 32,768). The timed
+// events are 34, 55 or 89 apart rather than every 64th: a plain n%64 would
+// time only the first event of every full 64-event batch, the one that
+// pays the batch's cache misses, and so read service times high.
+func latSampled(n uint64) bool { return n*latSampleMul>>(64-latSampleBits) == 0 }
+
 // latBucket maps a duration to its bucket index, monotone in d. Durations
 // below 1 ns (an interval shorter than the clock's resolution) count as
 // 1 ns; durations above the clamp land in the last bucket.
@@ -50,8 +69,8 @@ func latPoint(i int) time.Duration {
 	return time.Duration(lo + 1<<e/2)
 }
 
-// latencyWindow holds the service times of one tenant's most recent
-// len(ring) events as bucket indices, with one count per bucket. Records
+// latencyWindow holds one tenant's most recent len(ring) service-time
+// samples as bucket indices, with one count per bucket. Records
 // are serialized by the tenant's procMu (single writer), which alone owns
 // ring and next; Stats reads only the atomic counts, concurrently.
 type latencyWindow struct {

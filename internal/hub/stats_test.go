@@ -156,7 +156,7 @@ func TestStatsTotalMergesTenants(t *testing.T) {
 			5 * time.Microsecond, 5 * time.Microsecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			h := workerlessHub(Config{})
+			h := newHub(Config{})
 			for i, ss := range c.tenants {
 				name := fmt.Sprintf("home-%d", i)
 				if err := h.Register(name, &keyedProc{}, TenantConfig{}); err != nil {
@@ -242,7 +242,7 @@ func TestStatsRacesRunBatch(t *testing.T) {
 // grow neither with LatencySamples nor with the samples recorded.
 func TestStatsAllocsFlat(t *testing.T) {
 	measure := func(size, recorded int) float64 {
-		h := workerlessHub(Config{LatencySamples: size})
+		h := newHub(Config{LatencySamples: size})
 		for i := 0; i < 8; i++ {
 			name := fmt.Sprintf("home-%d", i)
 			if err := h.Register(name, &keyedProc{}, TenantConfig{}); err != nil {
@@ -270,7 +270,7 @@ var statsSink Stats
 // BenchmarkHubStats times one Stats call over 64 tenants with full latency
 // windows.
 func BenchmarkHubStats(b *testing.B) {
-	h := workerlessHub(Config{})
+	h := newHub(Config{})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("home-%02d", i)

@@ -20,6 +20,7 @@ type fakeBackend struct {
 	sinks  map[string]func(Alarm)
 	reject error             // when non-nil, every event is refused with this
 	refuse func(Event) error // when non-nil, refuses the events it errors on
+	hold   chan struct{}     // when non-nil, SubmitBatch waits until it is closed
 }
 
 var errFakeUnknownTenant = errors.New("fake: unknown tenant")
@@ -41,6 +42,9 @@ func (b *fakeBackend) Authenticate(token, tenant string) error {
 }
 
 func (b *fakeBackend) SubmitBatch(tenant string, evs []Event) (int, error) {
+	if b.hold != nil {
+		<-b.hold
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.reject != nil {

@@ -22,8 +22,10 @@ type SessionConfig struct {
 	// retransmit. While connected, a Send into a full window waits for an
 	// ack to free a slot; while degraded it returns ErrSendWindowFull at
 	// once — typed backpressure, never silent shedding. The server acks
-	// every AckEvery events (32 by default) and on each Ping, so a window
-	// below its AckEvery drains only through Pings. Defaults to 1024.
+	// every AckEvery events (32 by default) and answers each Ping with its
+	// cumulative ack; a Send that must wait pings first, so a window of any
+	// size, even one below the server's AckEvery, draws the ack that frees
+	// it. Defaults to 1024.
 	Window int
 	// MaxAttempts is the number of consecutive failed reconnect attempts
 	// before the client gives up (StateGaveUp, sticky ErrSessionGaveUp).
@@ -192,10 +194,11 @@ func (s *SessionClient) resume(conn *Client) error {
 // Send accepts one event into the session window and, when a connection is
 // live, streams it. Events must carry strictly increasing Seq. While
 // degraded the event is banked and delivered on resume. A full window
-// waits while the connection is live — flushing first, since the acks that
-// free it answer the buffered frames — until an ack or Nack frees
-// a slot; while degraded, or once the connection it waited on dies, a full
-// window returns ErrSendWindowFull. After Close it returns ErrClientClosed,
+// waits while the connection is live — pinging first: the Ping closes the
+// open batch, flushes, and draws the server's cumulative ack of everything
+// sent before it — until an ack or Nack frees a slot; while degraded, or
+// once the connection it waited on dies, a full window returns
+// ErrSendWindowFull. After Close it returns ErrClientClosed,
 // after give-up ErrSessionGaveUp.
 func (s *SessionClient) Send(ev Event) error {
 	s.mu.Lock()
@@ -216,7 +219,7 @@ func (s *SessionClient) Send(ev Event) error {
 			}
 			return nil
 		}
-		if !errors.Is(err, ErrSendWindowFull) || !live || conn.Flush() != nil {
+		if !errors.Is(err, ErrSendWindowFull) || !live || conn.Ping() != nil {
 			return err
 		}
 		s.room.Wait()

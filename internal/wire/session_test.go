@@ -745,10 +745,15 @@ func TestSessionClientSurvivesServerRestart(t *testing.T) {
 }
 
 // openFullSession opens a session with a window of 4 against a server that
-// acks only on a Ping, and fills the window with events 1..4.
-func openFullSession(t *testing.T, tweak func(*SessionConfig)) (*SessionClient, *Server) {
+// acks only on a Ping, and fills the window with events 1..4. The server
+// admits nothing until release is called, so until then it reads no Ping
+// and sends no ack: a Send into the full window waits. The test's cleanup
+// releases the server.
+func openFullSession(t *testing.T, tweak func(*SessionConfig)) (sc *SessionClient, s *Server, release func()) {
 	t.Helper()
 	b := newFakeBackend("", "home-0")
+	b.hold = make(chan struct{})
+	release = sync.OnceFunc(func() { close(b.hold) })
 	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 1 << 20 })
 	cfg := SessionConfig{Addr: addr, Session: "prod", Client: ClientConfig{Tenant: "home-0"}, Window: 4,
 		BackoffMin: time.Hour, BackoffMax: time.Hour}
@@ -760,12 +765,13 @@ func openFullSession(t *testing.T, tweak func(*SessionConfig)) (*SessionClient, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sc.Close() })
+	t.Cleanup(release) // runs first: the server cleanup waits for Serve, which waits for the held reader
 	for seq := uint64(1); seq <= 4; seq++ {
 		if err := sc.Send(Event{Seq: seq, Device: "light"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sc, s
+	return sc, s, release
 }
 
 // sendAsync runs Send in a goroutine and returns the channel of its result.
@@ -799,17 +805,15 @@ func expectResult(t *testing.T, done chan error, want error) {
 }
 
 // TestSessionSendWaitsForAck: while connected, a Send into a full window
-// waits until an ack frees a slot, then returns nil; the event it waited
-// with is delivered.
+// waits until an ack frees a slot, then returns nil. It draws that ack
+// itself: the server acks only on a Ping, and the test sends none, so the
+// Send returns only because it pinged before it waited — even though its
+// window of 4 is far below the server's AckEvery.
 func TestSessionSendWaitsForAck(t *testing.T) {
-	sc, _ := openFullSession(t, nil)
+	sc, _, release := openFullSession(t, nil)
 	done := sendAsync(sc, 5)
 	expectBlocked(t, done)
-	// The Ping earns the cumulative ack of 1..4, which the blocked Send
-	// flushed before it waited.
-	if err := sc.Ping(); err != nil {
-		t.Fatal(err)
-	}
+	release() // the server admits 1..4 and reads the waiting Send's Ping
 	expectResult(t, done, nil)
 	if st := sc.Stats(); st.Acked != 4 || st.Window != 1 {
 		t.Errorf("acked %d window %d, want 4 and 1", st.Acked, st.Window)
@@ -819,7 +823,7 @@ func TestSessionSendWaitsForAck(t *testing.T) {
 // TestSessionCloseReleasesSend: Close releases a Send waiting on a full
 // window with ErrClientClosed.
 func TestSessionCloseReleasesSend(t *testing.T) {
-	sc, _ := openFullSession(t, nil)
+	sc, _, _ := openFullSession(t, nil)
 	done := sendAsync(sc, 5)
 	expectBlocked(t, done)
 	sc.Close()
@@ -830,7 +834,7 @@ func TestSessionCloseReleasesSend(t *testing.T) {
 // waiting on a full window with ErrSendWindowFull, and while the session is
 // degraded a full window refuses at once.
 func TestSessionConnDeathReleasesSend(t *testing.T) {
-	sc, s := openFullSession(t, nil)
+	sc, s, _ := openFullSession(t, nil)
 	done := sendAsync(sc, 5)
 	expectBlocked(t, done)
 	s.ep.CloseConns()
@@ -845,7 +849,7 @@ func TestSessionConnDeathReleasesSend(t *testing.T) {
 // death retries on ErrSendWindowFull, the degraded path, until the session
 // gives up; its loop ends with ErrSessionGaveUp.
 func TestSessionGiveUpEndsSendRetry(t *testing.T) {
-	sc, s := openFullSession(t, func(cfg *SessionConfig) {
+	sc, s, _ := openFullSession(t, func(cfg *SessionConfig) {
 		cfg.MaxAttempts, cfg.BackoffMin, cfg.BackoffMax = 2, time.Millisecond, 5*time.Millisecond
 	})
 	done := make(chan error, 1)
@@ -866,12 +870,13 @@ func TestSessionGiveUpEndsSendRetry(t *testing.T) {
 }
 
 // TestSessionConcurrentSendersAllWake: four Sends waiting on one full
-// window all return once one ack frees room for all of them. A wake-up of
-// a single waiter would leave three waiting for acks that never come. The
+// window all return once one ack frees room for all of them. Each waiting
+// Send pinged, but only the first ack frees anything, so a wake-up of a
+// single waiter would leave three waiting for acks that never come. The
 // senders race for the window, so one that finds a higher Seq added first
 // gets ErrSeqOrder; the rest are added, in ascending order.
 func TestSessionConcurrentSendersAllWake(t *testing.T) {
-	sc, _ := openFullSession(t, nil)
+	sc, _, release := openFullSession(t, nil)
 	var dones []chan error
 	for seq := uint64(5); seq <= 8; seq++ {
 		dones = append(dones, sendAsync(sc, seq))
@@ -879,9 +884,7 @@ func TestSessionConcurrentSendersAllWake(t *testing.T) {
 	for _, done := range dones {
 		expectBlocked(t, done)
 	}
-	if err := sc.Ping(); err != nil {
-		t.Fatal(err)
-	}
+	release()
 	added := 0
 	for i, done := range dones {
 		select {
