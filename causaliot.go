@@ -714,17 +714,23 @@ func (m *Monitor) Flush() *Alarm { return m.convertAlarm(m.det.Flush(), 0, 0) }
 // convertAlarm renders the detector's index-keyed alarm in device names,
 // citing the event that completed it (seq and score; zero for a Flush).
 // Each event's context is built in name order by insertion: parent lists
-// are short, and the order is the canonical one the wire encodes.
+// are short, and the order is the canonical one the wire encodes. Three
+// allocations whatever the chain's length: the alarm, its events, and one
+// array every event's context is a capacity-capped window of.
 func (m *Monitor) convertAlarm(alarm *monitor.Alarm, seq uint64, score float64) *Alarm {
 	if alarm == nil {
 		return nil
 	}
 	reg := m.sys.graph.Registry
 	out := &Alarm{Seq: seq, Score: score, Abrupt: alarm.Abrupt, Events: make([]AnomalousEvent, len(alarm.Events))}
+	var ctxs []ContextEntry
+	if n := causeCount(alarm); n > 0 {
+		ctxs = make([]ContextEntry, n)
+	}
 	for i, ev := range alarm.Events {
 		var ctx []ContextEntry // nil without causes, as a decoded frame has it
 		if n := len(ev.Causes); n > 0 {
-			ctx = make([]ContextEntry, 0, n)
+			ctx, ctxs = ctxs[:0:n], ctxs[n:]
 		}
 		for j, c := range ev.Causes {
 			entry := ContextEntry{Name: m.sys.causeLabel(c.Device, c.Lag), State: ev.CauseValues[j]}
@@ -743,4 +749,13 @@ func (m *Monitor) convertAlarm(alarm *monitor.Alarm, seq uint64, score float64) 
 		}
 	}
 	return out
+}
+
+// causeCount is the number of context entries across an alarm's chain.
+func causeCount(alarm *monitor.Alarm) int {
+	n := 0
+	for _, ev := range alarm.Events {
+		n += len(ev.Causes)
+	}
+	return n
 }

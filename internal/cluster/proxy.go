@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/causaliot/causaliot/internal/wire"
@@ -39,7 +40,10 @@ type ProxyConfig struct {
 	// cut (its state is indeterminate) and the op fails. Defaults to 30s.
 	ControlTimeout time.Duration
 	// KeepAlive is the idle ping cadence that holds the link open under
-	// the worker's idle timeout and flushes ack tails. Defaults to 20s.
+	// the worker's idle timeout and flushes the worker's cumulative ack
+	// tails for quiet tenants. Alarm receipts do not wait for it: they ride
+	// the link's next write, or go out after wire.ReceiptDelay. Defaults
+	// to 20s.
 	KeepAlive time.Duration
 	// MaxAttempts bounds consecutive failed reconnects before giving up.
 	// Defaults to 8.
@@ -132,6 +136,14 @@ type pxTenant struct {
 	dropped bool         // deregistered; blocked Submits must bail
 
 	alarms wire.AlarmCursor
+	// rcptQueued is set while the tenant sits in the proxy's receipt list:
+	// its cursor advanced past rcptCarried, the index of the last
+	// AlarmStreamAck a write carried.
+	rcptQueued  atomic.Bool
+	rcptCarried atomic.Uint64
+	// retired is set once the tenant left the proxy's table: its receipt
+	// must not reach a later registration of the same name.
+	retired atomic.Bool
 }
 
 // ctlResult is one control op's outcome.
@@ -167,14 +179,24 @@ type Proxy struct {
 
 	ctlMu sync.Mutex // serializes user control ops
 
+	// Alarm receipts: the tenants whose cursors advanced since a link write
+	// last carried their AlarmStreamAck. The link writer's trailer drains
+	// the list onto every write; rcptTimer, armed while rcptArmed is set,
+	// nudges a quiet link after wire.ReceiptDelay.
+	rcptMu    sync.Mutex
+	rcptDue   []*pxTenant
+	rcptArmed atomic.Bool
+	rcptTimer *time.Timer
+	ping      []byte // an encoded Ping, reused by every keepalive
+
 	resumes          uint64
 	retransmits      uint64
 	nacksReceived    uint64
-	alarmsDispatched uint64
-	duplicateAlarms  uint64
 	skippedAlarms    uint64
 	envBytesOut      uint64
 	envBytesIn       uint64
+	alarmsDispatched atomic.Uint64
+	duplicateAlarms  atomic.Uint64
 }
 
 // Open dials the worker and performs the ShardHello handshake. The initial
@@ -184,11 +206,14 @@ func Open(cfg ProxyConfig) (*Proxy, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("cluster: proxy with empty address")
 	}
-	p := &Proxy{cfg: cfg, tenants: make(map[string]*pxTenant)}
+	p := &Proxy{cfg: cfg, tenants: make(map[string]*pxTenant), ping: wire.AppendPing(nil)}
+	p.rcptTimer = time.AfterFunc(time.Hour, p.receiptDue)
+	p.rcptTimer.Stop()
 	p.link = wire.NewLink(wire.LinkVocab[*wire.Writer]{Dial: p.dial, Resume: p.resumeAll, GaveUp: p.gaveUp,
 		ErrClosed: ErrProxyClosed, ErrGaveUp: ErrLinkGaveUp},
 		cfg.MaxAttempts, wire.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.JitterSeed), cfg.OnStateChange)
 	if err := p.link.Open(); err != nil {
+		p.rcptTimer.Stop()
 		return nil, err
 	}
 	p.link.Go(p.keepalive)
@@ -234,6 +259,7 @@ func (p *Proxy) dial() (*wire.Writer, error) {
 	l := wire.NewWriter(nc, p.cfg.OutBuffer, int(peerMax), p.cfg.WriteTimeout, func() {
 		p.logf("cluster: shard %s: write stalled past %v", p.cfg.Addr, p.cfg.WriteTimeout)
 	})
+	l.SetTrailer(p.appendReceipts)
 	p.link.Go(func() { p.readLoop(l, r) })
 	return l, nil
 }
@@ -360,7 +386,9 @@ func (p *Proxy) tenantList() []*pxTenant {
 }
 
 // keepalive pings the link on a cadence: holds the worker's idle deadline
-// open and flushes cumulative ack tails for quiet tenants.
+// open and flushes cumulative ack tails both ways — the worker answers with
+// each attached tenant's ShardAck, and the ping's write carries any pending
+// alarm receipts.
 func (p *Proxy) keepalive() {
 	tick := time.NewTicker(p.cfg.KeepAlive)
 	defer tick.Stop()
@@ -378,6 +406,9 @@ func (p *Proxy) keepalive() {
 // writer hands the death to the link's reconnect loop.
 func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 	defer l.Finish()
+	// The link's intern table: tenant, device and context names of the
+	// alarms it carries decode without allocating once seen.
+	var names wire.Names
 	for {
 		t, payload, err := r.Next()
 		if err != nil {
@@ -386,7 +417,7 @@ func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 			}
 			return
 		}
-		if err := p.dispatch(l, t, payload); err != nil {
+		if err := p.dispatch(&names, t, payload); err != nil {
 			// A frame this end cannot parse ends the link, as in
 			// wire.Client: skipping it would lose what it carried
 			// without a trace (a refused alarm stays banked,
@@ -400,7 +431,7 @@ func (p *Proxy) readLoop(l *wire.Writer, r *wire.Reader) {
 
 // dispatch handles one inbound frame; the error is the frame's parse
 // failure.
-func (p *Proxy) dispatch(l *wire.Writer, t wire.FrameType, payload []byte) error {
+func (p *Proxy) dispatch(names *wire.Names, t wire.FrameType, payload []byte) error {
 	switch t {
 	case wire.FrameShardAck:
 		tenant, wm, err := wire.ParseShardAck(payload)
@@ -423,14 +454,14 @@ func (p *Proxy) dispatch(l *wire.Writer, t wire.FrameType, payload []byte) error
 			p.cfg.OnNack(n)
 		}
 	case wire.FrameAlarmStream:
-		tenant, idx, alarm, err := wire.ParseAlarmStream(payload)
+		tenant, idx, alarm, err := names.ParseAlarmStream(payload)
 		if err != nil {
 			if tenant != "" {
 				p.skipAlarm(tenant, idx)
 			}
 			return err
 		}
-		p.dispatchAlarm(l, tenant, idx, alarm)
+		p.dispatchAlarm(tenant, idx, alarm)
 	case wire.FrameTenantOK:
 		ok, err := wire.ParseTenantOK(payload)
 		if err != nil {
@@ -500,26 +531,75 @@ func (p *Proxy) ackTenant(tenant string, wm uint64) {
 }
 
 // dispatchAlarm dedups by alarm index (bank replays may overlap confirmed
-// deliveries), hands the alarm to the tenant sink, and confirms receipt.
-func (p *Proxy) dispatchAlarm(l *wire.Writer, tenant string, idx uint64, a wire.Alarm) {
+// deliveries), hands the alarm to the tenant sink, and queues the receipt.
+func (p *Proxy) dispatchAlarm(tenant string, idx uint64, a wire.Alarm) {
 	t := p.tenant(tenant)
 	if t == nil {
 		return
 	}
 	if !t.alarms.Receive(idx) {
-		p.mu.Lock()
-		p.duplicateAlarms++
-		p.mu.Unlock()
+		p.duplicateAlarms.Add(1)
 		return
 	}
 	if t.sink != nil {
 		t.sink(a)
 	}
-	p.mu.Lock()
-	p.alarmsDispatched++
-	p.mu.Unlock()
-	if frame, err := wire.AppendAlarmStreamAck(nil, tenant, idx); err == nil {
-		l.TrySend(frame) // a lost receipt only means a bigger replay later
+	p.alarmsDispatched.Add(1)
+	p.queueReceipt(t, idx)
+}
+
+// queueReceipt puts the tenant, whose cursor reached idx, on the receipt
+// list, once until a write carries its receipt. A receipt wire.ReceiptLag
+// alarms ahead of the last one carried nudges the link writer at once;
+// any other arms the ReceiptDelay fallback.
+func (p *Proxy) queueReceipt(t *pxTenant, idx uint64) {
+	if t.rcptQueued.CompareAndSwap(false, true) {
+		p.rcptMu.Lock()
+		p.rcptDue = append(p.rcptDue, t)
+		p.rcptMu.Unlock()
+	}
+	if idx-t.rcptCarried.Load() >= wire.ReceiptLag {
+		if l, ok := p.link.Current(); ok {
+			l.Nudge()
+			return
+		}
+	}
+	if p.rcptArmed.CompareAndSwap(false, true) {
+		p.rcptTimer.Reset(wire.ReceiptDelay)
+	}
+}
+
+// appendReceipts is the link writer's trailer: one cumulative
+// AlarmStreamAck per tenant on the receipt list, riding the write. A
+// receipt lost with a dying link only means a longer replay: the resume
+// carries the cursor.
+func (p *Proxy) appendReceipts(dst []byte) []byte {
+	p.rcptMu.Lock()
+	defer p.rcptMu.Unlock()
+	for i, t := range p.rcptDue {
+		// Cleared before the cursor is read: an alarm received meanwhile
+		// queues the tenant again rather than going unreceipted.
+		t.rcptQueued.Store(false)
+		p.rcptDue[i] = nil
+		if t.retired.Load() {
+			continue
+		}
+		idx := t.alarms.Index()
+		if out, err := wire.AppendAlarmStreamAck(dst, t.name, idx); err == nil {
+			dst = out
+			t.rcptCarried.Store(idx)
+		}
+	}
+	p.rcptDue = p.rcptDue[:0]
+	return dst
+}
+
+// receiptDue is the ReceiptDelay fallback: it wakes the live link's writer
+// so receipts no write has carried go out on their own.
+func (p *Proxy) receiptDue() {
+	p.rcptArmed.Store(false)
+	if l, ok := p.link.Current(); ok {
+		l.Nudge()
 	}
 }
 
@@ -626,6 +706,7 @@ func (p *Proxy) Register(tenant string, model, state []byte, queue uint32, polic
 		p.mu.Lock()
 		delete(p.tenants, tenant)
 		p.mu.Unlock()
+		t.retired.Store(true)
 		return err
 	}
 	p.mu.Lock()
@@ -751,6 +832,7 @@ func (p *Proxy) Deregister(tenant string) error {
 	delete(p.tenants, tenant)
 	p.mu.Unlock()
 	if t != nil {
+		t.retired.Store(true)
 		t.mu.Lock()
 		t.dropped = true
 		t.cond.Broadcast()
@@ -792,7 +874,7 @@ func (p *Proxy) StatsDoc() ([]byte, error) {
 // Ping nudges the live link (keepalive + ack flush); a no-op while down.
 func (p *Proxy) Ping() {
 	if l, ok := p.link.Current(); ok {
-		l.TrySend(wire.AppendPing(nil))
+		l.TrySend(p.ping)
 	}
 }
 
@@ -823,8 +905,8 @@ func (p *Proxy) Stats() ProxyStats {
 		Resumes:          p.resumes,
 		Retransmits:      p.retransmits,
 		Nacks:            p.nacksReceived,
-		Alarms:           p.alarmsDispatched,
-		DuplicateAlarms:  p.duplicateAlarms,
+		Alarms:           p.alarmsDispatched.Load(),
+		DuplicateAlarms:  p.duplicateAlarms.Load(),
 		SkippedAlarms:    p.skippedAlarms,
 		Pending:          pending,
 		EnvelopeBytesOut: p.envBytesOut,
@@ -837,6 +919,7 @@ func (p *Proxy) Stats() ProxyStats {
 // Idempotent.
 func (p *Proxy) Close() error {
 	if l, ok := p.link.Close(); ok {
+		p.rcptTimer.Stop()
 		p.completeCtl(ctlResult{err: ErrProxyClosed})
 		if l != nil {
 			// Finish discards what is pending: let it and the Bye out first.

@@ -127,6 +127,9 @@ type WorkerStats struct {
 	AlarmsBuffered uint64 `json:"alarms_buffered"`
 	AlarmReplays   uint64 `json:"alarm_replays"`
 	AlarmsDropped  uint64 `json:"alarms_dropped"`
+	// AlarmReceipts counts the router's AlarmStreamAck frames: cumulative
+	// per tenant and carried on the link's own writes.
+	AlarmReceipts uint64 `json:"alarm_receipts"`
 	// EnvelopeBytesIn counts checkpoint bytes received in registrations
 	// and swaps; EnvelopeBytesOut bytes exported to the router.
 	EnvelopeBytesIn  uint64 `json:"envelope_bytes_in"`
@@ -144,7 +147,9 @@ type wkTenant struct {
 	rx   wire.Receiver
 }
 
-// appendAlarm is the tenant's AlarmStream encoder.
+// appendAlarm is the tenant's AlarmStream encoder. Receiver.Push calls it
+// onto nil: it sizes the frame first and allocates it once, and the bank
+// keeps that allocation.
 func (t *wkTenant) appendAlarm(dst []byte, idx uint64, a wire.Alarm) ([]byte, error) {
 	return wire.AppendAlarmStream(dst, t.name, idx, a)
 }
@@ -223,6 +228,7 @@ func (w *Worker) Stats() WorkerStats {
 		AlarmsBuffered:   e.AlarmsBuffered.Load(),
 		AlarmReplays:     e.AlarmReplays.Load(),
 		AlarmsDropped:    e.AlarmsDropped.Load(),
+		AlarmReceipts:    e.Receipts.Load(),
 		EnvelopeBytesIn:  w.envelopeBytesIn.Load(),
 		EnvelopeBytesOut: w.envelopeBytesOut.Load(),
 		EvictedIdle:      e.EvictedIdle.Load(),
@@ -498,6 +504,7 @@ func (k *link) Frame(ft wire.FrameType, p []byte) error {
 		if err != nil {
 			return malformed()
 		}
+		w.ep.Receipts.Add(1)
 		if tn := w.tenant(tenant); tn != nil {
 			tn.rx.Confirm(idx)
 		}
@@ -505,15 +512,19 @@ func (k *link) Frame(ft wire.FrameType, p []byte) error {
 		// Flush the cumulative ack for every tenant attached to this link:
 		// the tail below the AckEvery cadence must not sit in the router's
 		// retransmit window forever once the stream goes quiet.
+		// The acks and the Pong are encoded into the reader's scratch and
+		// sent as one run, which the writer copies.
+		k.out = k.out[:0]
 		for _, tn := range w.tenantList() {
 			if tn.rx.Attached(l) {
 				wm, _ := tn.rx.Ack()
-				if ack, err := wire.AppendShardAck(nil, tn.name, wm); err == nil {
-					l.Send(ack)
+				if out, err := wire.AppendShardAck(k.out, tn.name, wm); err == nil {
+					k.out = out
 				}
 			}
 		}
-		l.Send(wire.AppendPong(nil))
+		k.out = wire.AppendPong(k.out)
+		l.Send(k.out)
 	case wire.FrameBye:
 		return io.EOF
 	default:

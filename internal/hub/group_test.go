@@ -22,8 +22,9 @@ func (p *keyedProc) ModelKey() uint64 { return p.key }
 func (h *Hub) queuedKeys() []uint64 {
 	h.qmu.Lock()
 	defer h.qmu.Unlock()
-	out := make([]uint64, len(h.runq))
-	for i, t := range h.runq {
+	q := h.runq.items()
+	out := make([]uint64, len(q))
+	for i, t := range q {
 		out[i] = t.modelKey.Load()
 	}
 	return out
@@ -89,7 +90,7 @@ func TestExtractGroupSameModel(t *testing.T) {
 		t.Fatalf("final turn group size %d, want 1", len(group))
 	}
 	h.qmu.Lock()
-	left := len(h.runq)
+	left := h.runq.len()
 	h.qmu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d tenants still queued after four turns", left)

@@ -289,11 +289,17 @@ type tenant struct {
 	// does not change how a tenant's batch is processed.
 	modelKey atomic.Uint64
 
-	ingested  atomic.Uint64
+	// The producers' counters, written under the Submit path, and the
+	// workers' below them, a cache line apart: a worker closing a batch
+	// does not invalidate the line every Submit writes.
+	ingested atomic.Uint64
+	dropped  atomic.Uint64
+	rejected atomic.Uint64
+	_        [64]byte
+
+	// processed, alarms and errs are added once per batch by runBatch.
 	processed atomic.Uint64
 	alarms    atomic.Uint64
-	dropped   atomic.Uint64
-	rejected  atomic.Uint64
 	errs      atomic.Uint64
 	panics    atomic.Uint64
 	shed      atomic.Uint64 // events refused or discarded by quarantine
@@ -316,7 +322,7 @@ type Hub struct {
 	// bounded by the tenant count.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
-	runq     []*tenant
+	runq     runQueue
 	stopping bool
 
 	// grouped counts tenants drained as same-model group followers (the
@@ -547,9 +553,54 @@ func (t *tenant) admitOneLocked() error {
 
 func (h *Hub) schedule(t *tenant) {
 	h.qmu.Lock()
-	h.runq = append(h.runq, t)
+	h.runq.push(t)
 	h.qmu.Unlock()
 	h.qcond.Signal()
+}
+
+// runQueue is the hub's FIFO of scheduled tenants over one reused array:
+// a pop advances a head offset, and a push that finds the array full moves
+// the queue back to the front once at least a fifth of it was popped, so
+// the array grows only when more than four fifths of it are queued. Steady
+// scheduling reallocates nothing.
+type runQueue struct {
+	buf  []*tenant // buf[head:] are the queued tenants, oldest first
+	head int
+}
+
+// items returns the queued tenants, oldest first; valid until the next
+// push, pop or truncate.
+func (q *runQueue) items() []*tenant { return q.buf[q.head:] }
+
+func (q *runQueue) len() int { return len(q.buf) - q.head }
+
+func (q *runQueue) push(t *tenant) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= q.len()/4 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, t)
+}
+
+// pop removes and returns the oldest tenant; the queue must not be empty.
+func (q *runQueue) pop() *tenant {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return t
+}
+
+// truncate keeps the n oldest tenants, clearing the slots of the rest.
+func (q *runQueue) truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+	if n == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 func (h *Hub) worker() {
@@ -581,15 +632,14 @@ const groupScanLimit = 128
 // Returns ok=false when the hub is stopping and the run queue is empty.
 func (h *Hub) drainTurn(group []*tenant) (_ []*tenant, ok bool) {
 	h.qmu.Lock()
-	for len(h.runq) == 0 && !h.stopping {
+	for h.runq.len() == 0 && !h.stopping {
 		h.qcond.Wait()
 	}
-	if len(h.runq) == 0 {
+	if h.runq.len() == 0 {
 		h.qmu.Unlock()
 		return group, false
 	}
-	t := h.runq[0]
-	h.runq = h.runq[1:]
+	t := h.runq.pop()
 	group = h.extractGroupLocked(t, group[:0])
 	h.qmu.Unlock()
 	for i, gt := range group {
@@ -606,31 +656,32 @@ func (h *Hub) drainTurn(group []*tenant) (_ []*tenant, ok bool) {
 func (h *Hub) extractGroupLocked(t *tenant, group []*tenant) []*tenant {
 	group = append(group, t)
 	want := h.cfg.GroupBatch - 1
-	if want <= 0 || len(h.runq) == 0 {
+	q := h.runq.items()
+	if want <= 0 || len(q) == 0 {
 		return group
 	}
 	key := t.modelKey.Load()
 	if key == 0 {
 		return group
 	}
-	scan := len(h.runq)
+	scan := len(q)
 	if scan > groupScanLimit {
 		scan = groupScanLimit
 	}
 	w, taken := 0, 0
 	for r := 0; r < scan; r++ {
-		c := h.runq[r]
+		c := q[r]
 		if taken < want && c.modelKey.Load() == key {
 			group = append(group, c)
 			taken++
 			continue
 		}
-		h.runq[w] = c
+		q[w] = c
 		w++
 	}
 	if taken > 0 {
-		copy(h.runq[w:], h.runq[scan:])
-		h.runq = h.runq[:len(h.runq)-taken]
+		copy(q[w:], q[scan:])
+		h.runq.truncate(len(q) - taken)
 		h.grouped.Add(uint64(taken))
 	}
 	return group
@@ -677,6 +728,9 @@ func (t *tenant) runBatch(max int) {
 	t.notFull.Broadcast()
 	t.mu.Unlock()
 
+	// Counted locally and published once per batch, so the workers do
+	// not write shared counters per event.
+	var processed, alarms, errs uint64
 	for i := range batch {
 		var alarmed bool
 		var err error
@@ -688,12 +742,12 @@ func (t *tenant) runBatch(max int) {
 			alarmed, err = t.handleOne(batch[i])
 		}
 		t.served++
-		t.processed.Add(1)
+		processed++
 		if alarmed {
-			t.alarms.Add(1)
+			alarms++
 		}
 		if err != nil {
-			t.errs.Add(1)
+			errs++
 			if t.onError != nil {
 				t.onError(batch[i], err)
 			}
@@ -708,6 +762,13 @@ func (t *tenant) runBatch(max int) {
 			t.shed.Add(uint64(len(rest)))
 			break
 		}
+	}
+	t.processed.Add(processed)
+	if alarms > 0 {
+		t.alarms.Add(alarms)
+	}
+	if errs > 0 {
+		t.errs.Add(errs)
 	}
 
 	// Chunk done: yield the worker, keeping the tenant scheduled if more

@@ -8,8 +8,27 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// ReceiptDelay is how long a session-alarm receipt (FrameAlarmAck) or a
+// shard link's alarm receipt (FrameAlarmStreamAck) may wait for an outbound
+// write to carry it before it is written on its own. Receipts are
+// cumulative and ride the writes a connection already makes — the batch
+// close, Flush or Ping on a producer, any link write on a router — so a
+// busy stream confirms its alarms at no cost of its own; this fallback
+// bounds how long a quiet sender's peer keeps them banked. At 10 ms a
+// 256-entry bank (the default) drains unless the quiet end receives more
+// than 25,600 alarms a second; ReceiptLag covers denser bursts.
+const ReceiptDelay = 10 * time.Millisecond
+
+// ReceiptLag is how many alarms a receipt may run ahead of the last one a
+// write carried before it goes out at once instead of waiting for a write
+// or ReceiptDelay: a dense burst of alarms then costs one receipt frame per
+// ReceiptLag alarms at most, and never leaves more unconfirmed than a
+// quarter of a default 256-entry bank.
+const ReceiptLag = 64
 
 // ClientConfig tunes one wire client connection.
 type ClientConfig struct {
@@ -62,6 +81,12 @@ type ClientConfig struct {
 // frame limit, and before any other frame. Any other server receives one
 // Event frame per event.
 //
+// A session connection (one a SessionClient dials) drops replayed alarms by
+// index on its reader and receipts the rest cumulatively: the highest index
+// received rides the connection's next write as one FrameAlarmAck, or goes
+// out on its own after ReceiptDelay. AckAlarm does the same for callers of
+// Dial.
+//
 // Send/Flush/Close are safe for concurrent use; the callbacks run on the
 // single reader goroutine.
 type Client struct {
@@ -73,6 +98,17 @@ type Client struct {
 	scratch []byte
 	closed  bool
 
+	// Alarm receipts. rcpt is the highest session-alarm index received;
+	// rcptSent the highest written into bw and rcptFlushed the highest
+	// flushed from it (both written under mu). rcptArmed is set while
+	// rcptTimer, the ReceiptDelay fallback, is pending, and rcptUrgent
+	// while it is rescheduled to fire at once (ReceiptLag).
+	rcpt                  atomic.Uint64
+	rcptSent              uint64
+	rcptFlushed           atomic.Uint64
+	rcptArmed, rcptUrgent atomic.Bool
+	rcptTimer             *time.Timer
+
 	// batchMax is the server's frame limit when it accepts EventBatch
 	// frames, 0 when it does not; batch holds the open EventBatch frame
 	// and batchN its event count (0: no batch open).
@@ -81,8 +117,13 @@ type Client struct {
 	batchN   int
 
 	readDone chan struct{}
-	errMu    sync.Mutex
-	readErr  error
+	// readErr is the reader's terminal error, set once and read on every
+	// send without a lock.
+	readErr atomic.Pointer[error]
+	// The reader's own state: the session's alarm cursor (nil on a plain
+	// connection) and the intern table alarm names decode through.
+	cursor *AlarmCursor
+	names  Names
 
 	// Resume handshake results (immutable after Dial).
 	resumeWatermark uint64
@@ -127,6 +168,7 @@ func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
 		cfg:      cfg,
 		bw:       bufio.NewWriterSize(nc, 32<<10),
 		readDone: make(chan struct{}),
+		cursor:   alarms,
 	}
 	switch t {
 	case FrameWelcome:
@@ -169,8 +211,16 @@ func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	if alarms != nil {
+		// The resume carried the receipt; the cursor's index is where this
+		// connection's receipts start.
 		alarms.Restart(c.resumeAlarmIdx)
+		idx := alarms.Index()
+		c.rcpt.Store(idx)
+		c.rcptSent = idx
+		c.rcptFlushed.Store(idx)
 	}
+	c.rcptTimer = time.AfterFunc(time.Hour, c.receiptDue)
+	c.rcptTimer.Stop()
 	go c.readLoop(r)
 	return c, nil
 }
@@ -229,13 +279,19 @@ func (c *Client) readLoop(r *Reader) {
 				c.cfg.OnAck(seq)
 			}
 		case FrameSessionAlarm:
-			idx, a, err := ParseSessionAlarm(p)
+			idx, a, err := c.names.ParseSessionAlarm(p)
 			if err != nil {
 				c.setErr(err)
 				return
 			}
+			if c.cursor != nil && !c.cursor.Receive(idx) {
+				break // a replay overlapping what this session already has
+			}
 			if c.cfg.OnSessionAlarm != nil {
 				c.cfg.OnSessionAlarm(idx, a)
+			}
+			if c.cursor != nil {
+				c.AckAlarm(idx)
 			}
 		case FramePong:
 			// Keepalive reply; receiving it already reset our read state.
@@ -246,20 +302,15 @@ func (c *Client) readLoop(r *Reader) {
 	}
 }
 
-func (c *Client) setErr(err error) {
-	c.errMu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	c.errMu.Unlock()
-}
+func (c *Client) setErr(err error) { c.readErr.CompareAndSwap(nil, &err) }
 
 // Err reports the reader goroutine's terminal error, if any: nil while the
 // connection is healthy, io.EOF (or a net error) after the server hung up.
 func (c *Client) Err() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.readErr
+	if p := c.readErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Done is closed when the reader goroutine exits — the connection is dead
@@ -324,16 +375,40 @@ func (c *Client) addedLocked() error {
 }
 
 // closeBatchLocked patches the open EventBatch frame's length and count and
-// hands it to the buffered writer; a no-op when no batch is open.
+// hands it to the buffered writer, followed by the pending alarm receipt:
+// every batch close, Flush and Ping carries the receipt.
 func (c *Client) closeBatchLocked() error {
-	if c.batchN == 0 {
+	if c.batchN > 0 {
+		binary.BigEndian.PutUint16(c.batch[headerLen+1:], uint16(c.batchN))
+		c.batchN = 0
+		_, err := c.bw.Write(frame(c.batch, headerLen))
+		c.batch = c.batch[:0]
+		if err != nil {
+			return err
+		}
+	}
+	return c.receiptLocked()
+}
+
+// receiptLocked writes one cumulative AlarmAck when a receipt is pending.
+func (c *Client) receiptLocked() error {
+	r := c.rcpt.Load()
+	if r <= c.rcptSent {
 		return nil
 	}
-	binary.BigEndian.PutUint16(c.batch[headerLen+1:], uint16(c.batchN))
-	c.batchN = 0
-	_, err := c.bw.Write(frame(c.batch, headerLen))
-	c.batch = c.batch[:0]
+	c.rcptSent = r
+	c.scratch = AppendAlarmAck(c.scratch[:0], r)
+	_, err := c.bw.Write(c.scratch)
 	return err
+}
+
+// flushLocked flushes the buffered writer, receipts included.
+func (c *Client) flushLocked() error {
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	c.rcptFlushed.Store(c.rcptSent)
+	return nil
 }
 
 // SendRetx buffers one retransmitted event frame — identical payload to
@@ -369,19 +444,8 @@ func (c *Client) writeEventLocked(ev Event, enc func([]byte, Event) ([]byte, err
 }
 
 // Ping enqueues and flushes a keepalive frame, refreshing the server's
-// idle deadline for this connection.
+// idle deadline for this connection. It allocates nothing.
 func (c *Client) Ping() error {
-	return c.sendRaw(AppendPing(nil))
-}
-
-// AckAlarm sends the cumulative session-alarm receipt: the server may
-// prune its replay ring up to idx.
-func (c *Client) AckAlarm(idx uint64) error {
-	return c.sendRaw(AppendAlarmAck(nil, idx))
-}
-
-// sendRaw closes the open batch, then writes frame and flushes.
-func (c *Client) sendRaw(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.usableLocked(); err != nil {
@@ -390,10 +454,53 @@ func (c *Client) sendRaw(frame []byte) error {
 	if err := c.closeBatchLocked(); err != nil {
 		return err
 	}
-	if _, err := c.bw.Write(frame); err != nil {
+	if _, err := c.bw.Write(pingFrame); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.flushLocked()
+}
+
+// AckAlarm records the cumulative session-alarm receipt: the server may
+// prune its replay ring up to idx. The receipt rides the connection's next
+// batch close, Flush or Ping, and is written on its own after ReceiptDelay
+// when none comes, or at once when it runs ReceiptLag alarms ahead of the
+// last one flushed; a lower index than one already recorded is ignored. It
+// never blocks: the write of its own runs on the timer's goroutine.
+func (c *Client) AckAlarm(idx uint64) {
+	for {
+		cur := c.rcpt.Load()
+		if idx <= cur {
+			return
+		}
+		if c.rcpt.CompareAndSwap(cur, idx) {
+			break
+		}
+	}
+	if idx-c.rcptFlushed.Load() >= ReceiptLag {
+		if !c.rcptUrgent.Swap(true) {
+			c.rcptArmed.Store(true)
+			c.rcptTimer.Reset(0)
+		}
+		return
+	}
+	if c.rcptArmed.CompareAndSwap(false, true) {
+		c.rcptTimer.Reset(ReceiptDelay)
+	}
+}
+
+// receiptDue is rcptTimer's function: it writes and flushes a receipt no
+// write has carried to the socket, leaving the open batch open.
+func (c *Client) receiptDue() {
+	c.rcptUrgent.Store(false)
+	c.rcptArmed.Store(false)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.usableLocked() != nil || c.rcpt.Load() <= c.rcptFlushed.Load() {
+		return
+	}
+	if c.receiptLocked() == nil {
+		c.flushLocked()
+	}
 }
 
 // Flush closes the open batch and pushes every buffered frame onto the
@@ -407,7 +514,7 @@ func (c *Client) Flush() error {
 	if err := c.closeBatchLocked(); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.flushLocked()
 }
 
 // Close sends a Bye, flushes, closes the connection, and waits for the
@@ -429,6 +536,7 @@ func (c *Client) Close() error {
 	// connection, which ends the reader.
 	c.nc.SetReadDeadline(time.Now().Add(time.Second))
 	<-c.readDone
+	c.rcptTimer.Stop()
 	c.nc.Close()
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		return err

@@ -62,7 +62,10 @@ const (
 	// with the worker's per-tenant alarm index.
 	FrameAlarmStream FrameType = 42
 	// FrameAlarmStreamAck is the router's cumulative alarm receipt; the
-	// worker prunes its replay ring up to the carried index.
+	// worker prunes its replay ring up to the carried index. The router
+	// appends one per tenant whose receipt advanced to the link's next
+	// write, whatever that write carries; a quiet link gets them after
+	// ReceiptDelay (at once ReceiptLag alarms ahead).
 	FrameAlarmStreamAck FrameType = 43
 	// FrameResumeTenant re-adopts a tenant after a reconnect: the payload
 	// carries the highest alarm index the router has dispatched, the
@@ -445,9 +448,10 @@ func ParseShardNack(p []byte) (ShardNack, error) {
 	return n, nil
 }
 
-// AppendAlarmStream encodes an AlarmStream frame onto dst.
+// AppendAlarmStream encodes an AlarmStream frame onto dst, sized first
+// like the other alarm frames: onto nil it costs one allocation.
 func AppendAlarmStream(dst []byte, tenant string, idx uint64, a Alarm) ([]byte, error) {
-	dst, at := begin(dst, FrameAlarmStream)
+	dst, at := begin(grow(dst, headerLen+1+2+len(tenant)+8+alarmBodyLen(a)), FrameAlarmStream)
 	var err error
 	if dst, err = appendString(dst, tenant); err != nil {
 		return nil, err
@@ -460,7 +464,13 @@ func AppendAlarmStream(dst []byte, tenant string, idx uint64, a Alarm) ([]byte, 
 // and index parse but whose alarm body does not returns them with the
 // error, so the receiver can still move its receipt past the alarm.
 func ParseAlarmStream(p []byte) (tenant string, idx uint64, a Alarm, err error) {
-	d := decoder{p: p}
+	return (*Names)(nil).ParseAlarmStream(p)
+}
+
+// ParseAlarmStream is the package-level ParseAlarmStream with the tenant,
+// device and context names taken from the table.
+func (names *Names) ParseAlarmStream(p []byte) (tenant string, idx uint64, a Alarm, err error) {
+	d := decoder{p: p, names: names}
 	tenant = d.str()
 	idx = d.u64()
 	if d.fail || tenant == "" {

@@ -129,6 +129,10 @@ type ServerStats struct {
 	AlarmsBuffered uint64
 	AlarmReplays   uint64
 	AlarmsDropped  uint64
+	// AlarmReceipts counts the AlarmAck frames session producers sent.
+	// Each is cumulative and rides a write the producer made anyway, so
+	// it is far below the alarms delivered on a busy connection.
+	AlarmReceipts uint64
 	// AuthFailures counts refused Hellos.
 	AuthFailures uint64
 }
@@ -221,6 +225,7 @@ func (s *Server) Stats() ServerStats {
 		AlarmsBuffered: e.AlarmsBuffered.Load(),
 		AlarmReplays:   e.AlarmReplays.Load(),
 		AlarmsDropped:  e.AlarmsDropped.Load(),
+		AlarmReceipts:  e.Receipts.Load(),
 		AuthFailures:   e.AuthFailures.Load(),
 	}
 }
@@ -481,20 +486,27 @@ func (c *srvConn) Frame(t FrameType, p []byte) error {
 			return Refusal{Code: s.cfg.Classify(err), Detail: err.Error()}
 		}
 	case FrameAlarmAck:
+		// Cumulative: the producer coalesces its receipts onto its own
+		// writes, so one frame may confirm many alarms.
 		idx, err := ParseAlarmAck(p)
 		if err != nil || c.sess == nil {
 			return Protocolf("unexpected alarm-ack")
 		}
+		s.ep.Receipts.Add(1)
 		c.sess.rx.Confirm(idx)
 	case FramePing:
 		// A session's Ping also flushes the cumulative ack: the tail below
 		// the AckEvery cadence would otherwise sit unacked in the
 		// producer's retransmit window forever once the stream goes quiet.
+		// Both replies are encoded into the reader's scratch and sent as
+		// one frame run, which the writer copies.
+		c.out = c.out[:0]
 		if c.sess != nil {
 			wm, _ := c.sess.rx.Ack()
-			c.w.Send(AppendAck(nil, wm))
+			c.out = AppendAck(c.out, wm)
 		}
-		c.w.Send(AppendPong(nil))
+		c.out = AppendPong(c.out)
+		c.w.Send(c.out)
 	case FrameBye:
 		c.clean = true
 		return io.EOF

@@ -87,6 +87,14 @@ type SessionStats struct {
 // free a slot; while degraded it returns ErrSendWindowFull and the caller
 // owns the retry (or sheds at the edge).
 //
+// Alarms arrive on the connection's reader, which drops replayed duplicates
+// by index and receipts the rest cumulatively without a write of its own:
+// the highest index received rides the next batch close, Flush or Ping as
+// one FrameAlarmAck. A quiet session's receipt goes out alone after
+// ReceiptDelay, and one ReceiptLag alarms ahead of the last flushed at once,
+// so the server's bank drains either way. A receipt still unwritten when the
+// connection dies rides the next Resume.
+//
 // Send/Flush/Close/Stats are safe for concurrent use.
 type SessionClient struct {
 	cfg    SessionConfig
@@ -133,6 +141,8 @@ func (s *SessionClient) dial() (*Client, error) {
 	}
 	cc.OnSessionAlarm = s.onSessionAlarm
 	cc.OnAlarm = nil // session connections receive FrameSessionAlarm only
+	// With the cursor, the connection's reader drops replayed duplicates
+	// and receipts what it delivers.
 	return dial(s.cfg.Addr, cc, &s.alarms)
 }
 
@@ -154,15 +164,10 @@ func (s *SessionClient) wake() {
 	s.mu.Unlock()
 }
 
-// onSessionAlarm drops replayed duplicates, confirms receipt to the server
-// (so its alarm bank stays small), and hands the alarm to the caller.
-func (s *SessionClient) onSessionAlarm(idx uint64, a Alarm) {
-	if !s.alarms.Receive(idx) {
-		return
-	}
-	if conn, ok := s.link.Current(); ok {
-		conn.AckAlarm(idx)
-	}
+// onSessionAlarm hands a new alarm to the caller. The connection's reader
+// has already dropped replayed duplicates, and it receipts the alarm after
+// this returns.
+func (s *SessionClient) onSessionAlarm(_ uint64, a Alarm) {
 	if s.cfg.Client.OnAlarm != nil {
 		s.cfg.Client.OnAlarm(a)
 	}

@@ -75,9 +75,12 @@ type Endpoint struct {
 	Accepted, EvictedIdle, AuthFailures atomic.Uint64
 	Active                              atomic.Int64
 	// Events, Nacks and Duplicates count every decided item exactly once;
-	// the alarm counters are the banks' (see Receiver.Push).
+	// the alarm counters are the banks' (see Receiver.Push). Receipts counts
+	// the alarm receipt frames the peers sent: cumulative, coalesced onto
+	// their writes, so far fewer than the alarms they confirm.
 	Events, Nacks, Duplicates                           atomic.Uint64
 	Alarms, AlarmsBuffered, AlarmReplays, AlarmsDropped atomic.Uint64
+	Receipts                                            atomic.Uint64
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -327,10 +330,12 @@ type Receiver struct {
 	alarmSeq uint64  // last assigned alarm index
 	sent     uint64  // highest index handed to w
 	ring     fifo[bankedAlarm]
+	tail     []byte // scratch joining a multi-alarm flush into one write
 }
 
 // bankedAlarm is one bank entry: its index and the encoded frame, so a
-// replay is a straight enqueue.
+// replay is a straight enqueue. The frame is the encoder's one allocation;
+// the bank keeps it until a receipt prunes the entry.
 type bankedAlarm struct {
 	idx   uint64
 	frame []byte
@@ -440,9 +445,15 @@ func (r *Receiver) flushLocked() int {
 	}
 	frame := tail[0].frame
 	if len(tail) > 1 {
-		frame = nil
+		// The writer copies what it is given, so one scratch buffer,
+		// dropped once a burst outgrows the writer's own retention cap,
+		// serves every flush.
+		frame = r.tail[:0]
 		for _, b := range tail {
 			frame = append(frame, b.frame...)
+		}
+		if r.tail = frame[:0]; cap(r.tail) > maxRetainedBuf {
+			r.tail = nil
 		}
 	}
 	if !r.w.TrySend(frame) {
@@ -491,6 +502,13 @@ func (r *Receiver) Attached(w *Writer) bool {
 	r.alarmMu.Lock()
 	defer r.alarmMu.Unlock()
 	return r.w == w
+}
+
+// Banked reports how many alarms the bank holds unconfirmed.
+func (r *Receiver) Banked() int {
+	r.alarmMu.Lock()
+	defer r.alarmMu.Unlock()
+	return r.ring.len()
 }
 
 // Confirm prunes the bank through a cumulative alarm receipt.

@@ -121,7 +121,10 @@ const (
 	FrameSessionAlarm FrameType = 13
 	// FrameAlarmAck is the client's cumulative session-alarm receipt: the
 	// server prunes its replay ring up to the carried index, so ring
-	// evictions only ever discard alarms the client has not confirmed.
+	// evictions only ever discard alarms the client has not confirmed. A
+	// session client does not write one per alarm: the highest index
+	// received rides its next batch close, Flush or Ping, or goes out on
+	// its own after ReceiptDelay (at once ReceiptLag alarms ahead).
 	FrameAlarmAck FrameType = 14
 	// FrameEventBatch carries several events in one frame: a u16 count,
 	// then each event as an Event payload. A client sends it only to a
@@ -497,18 +500,45 @@ func ParseNack(p []byte) (Nack, error) {
 	return n, nil
 }
 
+// The alarm encoders size the frame first and grow dst once to hold it, so
+// encoding onto nil (an alarm bank's entry) costs exactly one allocation.
+
 // AppendAlarm encodes an Alarm frame onto dst.
 func AppendAlarm(dst []byte, a Alarm) ([]byte, error) {
-	dst, at := begin(dst, FrameAlarm)
+	dst, at := begin(grow(dst, headerLen+1+alarmBodyLen(a)), FrameAlarm)
 	return appendAlarmBody(dst, at, a)
 }
 
 // AppendSessionAlarm encodes a SessionAlarm frame: the session's alarm
 // index, then the regular alarm payload.
 func AppendSessionAlarm(dst []byte, idx uint64, a Alarm) ([]byte, error) {
-	dst, at := begin(dst, FrameSessionAlarm)
+	dst, at := begin(grow(dst, headerLen+1+8+alarmBodyLen(a)), FrameSessionAlarm)
 	dst = binary.BigEndian.AppendUint64(dst, idx)
 	return appendAlarmBody(dst, at, a)
+}
+
+// grow returns dst with room for n more bytes, allocating (exactly that
+// room) at most once.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
+// alarmBodyLen is the encoded size of a's alarm payload: appendAlarmBody's
+// output without the frame header or a frame's prefix.
+func alarmBodyLen(a Alarm) int {
+	n := 8 + 8 + 1 + 2
+	for _, ev := range a.Events {
+		n += 2 + len(ev.Device) + 4 + 8 + 2
+		for _, c := range ev.Context {
+			n += 2 + len(c.Name) + 4
+		}
+	}
+	return n
 }
 
 func appendAlarmBody(dst []byte, at int, a Alarm) ([]byte, error) {
@@ -552,7 +582,14 @@ func ParseAlarm(p []byte) (Alarm, error) {
 
 // ParseSessionAlarm decodes a SessionAlarm payload.
 func ParseSessionAlarm(p []byte) (uint64, Alarm, error) {
-	d := decoder{p: p}
+	return (*Names)(nil).ParseSessionAlarm(p)
+}
+
+// ParseSessionAlarm is the package-level ParseSessionAlarm with the device
+// and context names taken from the table: on a warm table the decode
+// allocates only the returned alarm's event and context slices.
+func (names *Names) ParseSessionAlarm(p []byte) (uint64, Alarm, error) {
+	d := decoder{p: p, names: names}
 	idx := d.u64()
 	a, err := parseAlarmBody(&d)
 	if err != nil {
@@ -563,7 +600,11 @@ func ParseSessionAlarm(p []byte) (uint64, Alarm, error) {
 
 // parseAlarmBody decodes an alarm and refuses values the detector never
 // produces: a score (the alarm's or an event's) outside [0, 1], NaN
-// included, and a device state other than 0 or 1.
+// included, and a device state other than 0 or 1. The chain's layout is
+// checked before anything is allocated; then the events take one slice and
+// all their contexts share one backing array, each event's Context a
+// capacity-capped window of it (nil without causes, as the detector's
+// conversion leaves it).
 func parseAlarmBody(d *decoder) (Alarm, error) {
 	a := Alarm{Seq: d.u64(), Score: math.Float64frombits(d.u64())}
 	if !validScore(a.Score) {
@@ -571,38 +612,74 @@ func parseAlarmBody(d *decoder) (Alarm, error) {
 	}
 	a.Abrupt = d.u8()&alarmFlagAbrupt != 0
 	n := int(d.u16())
-	// Each chain event costs at least 16 payload bytes; a count that
-	// cannot fit the remaining payload is malformed, not a huge alloc.
-	if n > len(d.p)/16+1 {
+	nctx, ok := alarmChainShape(d.p, n)
+	if d.fail || !ok {
 		return Alarm{}, fmt.Errorf("%w: alarm", ErrBadFrame)
 	}
-	for i := 0; i < n && !d.fail; i++ {
-		ev := AlarmEvent{Device: d.str()}
+	if n > 0 {
+		a.Events = make([]AlarmEvent, n)
+	}
+	var ctx []ContextEntry
+	if nctx > 0 {
+		ctx = make([]ContextEntry, nctx)
+	}
+	for i := range a.Events {
+		ev := &a.Events[i]
+		ev.Device = d.str()
 		st := d.u32()
 		ev.Score = math.Float64frombits(d.u64())
 		if st > 1 || !validScore(ev.Score) {
 			return Alarm{}, fmt.Errorf("%w: alarm event state %d score %v", ErrBadFrame, int32(st), ev.Score)
 		}
 		ev.State = int(st)
-		nctx := int(d.u16())
-		if nctx > len(d.p)/6+1 {
-			return Alarm{}, fmt.Errorf("%w: alarm", ErrBadFrame)
+		if k := int(d.u16()); k > 0 {
+			ev.Context, ctx = ctx[:k:k], ctx[k:]
 		}
-		for j := 0; j < nctx && !d.fail; j++ {
-			c := ContextEntry{Name: d.str()}
+		for j := range ev.Context {
+			c := &ev.Context[j]
+			c.Name = d.str()
 			st := d.u32()
 			if st > 1 {
 				return Alarm{}, fmt.Errorf("%w: alarm context state %d", ErrBadFrame, int32(st))
 			}
 			c.State = int(st)
-			ev.Context = append(ev.Context, c)
 		}
-		a.Events = append(a.Events, ev)
 	}
 	if d.fail {
 		return Alarm{}, fmt.Errorf("%w: alarm", ErrBadFrame)
 	}
 	return a, nil
+}
+
+// alarmChainShape walks the n encoded chain events at the front of p and
+// reports their total context entries, or false when they do not fit in p.
+// Each event costs at least 16 bytes and each context entry 6, so the walk
+// is bounded by the payload, never by the counts it reads.
+func alarmChainShape(p []byte, n int) (nctx int, ok bool) {
+	for range n {
+		// Device name, state, score, then the context count.
+		if len(p) < 2 {
+			return 0, false
+		}
+		l := 2 + int(binary.BigEndian.Uint16(p)) + 4 + 8
+		if len(p) < l+2 {
+			return 0, false
+		}
+		k := int(binary.BigEndian.Uint16(p[l:]))
+		p = p[l+2:]
+		nctx += k
+		for range k {
+			if len(p) < 2 {
+				return 0, false
+			}
+			l := 2 + int(binary.BigEndian.Uint16(p)) + 4
+			if len(p) < l {
+				return 0, false
+			}
+			p = p[l:]
+		}
+	}
+	return nctx, true
 }
 
 // validScore reports whether s is an anomaly score: a probability in
@@ -685,6 +762,10 @@ func AppendAlarmAck(dst []byte, idx uint64) []byte { return appendU64(dst, Frame
 
 // ParseAlarmAck decodes an AlarmAck payload.
 func ParseAlarmAck(p []byte) (uint64, error) { return parseU64(p, FrameAlarmAck) }
+
+// pingFrame is an encoded Ping, shared read-only by every sender: the
+// writers copy what they are given.
+var pingFrame = AppendPing(nil)
 
 // AppendPing encodes a Ping frame onto dst.
 func AppendPing(dst []byte) []byte {

@@ -40,6 +40,8 @@ type Writer struct {
 	wrote  chan struct{} // closed when the write taking the current buffer returns
 	failed bool          // a write failed: everything sent from now on is discarded
 	done   bool          // Finish was called
+
+	trailer func(dst []byte) []byte // appends frames that ride each write; see SetTrailer
 }
 
 // NewWriter starts the writer goroutine for nc. maxFrames caps the frames
@@ -82,6 +84,28 @@ func (w *Writer) Finish() {
 	}
 	w.mu.Unlock()
 	w.nc.Close()
+}
+
+// SetTrailer installs f, which the writer goroutine calls with every
+// outbound write's bytes just before writing them, to append frames that
+// ride that write: a sending end's cumulative receipts travel this way
+// instead of as writes of their own. f runs outside the writer's lock and
+// must not call back into the writer. Install it before the first frame is
+// sent.
+func (w *Writer) SetTrailer(f func(dst []byte) []byte) {
+	w.mu.Lock()
+	w.trailer = f
+	w.mu.Unlock()
+}
+
+// Nudge wakes the writer goroutine for one write even when nothing is
+// pending, so what the trailer has to append still goes out on a quiet
+// connection. It never blocks.
+func (w *Writer) Nudge() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
+	}
 }
 
 // Send queues one encoded frame, blocking while the frame cap is reached
@@ -216,8 +240,15 @@ func (w *Writer) loop() {
 		w.frames, w.batch = 0, -1
 		wrote := w.wrote
 		w.wrote = nil
+		trailer := w.trailer
+		if w.failed || w.done {
+			trailer = nil
+		}
 		w.space.Broadcast()
 		w.mu.Unlock()
+		if trailer != nil {
+			out = trailer(out)
+		}
 		if len(out) > 0 {
 			if w.timeout > 0 {
 				w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
