@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench-smoke bench-paper serve-demo perfbench perfbench-pairs
+.PHONY: tier1 vet race chaos netchaos fleet-soak serve-smoke cluster-smoke fuzz check bench-smoke bench-paper serve-demo perfbench perfbench-pairs loc
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -95,6 +95,15 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 check: tier1 vet race chaos bench-smoke
+
+# Size of the product: non-test Go lines of the tracked files outside
+# perfbench/, per top-level directory (files at the root count under "."),
+# then the total.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/' | while read -r f; do \
+		d=$${f%%/*}; [ "$$d" = "$$f" ] && d=.; echo "$$d $$(wc -l < "$$f")"; \
+	done | awk '{n[$$1] += $$2; t += $$2} \
+		END {for (d in n) printf "%-10s %7d\n", d, n[d] | "sort"; close("sort"); printf "%-10s %7d\n", "total", t}'
 
 # One serving-benchmark workload built from this checkout, at the
 # benchmark's run length and untraced:

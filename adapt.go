@@ -439,7 +439,6 @@ func (s *System) RefreshFrom(kind RefreshKind, initial timeseries.State, steps [
 			MinObsPerDOF: s.cfg.MinObsPerDOF,
 			MaxParents:   s.cfg.MaxParents,
 			EventAnchors: s.cfg.EventAnchors,
-			Kernel:       s.cfg.Kernel.internal(),
 		})
 		graph, _, _, err = miner.Mine(series, s.graph.Tau, s.cfg.Smoothing)
 		if err != nil {

@@ -200,40 +200,6 @@ func BenchmarkTemporalPCWorkedExample(b *testing.B) {
 
 // --- Ablations (design decisions called out in DESIGN.md) ---
 
-// BenchmarkAblationPCvsTemporalPC compares classic PC (Meek-rule
-// orientation) against TemporalPC on the same chain data: classic PC leaves
-// Markov-equivalent edges unoriented, the motivation of §V-B.
-func BenchmarkAblationPCvsTemporalPC(b *testing.B) {
-	n := 4000
-	x := make([]int, n)
-	z := make([]int, n)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		x[i] = (i / 2) % 2
-		z[i] = x[i]
-		y[i] = z[i]
-		if i%17 == 0 {
-			z[i] = 1 - z[i]
-		}
-		if i%19 == 0 {
-			y[i] = 1 - y[i]
-		}
-	}
-	samples := []stats.Sample{
-		{Values: x, Arity: 2},
-		{Values: y, Arity: 2},
-		{Values: z, Arity: 2},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, _, err := pc.ClassicPC([]string{"X", "Y", "Z"}, samples, pc.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(p.CountUndirected()), "unoriented-edges")
-	}
-}
-
 // BenchmarkAblationSmoothing sweeps the CPT Laplace pseudo-count: heavy
 // smoothing caps the anomaly score of sparse contexts (a context seen n
 // times can never score beyond 1-s/(n+2s)).
@@ -372,7 +338,7 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := steps[i%len(steps)]
-		if _, _, err := det.Process(st); err != nil {
+		if _, err := det.ProcessStep(st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,7 +40,6 @@ import (
 	"github.com/causaliot/causaliot/internal/monitor"
 	"github.com/causaliot/causaliot/internal/pc"
 	"github.com/causaliot/causaliot/internal/preprocess"
-	"github.com/causaliot/causaliot/internal/stats"
 	"github.com/causaliot/causaliot/internal/timeseries"
 )
 
@@ -153,32 +152,6 @@ type Config struct {
 	// (k-sequence detection, Algorithm 2). Defaults to 1 (contextual
 	// detection only).
 	KMax int
-	// Kernel selects the counting substrate of the mining CI tests.
-	// KernelBit (the default) packs the binary state columns into machine
-	// words and counts contingency tables with popcount instructions;
-	// KernelScalar forces the generic per-observation path. Both kernels
-	// mine the identical graph.
-	Kernel Kernel
-}
-
-// Kernel selects the CI-test counting kernel used while mining.
-type Kernel int
-
-const (
-	// KernelBit counts contingency cells with the popcount kernel over
-	// bit-packed binary state columns — the hardware-fast path for
-	// skeleton construction, and the default.
-	KernelBit Kernel = iota
-	// KernelScalar forces the generic per-observation counting path,
-	// kept for cross-checking the kernels and benchmarking the baseline.
-	KernelScalar
-)
-
-func (k Kernel) internal() stats.Kernel {
-	if k == KernelScalar {
-		return stats.KernelScalar
-	}
-	return stats.KernelBit
 }
 
 func (c Config) withDefaults() Config {
@@ -434,7 +407,6 @@ func Train(devices []Device, log []Event, cfg Config) (*System, error) {
 		MinObsPerDOF: cfg.MinObsPerDOF,
 		MaxParents:   cfg.MaxParents,
 		EventAnchors: cfg.EventAnchors,
-		Kernel:       cfg.Kernel.internal(),
 	})
 	graph, _, _, err := miner.Mine(res.Series, res.Tau, cfg.Smoothing)
 	if err != nil {

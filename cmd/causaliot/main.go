@@ -67,7 +67,7 @@ func run(args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   causaliot simulate -testbed contextact|casas -days N -seed N -out FILE
-  causaliot mine     -in FILE [-testbed contextact|casas] [-tau N] [-graph FILE] [-kernel bit|scalar]
+  causaliot mine     -in FILE [-testbed contextact|casas] [-tau N] [-graph FILE]
   causaliot detect   -train FILE -stream FILE [-testbed contextact|casas] [-tau N] [-kmax N]
   causaliot serve    -train FILE (-stream FILE | -listen ADDR) [-testbed contextact|casas]
                      [-tau N] [-kmax N] [-tenants N] [-shards N] [-workers N] [-queue N]
@@ -174,24 +174,12 @@ func loadEvents(path string) ([]causaliot.Event, error) {
 	return out, nil
 }
 
-func pickKernel(name string) (causaliot.Kernel, error) {
-	switch name {
-	case "bit":
-		return causaliot.KernelBit, nil
-	case "scalar":
-		return causaliot.KernelScalar, nil
-	default:
-		return 0, fmt.Errorf("unknown kernel %q (want bit or scalar)", name)
-	}
-}
-
 func cmdMine(args []string) error {
 	fs := flag.NewFlagSet("mine", flag.ContinueOnError)
 	in := fs.String("in", "", "training event CSV")
 	testbed := fs.String("testbed", "contextact", "device inventory to assume")
 	tau := fs.Int("tau", 0, "maximum time lag (0 = automatic)")
 	graphOut := fs.String("graph", "", "write Graphviz DOT to this file")
-	kernelName := fs.String("kernel", "bit", "CI-test counting kernel: bit|scalar")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -200,10 +188,6 @@ func cmdMine(args []string) error {
 	}
 	if *tau < 0 {
 		return fmt.Errorf("mine: -tau %d < 0", *tau)
-	}
-	kernel, err := pickKernel(*kernelName)
-	if err != nil {
-		return err
 	}
 	tb, err := pickTestbed(*testbed)
 	if err != nil {
@@ -217,7 +201,7 @@ func cmdMine(args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := causaliot.Train(devices, log, causaliot.Config{Tau: *tau, Kernel: kernel})
+	sys, err := causaliot.Train(devices, log, causaliot.Config{Tau: *tau})
 	if err != nil {
 		return err
 	}

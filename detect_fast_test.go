@@ -10,13 +10,16 @@ import (
 	"github.com/causaliot/causaliot/internal/timeseries"
 )
 
-// newReferenceMonitor wraps the clone-window, error-checked reference
-// detector in a Monitor. Feed it through observeReference, not ObserveEvent:
-// the reference path must also resolve names independently of the compiled
-// NameIndex and Unifier the production path uses.
+// newReferenceMonitor wraps a detector compiled afresh from the system's
+// graph (not sys.compiled, nor a model cache's compilation, so a stale
+// compile shows) in a Monitor. Feed it through observeReference, not
+// ObserveEvent: the reference path must also resolve names independently
+// of the NameIndex and Unifier the production path uses. The detector
+// itself is held to the clone-window reference by the monitor package's
+// differential tests.
 func newReferenceMonitor(t *testing.T, sys *System) *Monitor {
 	t.Helper()
-	det, err := monitor.NewReferenceDetector(sys.graph, sys.threshold, sys.cfg.KMax, sys.initial)
+	det, err := monitor.NewDetector(sys.graph, sys.threshold, sys.cfg.KMax, sys.initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func newReferenceMonitor(t *testing.T, sys *System) *Monitor {
 
 // observeReference is ObserveEvent on the reference path: the registry's
 // map lookup and the preprocessor's name-keyed UnifyValue resolve the event
-// before the reference detector scores it.
+// before the detector scores it.
 func observeReference(m *Monitor, e Event) (Detection, error) {
 	idx, ok := m.sys.graph.Registry.Index(e.Device)
 	if !ok {
@@ -47,10 +50,10 @@ func observeReference(m *Monitor, e Event) (Detection, error) {
 	}, nil
 }
 
-// TestReferenceMonitorMatchesMonitor holds the compiled serving path
-// bit-identical to the reference clone-window path through the public API:
-// the same raw event stream must produce identical detections, alarms
-// (including rendered context labels), and flushes.
+// TestReferenceMonitorMatchesMonitor holds the serving path bit-identical
+// to the reference path through the public API: the same raw event stream
+// must produce identical detections, alarms (including rendered context
+// labels), and flushes.
 func TestReferenceMonitorMatchesMonitor(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2, KMax: 3})
 	fast, err := sys.NewMonitor()

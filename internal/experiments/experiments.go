@@ -248,11 +248,11 @@ func (p *Pipeline) detectStream(res *inject.Result, kmax int) (map[int]bool, err
 		}
 	}
 	for _, st := range res.Steps {
-		alarm, _, err := det.Process(st)
+		res, err := det.ProcessStep(st)
 		if err != nil {
 			return nil, err
 		}
-		record(alarm)
+		record(res.Alarm)
 	}
 	record(det.Flush())
 	return alarmed, nil

@@ -250,7 +250,7 @@ func TestScanEvidenceFloor(t *testing.T) {
 // TestScanMatchesSampleTester proves the counts path is bit-identical to
 // the per-observation G² testers: expand the accumulated table back into
 // observation samples and compare statistics through both the scalar Test
-// and the bit-packed TestBits kernels.
+// and the bit-packed TestStrata kernels.
 func TestScanMatchesSampleTester(t *testing.T) {
 	comp := fittedChain(t)
 	g := comp.Graph()
@@ -319,7 +319,11 @@ func TestScanMatchesSampleTester(t *testing.T) {
 			}
 			bzs = append(bzs, bz)
 		}
-		bits, err := tester.TestBits(bx, by, bzs)
+		strata, err := stats.NewStrata(by, bzs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, err := tester.TestStrata(bx, strata, nil)
 		if err != nil {
 			t.Fatalf("device %d bits: %v", v.Device, err)
 		}

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -38,22 +37,16 @@ type Checkpoint struct {
 
 // Checkpoint snapshots the detector's runtime state. The result shares no
 // memory with the detector and is safe to serialize or retain across
-// further Process calls. It works identically on the compiled and the
-// reference path.
+// further ProcessStep calls.
 func (d *Detector) Checkpoint() Checkpoint {
-	c := Checkpoint{
+	return Checkpoint{
 		Tau:            d.Tau(),
 		NumDevices:     d.numDevices,
+		Window:         d.win.Snapshot(),
 		Seq:            d.seq,
 		SkipDuplicates: d.SkipDuplicates,
 		Chain:          cloneChain(d.w),
 	}
-	if d.ref != nil {
-		c.Window = snapshotCloneWindow(d.ref)
-	} else {
-		c.Window = d.win.Snapshot()
-	}
-	return c
 }
 
 // Restore replaces the detector's runtime state with a checkpoint taken
@@ -82,17 +75,11 @@ func (d *Detector) Restore(c Checkpoint) error {
 	if err := validateChain(c.Chain, c.Tau, c.NumDevices, c.Seq); err != nil {
 		return err
 	}
-	if d.ref != nil {
-		if err := restoreCloneWindow(d.ref, c.Window); err != nil {
-			return err
-		}
-	} else {
-		win, err := timeseries.RestoreWindow(c.Tau, c.NumDevices, c.Window)
-		if err != nil {
-			return err
-		}
-		d.win = win
+	win, err := timeseries.RestoreWindow(c.Tau, c.NumDevices, c.Window)
+	if err != nil {
+		return err
 	}
+	d.win = win
 	d.w = cloneChain(c.Chain)
 	d.seq = c.Seq
 	d.SkipDuplicates = c.SkipDuplicates
@@ -152,27 +139,4 @@ func cloneChain(chain []AnomalousEvent) []AnomalousEvent {
 		}
 	}
 	return out
-}
-
-// snapshotCloneWindow exports a reference-path clone window in the same
-// oldest-first cell order as timeseries.Window.Snapshot, so checkpoints
-// taken on either scoring path are interchangeable.
-func snapshotCloneWindow(m *cloneWindow) []int {
-	n := m.reg.Len()
-	out := make([]int, (m.tau+1)*n)
-	for r := 0; r <= m.tau; r++ {
-		copy(out[r*n:(r+1)*n], m.window[r])
-	}
-	return out
-}
-
-func restoreCloneWindow(m *cloneWindow, cells []int) error {
-	n := m.reg.Len()
-	if len(cells) != (m.tau+1)*n {
-		return errors.New("monitor: checkpoint window shape mismatch")
-	}
-	for r := 0; r <= m.tau; r++ {
-		copy(m.window[r], cells[r*n:(r+1)*n])
-	}
-	return nil
 }

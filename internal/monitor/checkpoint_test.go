@@ -47,56 +47,47 @@ func observe(t *testing.T, d *Detector, steps []timeseries.Step) []detection {
 
 // TestCheckpointResumeBitForBit is the crash-safety core property: for every
 // kill point, a detector restored from a checkpoint taken there produces
-// scores and alarms bit-for-bit identical to the uninterrupted reference
-// run — on both the compiled and the reference scoring path.
+// scores and alarms bit-for-bit identical to the uninterrupted run. (The
+// reference detector's side of checkpointing is TestCheckpointCrossPath.)
 func TestCheckpointResumeBitForBit(t *testing.T) {
 	g, _ := fittedChainGraph(t)
 	stream := randomStream(7, 400)
-	build := map[string]func() (*Detector, error){
-		"compiled":  func() (*Detector, error) { return NewDetector(g, 0.5, 3, timeseries.State{0, 0}) },
-		"reference": func() (*Detector, error) { return NewReferenceDetector(g, 0.5, 3, timeseries.State{0, 0}) },
+	mk := func() *Detector {
+		d, err := NewDetector(g, 0.5, 3, timeseries.State{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	for name, mk := range build {
-		t.Run(name, func(t *testing.T) {
-			ref, err := mk()
-			if err != nil {
-				t.Fatal(err)
+	t.Run("compiled", func(t *testing.T) {
+		want := observe(t, mk(), stream)
+		for _, kill := range []int{0, 1, 13, 200, len(stream) - 1, len(stream)} {
+			d1 := mk()
+			observe(t, d1, stream[:kill])
+			cp := d1.Checkpoint()
+			if cp.Seq != kill {
+				t.Fatalf("kill %d: checkpoint position %d", kill, cp.Seq)
 			}
-			want := observe(t, ref, stream)
-			for _, kill := range []int{0, 1, 13, 200, len(stream) - 1, len(stream)} {
-				d1, err := mk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				observe(t, d1, stream[:kill])
-				cp := d1.Checkpoint()
-				if cp.Seq != kill {
-					t.Fatalf("kill %d: checkpoint position %d", kill, cp.Seq)
-				}
-				// The "restarted process": a fresh detector over the same
-				// model, state restored from the checkpoint alone.
-				d2, err := mk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := d2.Restore(cp); err != nil {
-					t.Fatalf("kill %d: restore: %v", kill, err)
-				}
-				got := observe(t, d2, stream[kill:])
-				for i, det := range got {
-					if det != want[kill+i] {
-						t.Fatalf("kill %d: detection %d diverged: got %+v, want %+v",
-							kill, kill+i, det, want[kill+i])
-					}
+			// The "restarted process": a fresh detector over the same
+			// model, state restored from the checkpoint alone.
+			d2 := mk()
+			if err := d2.Restore(cp); err != nil {
+				t.Fatalf("kill %d: restore: %v", kill, err)
+			}
+			got := observe(t, d2, stream[kill:])
+			for i, det := range got {
+				if det != want[kill+i] {
+					t.Fatalf("kill %d: detection %d diverged: got %+v, want %+v",
+						kill, kill+i, det, want[kill+i])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestCheckpointCrossPath proves checkpoints are interchangeable between the
-// compiled and the reference scoring path: state captured on one path
-// restores onto the other and the resumed streams stay identical.
+// TestCheckpointCrossPath proves a checkpoint taken on the reference
+// clone-window detector restores onto the compiled one and the resumed
+// stream stays identical to an uninterrupted compiled run.
 func TestCheckpointCrossPath(t *testing.T) {
 	g, _ := fittedChainGraph(t)
 	stream := randomStream(11, 200)
@@ -107,11 +98,12 @@ func TestCheckpointCrossPath(t *testing.T) {
 	}
 	want := observe(t, comp, stream)
 
-	half, err := NewReferenceDetector(g, 0.5, 2, timeseries.State{0, 0})
-	if err != nil {
-		t.Fatal(err)
+	half := newRefDetector(t, g, 0.5, 2, timeseries.State{0, 0})
+	for i, s := range stream[:kill] {
+		if _, err := half.ProcessStep(s); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
 	}
-	observe(t, half, stream[:kill])
 	resumed, err := NewDetector(g, 0.5, 2, timeseries.State{0, 0})
 	if err != nil {
 		t.Fatal(err)

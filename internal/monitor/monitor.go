@@ -7,10 +7,9 @@
 // The serving hot path is allocation-free: the phantom window is a flat
 // ring buffer (timeseries.Window) slid in place per event, and scoring runs
 // against a compiled DIG (dig.Compiled) whose dense score tables replace
-// the error-checked mixed-radix CPT lookup. The original clone-per-event
-// window and error-checked scoring survive as the reference path
-// (NewReferenceDetector), which the differential tests hold the compiled
-// path bit-identical to.
+// the error-checked mixed-radix CPT lookup. The package tests keep the
+// original clone-per-event window and error-checked scoring as a reference
+// detector and hold this path bit-identical to it.
 package monitor
 
 import (
@@ -29,86 +28,6 @@ import (
 // distribution used as the detection threshold; 99 reflects high confidence
 // in the normality of the logged events (§V-C).
 const DefaultQuantile = 99.0
-
-// cloneWindow is the original clone-per-event phantom window, kept verbatim
-// as the reference implementation the ring buffer is held bit-identical to
-// by the differential tests.
-type cloneWindow struct {
-	reg    *timeseries.Registry
-	tau    int
-	window []timeseries.State // window[tau] is the present state
-}
-
-func newCloneWindow(reg *timeseries.Registry, tau int, initial timeseries.State) (*cloneWindow, error) {
-	if reg == nil {
-		return nil, errors.New("monitor: nil registry")
-	}
-	if tau < 1 {
-		return nil, fmt.Errorf("monitor: tau %d < 1", tau)
-	}
-	if len(initial) != reg.Len() {
-		return nil, fmt.Errorf("monitor: initial state has %d devices, registry has %d", len(initial), reg.Len())
-	}
-	window := make([]timeseries.State, tau+1)
-	for i := range window {
-		window[i] = initial.Clone()
-	}
-	return &cloneWindow{reg: reg, tau: tau, window: window}, nil
-}
-
-func (m *cloneWindow) update(step timeseries.Step) error {
-	if step.Device < 0 || step.Device >= m.reg.Len() {
-		return fmt.Errorf("monitor: device index %d out of range", step.Device)
-	}
-	if step.Value != 0 && step.Value != 1 {
-		return fmt.Errorf("monitor: non-binary value %d", step.Value)
-	}
-	next := m.window[m.tau].Clone()
-	next[step.Device] = step.Value
-	copy(m.window, m.window[1:])
-	m.window[m.tau] = next
-	return nil
-}
-
-func (m *cloneWindow) value(n dig.Node) (int, error) {
-	if n.Lag < 0 || n.Lag > m.tau {
-		return 0, fmt.Errorf("monitor: lag %d outside [0,%d]", n.Lag, m.tau)
-	}
-	if n.Device < 0 || n.Device >= m.reg.Len() {
-		return 0, fmt.Errorf("monitor: device index %d out of range", n.Device)
-	}
-	return m.window[m.tau-n.Lag][n.Device], nil
-}
-
-func (m *cloneWindow) causeValues(causes []dig.Node) ([]int, error) {
-	out := make([]int, len(causes))
-	for i, c := range causes {
-		v, err := m.value(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// resize adapts the window to a new maximum lag, keeping the most recent
-// states aligned on the present; when the window grows, the oldest known
-// state is replicated into the new, older slots.
-func (m *cloneWindow) resize(tau int) {
-	if tau == m.tau {
-		return
-	}
-	window := make([]timeseries.State, tau+1)
-	for i := range window {
-		j := m.tau - (tau - i)
-		if j < 0 {
-			j = 0
-		}
-		window[i] = m.window[j].Clone()
-	}
-	m.tau, m.window = tau, window
-}
 
 // parallelAnchorMin is the snapshot-anchor count below which TrainingScores
 // stays on the serial path: under it, fan-out overhead and the one-time
@@ -243,7 +162,7 @@ type AnomalousEvent struct {
 	// Step is the offending event.
 	Step timeseries.Step
 	// Seq is the 1-based position of the event in the detector's stream
-	// (counting every Process call, including skipped duplicates), so
+	// (counting every ProcessStep call, including skipped duplicates), so
 	// alarms can be aligned with injected-anomaly labels.
 	Seq int
 	// Score is the anomaly score f(e, G, 𝒢).
@@ -272,20 +191,16 @@ func (a *Alarm) Collective() bool { return len(a.Events) > 1 }
 // Detector runs the k-sequence anomaly detection of Algorithm 2 over a
 // runtime event stream.
 //
-// The default detector scores events against a compiled DIG over the flat
-// ring-buffer window: steady-state ProcessStep (no alarm, no chain
-// membership, no duplicate) performs zero heap allocations. A detector
-// built with NewReferenceDetector instead runs the original clone-window,
-// error-checked scoring path; both produce bit-identical scores, alarms,
-// and window states.
+// It scores events against a compiled DIG over the flat ring-buffer
+// window: steady-state ProcessStep (no alarm, no chain membership, no
+// duplicate) performs zero heap allocations.
 type Detector struct {
 	g          *dig.Graph
-	comp       *dig.Compiled // nil in reference mode
+	comp       *dig.Compiled
 	threshold  float64
 	kmax       int
 	numDevices int
-	win        *timeseries.Window // hot-path ring window (nil in reference mode)
-	ref        *cloneWindow       // reference clone window (nil on the hot path)
+	win        *timeseries.Window
 	w          []AnomalousEvent
 	seq        int
 	// scratch is the reusable cause-value gather buffer, sized to the
@@ -356,31 +271,6 @@ func NewDetectorFromCompiled(comp *dig.Compiled, threshold float64, kmax int, in
 	}, nil
 }
 
-// NewReferenceDetector builds a detector on the original clone-window,
-// error-checked scoring path. It is the differential-testing and
-// benchmarking baseline the compiled path is held bit-identical to; serving
-// should use NewDetector.
-func NewReferenceDetector(g *dig.Graph, threshold float64, kmax int, initial timeseries.State) (*Detector, error) {
-	if g == nil {
-		return nil, errors.New("monitor: nil graph")
-	}
-	if err := validateDetectorParams(g, threshold, kmax, initial); err != nil {
-		return nil, err
-	}
-	ref, err := newCloneWindow(g.Registry, g.Tau, initial)
-	if err != nil {
-		return nil, err
-	}
-	return &Detector{
-		g:              g,
-		threshold:      threshold,
-		kmax:           kmax,
-		numDevices:     g.Registry.Len(),
-		ref:            ref,
-		SkipDuplicates: true,
-	}, nil
-}
-
 // Threshold returns the detector's score threshold.
 func (d *Detector) Threshold() float64 { return d.threshold }
 
@@ -388,33 +278,12 @@ func (d *Detector) Threshold() float64 { return d.threshold }
 // list W.
 func (d *Detector) Pending() int { return len(d.w) }
 
-// WindowValue returns the tracked window state of dev at the given lag,
-// for window-state inspection regardless of the detector's scoring mode.
-func (d *Detector) WindowValue(dev, lag int) (int, error) {
-	if d.ref != nil {
-		return d.ref.value(dig.Node{Device: dev, Lag: lag})
-	}
-	if lag < 0 || lag > d.win.Tau() {
-		return 0, fmt.Errorf("monitor: lag %d outside [0,%d]", lag, d.win.Tau())
-	}
-	if dev < 0 || dev >= d.numDevices {
-		return 0, fmt.Errorf("monitor: device index %d out of range", dev)
-	}
-	return d.win.At(dev, lag), nil
-}
-
 // Tau returns the detector's current window lag.
-func (d *Detector) Tau() int {
-	if d.ref != nil {
-		return d.ref.tau
-	}
-	return d.win.Tau()
-}
+func (d *Detector) Tau() int { return d.win.Tau() }
 
-// Window exposes the detector's phantom window for read-only inspection by
-// the lifecycle evidence accumulator; it is nil on the reference scoring
-// path. Swap and Restore replace the window object, so holders must
-// re-fetch it rather than cache across those operations.
+// Window exposes the detector's phantom window for read-only inspection,
+// e.g. by the lifecycle evidence accumulator. Restore replaces the window
+// object, so holders must re-fetch it rather than cache across a restore.
 func (d *Detector) Window() *timeseries.Window {
 	return d.win
 }
@@ -423,20 +292,14 @@ func (d *Detector) Window() *timeseries.Window {
 // between events: the phantom window and any partially tracked anomaly
 // chain survive, so a model refresh loses no detection state. The new graph
 // must cover the same device registry; a different Tau resizes the window,
-// replicating the oldest known state when it grows. On the compiled path
-// the graph is re-compiled here; use SwapCompiled to share an existing
-// compilation.
+// replicating the oldest known state when it grows. The graph is compiled
+// here; use SwapCompiled to share an existing compilation.
 func (d *Detector) Swap(g *dig.Graph, threshold float64, kmax int) error {
 	if g == nil {
 		return errors.New("monitor: nil graph")
 	}
 	if err := d.validateSwap(g, threshold, kmax); err != nil {
 		return err
-	}
-	if d.ref != nil {
-		d.ref.resize(g.Tau)
-		d.g, d.threshold, d.kmax = g, threshold, kmax
-		return nil
 	}
 	comp, err := dig.Compile(g)
 	if err != nil {
@@ -455,11 +318,6 @@ func (d *Detector) SwapCompiled(comp *dig.Compiled, threshold float64, kmax int)
 	g := comp.Graph()
 	if err := d.validateSwap(g, threshold, kmax); err != nil {
 		return err
-	}
-	if d.ref != nil {
-		d.ref.resize(g.Tau)
-		d.g, d.threshold, d.kmax = g, threshold, kmax
-		return nil
 	}
 	d.adoptCompiled(comp, threshold, kmax)
 	return nil
@@ -499,15 +357,6 @@ type Result struct {
 	Duplicate bool
 }
 
-// Process ingests one runtime event and returns a non-nil Alarm when one is
-// raised, together with the event's anomaly score (NaN-free; duplicates
-// return score 0 and no alarm). It is a compatibility wrapper around
-// ProcessStep.
-func (d *Detector) Process(step timeseries.Step) (*Alarm, float64, error) {
-	res, err := d.ProcessStep(step)
-	return res.Alarm, res.Score, err
-}
-
 // ProcessStep ingests one runtime event and reports what the detector did
 // with it.
 //
@@ -518,17 +367,14 @@ func (d *Detector) Process(step timeseries.Step) (*Alarm, float64, error) {
 // context). The chain is reported when |W| = k_max or when an abrupt
 // high-score event interrupts the tracking.
 //
-// On the compiled path, a steady-state call (no duplicate, no chain
-// membership) performs zero heap allocations: the device and value are
+// A steady-state call (no duplicate, no chain membership) performs zero
+// heap allocations: the device and value are
 // validated once up front, the duplicate check is a direct ring-buffer
 // read, the window slides in place, and the score is a compiled-table
 // gather. Cause values are only materialized when the event joins an
 // anomaly chain.
 func (d *Detector) ProcessStep(step timeseries.Step) (Result, error) {
 	d.seq++
-	if d.ref != nil {
-		return d.processReference(step)
-	}
 	if step.Device < 0 || step.Device >= d.numDevices {
 		return Result{}, fmt.Errorf("monitor: device index %d out of range", step.Device)
 	}
@@ -554,33 +400,6 @@ func (d *Detector) ProcessStep(step timeseries.Step) (Result, error) {
 		gathered := d.comp.CauseValuesInto(d.win, step.Device, d.scratch)
 		values = make([]int, len(gathered))
 		copy(values, gathered)
-	}
-	return d.advanceChain(step, score, causes, values), nil
-}
-
-// processReference is the original ProcessStep: clone-window duplicate
-// check, per-event cause-value allocation, and error-checked CPT scoring.
-func (d *Detector) processReference(step timeseries.Step) (Result, error) {
-	if d.SkipDuplicates {
-		cur, err := d.ref.value(dig.Node{Device: step.Device, Lag: 0})
-		if err != nil {
-			return Result{}, err
-		}
-		if cur == step.Value {
-			return Result{Duplicate: true}, nil
-		}
-	}
-	if err := d.ref.update(step); err != nil {
-		return Result{}, err
-	}
-	causes := d.g.Parents(step.Device)
-	values, err := d.ref.causeValues(causes)
-	if err != nil {
-		return Result{}, err
-	}
-	score, err := d.g.AnomalyScore(step.Device, step.Value, values)
-	if err != nil {
-		return Result{}, err
 	}
 	return d.advanceChain(step, score, causes, values), nil
 }

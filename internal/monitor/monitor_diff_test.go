@@ -12,7 +12,7 @@ import (
 // compareStep drives both detectors with the same step and fails unless
 // they produce identical results (scores compared bit-identically through
 // reflect.DeepEqual's float ==) and identical window states.
-func compareStep(t *testing.T, fast, ref *Detector, step timeseries.Step, i int) {
+func compareStep(t *testing.T, fast *Detector, ref *refDetector, step timeseries.Step, i int) {
 	t.Helper()
 	fastRes, fastErr := fast.ProcessStep(step)
 	refRes, refErr := ref.ProcessStep(step)
@@ -25,23 +25,19 @@ func compareStep(t *testing.T, fast, ref *Detector, step timeseries.Step, i int)
 	if !reflect.DeepEqual(fastRes, refRes) {
 		t.Fatalf("step %d: fast result %+v, reference %+v", i, fastRes, refRes)
 	}
-	if fast.Pending() != ref.Pending() {
-		t.Fatalf("step %d: fast pending %d, reference %d", i, fast.Pending(), ref.Pending())
+	if fast.Pending() != ref.chain.Pending() {
+		t.Fatalf("step %d: fast pending %d, reference %d", i, fast.Pending(), ref.chain.Pending())
 	}
-	if fast.Tau() != ref.Tau() {
-		t.Fatalf("step %d: fast tau %d, reference %d", i, fast.Tau(), ref.Tau())
+	if fast.Tau() != ref.tau {
+		t.Fatalf("step %d: fast tau %d, reference %d", i, fast.Tau(), ref.tau)
 	}
 	for lag := 0; lag <= fast.Tau(); lag++ {
 		for dev := 0; dev < 2; dev++ {
-			fv, err := fast.WindowValue(dev, lag)
+			rv, err := ref.value(dig.Node{Device: dev, Lag: lag})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rv, err := ref.WindowValue(dev, lag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fv != rv {
+			if fv := fast.Window().At(dev, lag); fv != rv {
 				t.Fatalf("step %d: window(%d,%d) fast %d, reference %d", i, dev, lag, fv, rv)
 			}
 		}
@@ -62,15 +58,15 @@ func TestDetectorDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReferenceDetector(g, thr, 3, timeseries.State{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.comp == nil || ref.comp != nil {
-		t.Fatal("detector modes not wired as expected")
-	}
+	ref := newRefDetector(t, g, thr, 3, timeseries.State{0, 0})
 
-	g2, err := dig.New(g.Registry, 4, [][]dig.Node{{}, {{Device: 0, Lag: 1}}}, 1)
+	// g2 adds deeper lags and a self-cause: a cause of another device at
+	// lag 1 always reads the same at lag 0, so only these make an
+	// off-by-one lag in either gather visible.
+	g2, err := dig.New(g.Registry, 4, [][]dig.Node{
+		{{Device: 1, Lag: 2}},
+		{{Device: 0, Lag: 1}, {Device: 1, Lag: 1}, {Device: 0, Lag: 3}},
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +116,7 @@ func TestDetectorDifferential(t *testing.T) {
 		}
 		compareStep(t, fast, ref, step, i)
 	}
-	if !reflect.DeepEqual(fast.Flush(), ref.Flush()) {
+	if !reflect.DeepEqual(fast.Flush(), ref.chain.Flush()) {
 		t.Error("Flush diverged between compiled and reference detectors")
 	}
 }
@@ -137,32 +133,13 @@ func TestDetectorDifferentialNoSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewReferenceDetector(g, thr, 2, timeseries.State{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newRefDetector(t, g, thr, 2, timeseries.State{0, 0})
 	fast.SkipDuplicates = false
-	ref.SkipDuplicates = false
+	ref.chain.SkipDuplicates = false
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
 		step := timeseries.Step{Device: rng.Intn(2), Value: rng.Intn(2)}
 		compareStep(t, fast, ref, step, i)
-	}
-}
-
-func TestNewReferenceDetectorValidation(t *testing.T) {
-	g, _ := fittedChainGraph(t)
-	if _, err := NewReferenceDetector(nil, 0.5, 1, timeseries.State{0, 0}); err == nil {
-		t.Error("nil graph accepted")
-	}
-	if _, err := NewReferenceDetector(g, 1.5, 1, timeseries.State{0, 0}); err == nil {
-		t.Error("out-of-range threshold accepted")
-	}
-	if _, err := NewReferenceDetector(g, 0.5, 0, timeseries.State{0, 0}); err == nil {
-		t.Error("kmax 0 accepted")
-	}
-	if _, err := NewReferenceDetector(g, 0.5, 1, timeseries.State{0}); err == nil {
-		t.Error("short initial state accepted")
 	}
 }
 
@@ -206,7 +183,7 @@ func TestProcessStepZeroAllocs(t *testing.T) {
 	}
 	// The duplicate-skip branch must not allocate either.
 	allocs = testing.AllocsPerRun(1000, func() {
-		res, err := d.ProcessStep(timeseries.Step{Device: 0, Value: res0(d)})
+		res, err := d.ProcessStep(timeseries.Step{Device: 0, Value: d.Window().At(0, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,15 +194,6 @@ func TestProcessStepZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("duplicate-skip ProcessStep allocates %.1f allocs/op, want 0", allocs)
 	}
-}
-
-// res0 reads device 0's present window value.
-func res0(d *Detector) int {
-	v, err := d.WindowValue(0, 0)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // TestTrainingScoresParallelMatchesSerial holds the parallel threshold

@@ -102,33 +102,33 @@ func TestDetectorContextualAnomaly(t *testing.T) {
 	}
 	// Normal execution: cause on, then effect on (follows the
 	// interaction) — no alarm for the effect.
-	alarm, _, err := d.Process(timeseries.Step{Device: 0, Value: 1})
-	if err != nil {
+	// The cause device has an empty parent set; its score is data-dependent.
+	if _, err := d.ProcessStep(timeseries.Step{Device: 0, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_ = alarm // the cause device has an empty parent set; its score is data-dependent
 	d2, err := NewDetector(g, 0.5, 1, timeseries.State{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alarm, score, err := d2.Process(timeseries.Step{Device: 1, Value: 1})
+	res, err := d2.ProcessStep(timeseries.Step{Device: 1, Value: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alarm != nil {
-		t.Errorf("legitimate effect event raised an alarm (score %v)", score)
+	if res.Alarm != nil {
+		t.Errorf("legitimate effect event raised an alarm (score %v)", res.Score)
 	}
 	// Violating execution: cause off, effect turns on out of nowhere.
 	d3, err := NewDetector(g, 0.5, 1, timeseries.State{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alarm, score, err = d3.Process(timeseries.Step{Device: 1, Value: 1})
+	res, err = d3.ProcessStep(timeseries.Step{Device: 1, Value: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	alarm := res.Alarm
 	if alarm == nil {
-		t.Fatalf("ghost actuation not detected (score %v)", score)
+		t.Fatalf("ghost actuation not detected (score %v)", res.Score)
 	}
 	if len(alarm.Events) != 1 || alarm.Abrupt {
 		t.Errorf("alarm = %+v, want single contextual event", alarm)
@@ -155,12 +155,12 @@ func TestDetectorCollectiveChain(t *testing.T) {
 	// low-score event: after the seed, turn the cause on (score for a
 	// parentless device is 1 - P(value), may or may not be low), then the
 	// effect's next event follows the interaction.
-	alarm, _, err := d.Process(timeseries.Step{Device: 1, Value: 1}) // contextual seed
+	res, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 1}) // contextual seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alarm != nil {
-		t.Fatalf("seed should start tracking, not alarm (kmax=2): %+v", alarm)
+	if res.Alarm != nil {
+		t.Fatalf("seed should start tracking, not alarm (kmax=2): %+v", res.Alarm)
 	}
 	if d.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", d.Pending())
@@ -169,10 +169,11 @@ func TestDetectorCollectiveChain(t *testing.T) {
 	// marginal P(cause=1) ≈ 0.5, score ≈ 0.5 < 0.5? Borderline — use the
 	// effect flipping off with cause off: P(effect=0 | cause=0) is high,
 	// so score is low and the event joins the chain.
-	alarm, _, err = d.Process(timeseries.Step{Device: 1, Value: 0})
+	res, err = d.ProcessStep(timeseries.Step{Device: 1, Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	alarm := res.Alarm
 	if alarm == nil {
 		t.Fatal("chain of length kmax=2 should raise an alarm")
 	}
@@ -190,7 +191,7 @@ func TestDetectorAbruptEventInterruptsTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Process(timeseries.Step{Device: 1, Value: 1}); err != nil { // seed
+	if _, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 1}); err != nil { // seed
 		t.Fatal(err)
 	}
 	if d.Pending() != 1 {
@@ -200,16 +201,17 @@ func TestDetectorAbruptEventInterruptsTracking(t *testing.T) {
 	// flip it off and on... instead use: effect off (joins chain, low
 	// score), then effect on again with cause still off (high score ->
 	// abrupt).
-	if _, _, err := d.Process(timeseries.Step{Device: 1, Value: 0}); err != nil {
+	if _, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", d.Pending())
 	}
-	alarm, _, err := d.Process(timeseries.Step{Device: 1, Value: 1})
+	res, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	alarm := res.Alarm
 	if alarm == nil {
 		t.Fatal("abrupt event should flush the chain")
 	}
@@ -225,21 +227,21 @@ func TestDetectorSkipsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Device 1 reporting 0 while already 0 is a duplicate.
-	alarm, score, err := d.Process(timeseries.Step{Device: 1, Value: 0})
+	res, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alarm != nil || score != 0 {
-		t.Errorf("duplicate produced alarm=%v score=%v", alarm, score)
+	if res.Alarm != nil || res.Score != 0 {
+		t.Errorf("duplicate produced alarm=%v score=%v", res.Alarm, res.Score)
 	}
 	// With SkipDuplicates disabled the event is scored.
 	d.SkipDuplicates = false
-	_, score, err = d.Process(timeseries.Step{Device: 1, Value: 0})
+	res, err = d.ProcessStep(timeseries.Step{Device: 1, Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if score == 0 {
-		t.Log("score for duplicate with SkipDuplicates=false:", score)
+	if res.Score == 0 {
+		t.Log("score for duplicate with SkipDuplicates=false:", res.Score)
 	}
 }
 
@@ -249,7 +251,7 @@ func TestDetectorFlush(t *testing.T) {
 	if a := d.Flush(); a != nil {
 		t.Error("Flush of empty detector returned alarm")
 	}
-	if _, _, err := d.Process(timeseries.Step{Device: 1, Value: 1}); err != nil {
+	if _, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	a := d.Flush()
@@ -351,7 +353,7 @@ func TestDetectorSwapPreservesChainAndWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed a chain: effect on with cause off is a contextual anomaly.
-	if _, _, err := d.Process(timeseries.Step{Device: 1, Value: 1}); err != nil {
+	if _, err := d.ProcessStep(timeseries.Step{Device: 1, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Pending() != 1 {

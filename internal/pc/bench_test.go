@@ -5,7 +5,6 @@ import (
 
 	"github.com/causaliot/causaliot/internal/preprocess"
 	"github.com/causaliot/causaliot/internal/sim"
-	"github.com/causaliot/causaliot/internal/stats"
 	"github.com/causaliot/causaliot/internal/timeseries"
 )
 
@@ -39,15 +38,17 @@ func mineBenchInput(tb testing.TB, tauOverride int) (*timeseries.Series, int) {
 var trainMinerConfig = Config{MaxCondSize: 3, MinObsPerDOF: 5, MaxParents: 8}
 
 // BenchmarkMine measures full skeleton construction + CPT fitting on the
-// simulated testbed under each counting kernel, side by side; run it with
-// -benchmem to see the allocations too.
+// simulated testbed under each counting kernel, side by side: bit is the
+// miner's default G² tester, scalar the same tester behind scalarOnly. Run
+// it with -benchmem to see the allocations too.
 func BenchmarkMine(b *testing.B) {
 	series, tau := mineBenchInput(b, 0)
-	for _, k := range []stats.Kernel{stats.KernelBit, stats.KernelScalar} {
-		b.Run(k.String(), func(b *testing.B) {
-			cfg := trainMinerConfig
-			cfg.Kernel = k
-			miner := NewMiner(cfg)
+	for _, k := range []struct {
+		name string
+		cfg  Config
+	}{{"bit", trainMinerConfig}, {"scalar", scalarConfig(trainMinerConfig)}} {
+		b.Run(k.name, func(b *testing.B) {
+			miner := NewMiner(k.cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := miner.Mine(series, tau, 0.01); err != nil {

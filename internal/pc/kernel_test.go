@@ -51,6 +51,22 @@ func webSeries(t *testing.T, m int, seed int64) *timeseries.Series {
 	return s
 }
 
+// scalarOnly hides a tester's popcount fast path: it embeds the
+// stats.CITester interface, so only Test is promoted and a miner handed it
+// runs every CI test on the scalar walk.
+type scalarOnly struct{ stats.CITester }
+
+// scalarConfig is cfg with its tester (the miner's default G² when nil)
+// wrapped in scalarOnly.
+func scalarConfig(cfg Config) Config {
+	tester := cfg.Tester
+	if tester == nil {
+		tester = stats.GSquareTester{MinObsPerDOF: cfg.MinObsPerDOF}
+	}
+	cfg.Tester = scalarOnly{tester}
+	return cfg
+}
+
 // TestMineKernelDifferential is the end-to-end contract of the popcount
 // kernel: under every configuration, the bit and scalar kernels must mine
 // the identical graph — same edges, same removal sep-sets and p-values,
@@ -69,14 +85,15 @@ func TestMineKernelDifferential(t *testing.T) {
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			s := webSeries(t, 5000, 29)
-			bitCfg, scalarCfg := tc.cfg, tc.cfg
-			bitCfg.Kernel = stats.KernelBit
-			scalarCfg.Kernel = stats.KernelScalar
-			gBit, remBit, stBit, err := NewMiner(bitCfg).Mine(s, 2, 0.01)
+			bit, scalar := NewMiner(tc.cfg), NewMiner(scalarConfig(tc.cfg))
+			if bit.bitTester == nil || scalar.bitTester != nil {
+				t.Fatal("miners not on the intended counting paths")
+			}
+			gBit, remBit, stBit, err := bit.Mine(s, 2, 0.01)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gScalar, remScalar, stScalar, err := NewMiner(scalarCfg).Mine(s, 2, 0.01)
+			gScalar, remScalar, stScalar, err := scalar.Mine(s, 2, 0.01)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +140,11 @@ func TestClassicPCKernelDifferential(t *testing.T) {
 		{Values: z, Arity: 2},
 		{Values: w, Arity: 3},
 	}
-	pBit, stBit, err := ClassicPC(names, samples, Config{Kernel: stats.KernelBit})
+	pBit, stBit, err := ClassicPC(names, samples, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pScalar, stScalar, err := ClassicPC(names, samples, Config{Kernel: stats.KernelScalar})
+	pScalar, stScalar, err := ClassicPC(names, samples, scalarConfig(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
-// Package pc implements causal-discovery algorithms: the paper's TemporalPC
-// (Algorithm 1), which discovers the causes of each present device state
-// among the time-lagged states and orients every edge by time, and a classic
-// (non-temporal) PC algorithm with Meek's orientation rules, kept as the
-// reference TemporalPC is compared against in §V-B.
+// Package pc implements the paper's TemporalPC (Algorithm 1), which
+// discovers the causes of each present device state among the time-lagged
+// states and orients every edge by time. The classic (non-temporal) PC
+// algorithm with Meek's orientation rules, the baseline §V-B argues
+// against, lives in the package tests as an ablation.
 package pc
 
 import (
@@ -33,8 +33,7 @@ const DefaultAlpha = 0.001
 // three candidates. Past l = 8 the cached advantage shrinks (2.3× at
 // l = 14) while each Strata grows towards 64 24-byte entries per word and
 // a 2^l-entry stratum index, so the cap stays 8 and deeper sets use the
-// scalar path even when the kernel is enabled. Classic PC, which builds a
-// Strata per test, shares the cap.
+// scalar path.
 const bitKernelMaxCond = 8
 
 // Config controls TemporalPC.
@@ -70,15 +69,12 @@ type Config struct {
 	// Tester overrides the conditional-independence test. Nil selects the
 	// paper's G² test (with MinObsPerDOF applied); constraint-based
 	// discovery accepts any stats.CITester, e.g.
-	// stats.PearsonChiSquareTester.
+	// stats.PearsonChiSquareTester. A tester that implements
+	// stats.BitCITester counts its tests with popcounts over bit-packed
+	// state columns whenever the conditioning set has at most 8 members
+	// (bitKernelMaxCond); every other test takes the scalar walk. Either
+	// way the mined graph is identical.
 	Tester stats.CITester
-	// Kernel selects the counting substrate of the CI tests. The default
-	// (stats.KernelBit) packs the binary state columns into machine words
-	// once per outcome and counts contingency cells with popcount
-	// instructions; stats.KernelScalar forces the generic path. Testers
-	// that do not implement stats.BitCITester always run the scalar path;
-	// either way the mined graph is identical.
-	Kernel stats.Kernel
 	// Workers bounds the number of concurrent per-outcome discoveries in
 	// Mine. Defaults to GOMAXPROCS.
 	Workers int
@@ -129,8 +125,7 @@ type Removal struct {
 type Miner struct {
 	cfg    Config
 	tester stats.CITester
-	// bitTester is the tester's popcount fast path, nil when the tester
-	// has none or Config.Kernel forces the scalar path.
+	// bitTester is the tester's popcount fast path, nil when it has none.
 	bitTester stats.BitCITester
 }
 
@@ -142,9 +137,7 @@ func NewMiner(cfg Config) *Miner {
 		tester = stats.GSquareTester{MinObsPerDOF: cfg.MinObsPerDOF}
 	}
 	m := &Miner{cfg: cfg, tester: tester}
-	if bt, ok := tester.(stats.BitCITester); ok && cfg.Kernel != stats.KernelScalar {
-		m.bitTester = bt
-	}
+	m.bitTester, _ = tester.(stats.BitCITester)
 	return m
 }
 
@@ -160,7 +153,7 @@ type columns struct {
 	series  *timeseries.Series
 	devices int
 	// packed holds every lagged column (lags 0..τ) bit-packed, indexed by
-	// lag·devices + device; nil when the bit kernel is off. It is
+	// lag·devices + device; nil when the tester has no bit kernel. It is
 	// read-only once built, so outcomes with the same anchors share it.
 	packed []stats.BitSample
 	// scalar caches the unpacked columns, built only when the scalar
@@ -170,7 +163,7 @@ type columns struct {
 
 // newColumns builds the column view for one outcome device (any outcome
 // when the miner is not event-anchored), packing every lagged column up
-// front when the bit kernel is on.
+// front when the tester has a bit kernel.
 func (m *Miner) newColumns(series *timeseries.Series, tau, outcome int) (*columns, error) {
 	var anchors []int
 	for j := tau; j <= series.Len(); j++ {

@@ -6,38 +6,6 @@ import (
 	"slices"
 )
 
-// Kernel selects the counting substrate of the conditional-independence
-// tests. The device states TemporalPC mines over are binary, so the
-// contingency cells N(x,y,z) a test needs can be counted with popcount
-// instructions over bit-packed columns instead of one observation at a
-// time — the skeleton-construction hot path per the paper's §V-D
-// complexity analysis.
-type Kernel int
-
-const (
-	// KernelBit, the default, counts contingency cells with the
-	// bit-packed popcount kernel whenever every sample is binary, the
-	// conditioning set is small, and the tester implements BitCITester;
-	// other tests fall back to the scalar path. Both kernels produce
-	// bit-identical statistics.
-	KernelBit Kernel = iota
-	// KernelScalar forces the generic per-observation counting path,
-	// for cross-checking the kernels or benchmarking the baseline.
-	KernelScalar
-)
-
-// String names the kernel for logs and flags.
-func (k Kernel) String() string {
-	switch k {
-	case KernelBit:
-		return "bit"
-	case KernelScalar:
-		return "scalar"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
-	}
-}
-
 // BitSample is a binary sample packed 64 observations per machine word:
 // observation i lives at bit i%64 of word i/64. Padding bits beyond the
 // observation count are always zero. It is the input of the popcount
@@ -84,18 +52,16 @@ func (b BitSample) Ones() int {
 }
 
 // BitCITester is a CITester with a fast path over bit-packed binary
-// samples. TestBits must return exactly what Test would return on the
-// corresponding unpacked samples — same statistic, DOF, p-value, and
+// samples. TestStrata tests x against an outcome and conditioning side
+// (y, Z) prepared once by NewStrata, for callers that test many candidates
+// x against one (y, Z). It must return exactly what Test would return on
+// the corresponding unpacked samples — same statistic, DOF, p-value, and
 // reliability verdict — so callers may route any eligible test through
-// either entry point. TestStrata is the same test with the outcome and
-// conditioning side prepared once by NewStrata, for callers that test many
-// candidates x against one (y, Z); TestBits is NewStrata then TestStrata.
-// TestStrata counts into the caller's Scratch (nil allocates a fresh
-// table), so a caller that keeps one Scratch per goroutine runs its tests
-// without allocating.
+// either entry point. TestStrata counts into the caller's Scratch (nil
+// allocates a fresh table), so a caller that keeps one Scratch per
+// goroutine runs its tests without allocating.
 type BitCITester interface {
 	CITester
-	TestBits(x, y BitSample, zs []BitSample) (CIResult, error)
 	TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error)
 }
 
@@ -306,37 +272,14 @@ func testStrata(x BitSample, s *Strata, sc *Scratch, minObsPerDOF int, statistic
 	return res, nil
 }
 
-// testBits is NewStrata then testStrata, with the x/y length check first
-// as in the scalar prologue.
-func testBits(x, y BitSample, zs []BitSample, minObsPerDOF int, statistic func(joint []float64, xArity, yArity, zCard int) float64) (CIResult, error) {
-	if x.n != y.n {
-		return CIResult{}, ErrSampleMismatch
-	}
-	s, err := NewStrata(y, zs)
-	if err != nil {
-		return CIResult{}, err
-	}
-	return testStrata(x, s, nil, minObsPerDOF, statistic)
-}
-
-// TestBits is the popcount fast path of Test: identical statistic, DOF,
-// p-value, and reliability over bit-packed binary samples.
-func (t GSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResult, error) {
-	return testBits(x, y, zs, t.MinObsPerDOF, gsquareStatistic)
-}
-
-// TestStrata is TestBits against a prepared (y, Z), counting into sc.
+// TestStrata is the popcount fast path of Test against a prepared (y, Z),
+// counting into sc: identical statistic, DOF, p-value, and reliability.
 func (t GSquareTester) TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error) {
 	return testStrata(x, s, sc, t.MinObsPerDOF, gsquareStatistic)
 }
 
-// TestBits is the popcount fast path of Test: identical statistic, DOF,
-// p-value, and reliability over bit-packed binary samples.
-func (t PearsonChiSquareTester) TestBits(x, y BitSample, zs []BitSample) (CIResult, error) {
-	return testBits(x, y, zs, t.MinObsPerDOF, pearsonStatistic)
-}
-
-// TestStrata is TestBits against a prepared (y, Z), counting into sc.
+// TestStrata is the popcount fast path of Test against a prepared (y, Z),
+// counting into sc: identical statistic, DOF, p-value, and reliability.
 func (t PearsonChiSquareTester) TestStrata(x BitSample, s *Strata, sc *Scratch) (CIResult, error) {
 	return testStrata(x, s, sc, t.MinObsPerDOF, pearsonStatistic)
 }

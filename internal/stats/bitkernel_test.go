@@ -86,11 +86,21 @@ func kernelTrialBias(rng *rand.Rand) float64 {
 	}
 }
 
+// strataTest is one bit-kernel test of x against (y, zs): NewStrata, then
+// TestStrata counting into a fresh table.
+func strataTest(t BitCITester, x, y BitSample, zs []BitSample) (CIResult, error) {
+	s, err := NewStrata(y, zs)
+	if err != nil {
+		return CIResult{}, err
+	}
+	return t.TestStrata(x, s, nil)
+}
+
 // TestBitKernelMatchesScalar is the differential contract of the popcount
 // kernel: across randomized binary tables of every shape — conditioning
 // sets up to bitKernelMaxCond (8) columns, near-constant columns that
 // leave words and strata empty, lengths on both sides of every word
-// boundary — TestBits must return exactly, bit for bit, what Test returns.
+// boundary — TestStrata must return exactly, bit for bit, what Test returns.
 func TestBitKernelMatchesScalar(t *testing.T) {
 	testers := []struct {
 		name   string
@@ -130,7 +140,7 @@ func TestBitKernelMatchesScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tc.bit.TestBits(mustPack(t, x), mustPack(t, y), zb)
+				got, err := strataTest(tc.bit, mustPack(t, x), mustPack(t, y), zb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,14 +238,14 @@ func TestBitKernelValidation(t *testing.T) {
 	g := GSquareTester{}
 	a := mustPack(t, Sample{Values: []int{0, 1, 1}, Arity: 2})
 	b := mustPack(t, Sample{Values: []int{0, 1}, Arity: 2})
-	if _, err := g.TestBits(a, b, nil); !errors.Is(err, ErrSampleMismatch) {
+	if _, err := strataTest(g, a, b, nil); !errors.Is(err, ErrSampleMismatch) {
 		t.Errorf("mismatched lengths: err = %v", err)
 	}
-	if _, err := g.TestBits(a, a, []BitSample{b}); !errors.Is(err, ErrSampleMismatch) {
+	if _, err := strataTest(g, a, a, []BitSample{b}); !errors.Is(err, ErrSampleMismatch) {
 		t.Errorf("mismatched z length: err = %v", err)
 	}
 	empty := mustPack(t, Sample{Arity: 2})
-	if _, err := g.TestBits(empty, empty, nil); !errors.Is(err, ErrEmpty) {
+	if _, err := strataTest(g, empty, empty, nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty samples: err = %v", err)
 	}
 	strata, err := NewStrata(b, nil)
@@ -287,10 +297,10 @@ func TestCardinalityOverflowBoundary(t *testing.T) {
 	for i := range zb {
 		zb[i] = b
 	}
-	if _, err := (GSquareTester{}).TestBits(b, b, zb[:22]); err != nil {
+	if _, err := strataTest(GSquareTester{}, b, b, zb[:22]); err != nil {
 		t.Errorf("bit path at bound rejected: %v", err)
 	}
-	if _, err := (GSquareTester{}).TestBits(b, b, zb); !errors.Is(err, ErrCardinalityOverflow) {
+	if _, err := strataTest(GSquareTester{}, b, b, zb); !errors.Is(err, ErrCardinalityOverflow) {
 		t.Errorf("bit path over bound: err = %v", err)
 	}
 }
@@ -326,7 +336,7 @@ func BenchmarkGSquare(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("bit/l%d", l), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tester.TestBits(xb, yb, zb); err != nil {
+				if _, err := strataTest(tester, xb, yb, zb); err != nil {
 					b.Fatal(err)
 				}
 			}

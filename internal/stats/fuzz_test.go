@@ -75,7 +75,7 @@ func FuzzGSquare(f *testing.F) {
 			if res.Statistic < 0 || res.PValue < 0 || res.PValue > 1 {
 				t.Fatalf("%T invalid result: %+v", tester, res)
 			}
-			bits, err := tester.TestBits(pack(x), pack(y), zb)
+			bits, err := strataTest(tester, pack(x), pack(y), zb)
 			if err != nil {
 				t.Fatalf("%T bit kernel failed on valid input: %v", tester, err)
 			}

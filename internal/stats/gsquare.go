@@ -189,7 +189,7 @@ func gsquareStatistic(joint []float64, xArity, yArity, zCard int) float64 {
 // that maintain counts incrementally (e.g. the model-lifecycle drift scorer
 // folding live events against trained CPT counts) instead of materializing
 // per-observation samples; the statistic is folded by the same
-// gsquareStatistic accumulation as Test and TestBits, so all three paths
+// gsquareStatistic accumulation as Test and TestStrata, so all three paths
 // produce bit-identical values on equal counts.
 //
 // Counts may be fractional but must be finite and non-negative; the

@@ -122,7 +122,8 @@ type ServerStats struct {
 	// Alarms counts alarm frames pushed to live producers at raise time;
 	// AlarmsBuffered the alarms banked in a session's replay ring while
 	// no (responsive) connection was attached; AlarmReplays the ring
-	// entries re-pushed after a Resume. AlarmsDropped counts alarms lost
+	// entries re-pushed after a Resume or once a full queue had room
+	// again. AlarmsDropped counts alarms lost
 	// for real: a plain connection's full queue, or a session ring
 	// overflowing with unconfirmed alarms.
 	Alarms         uint64

@@ -331,6 +331,7 @@ type Receiver struct {
 	sent     uint64  // highest index handed to w
 	ring     fifo[bankedAlarm]
 	tail     []byte // scratch joining a multi-alarm flush into one write
+	draining bool   // a drain goroutine is flushing what a full queue refused
 }
 
 // bankedAlarm is one bank entry: its index and the encoded frame, so a
@@ -398,8 +399,11 @@ func (r *Receiver) Ack() (watermark, alarmIdx uint64) {
 // to the attached writer. It runs on the tenant's stream thread and never
 // blocks for queue space. A full bank evicts its oldest entry (every entry
 // is unconfirmed, so that is a real loss, counted in AlarmsDropped).
-// Without a writer, or when its queue is full, the alarm counts as buffered
-// and waits for the next push or attach; it reports true in the second case.
+// Without a writer, or when its queue is full, the alarm counts as buffered;
+// it reports true in the second case. A buffered alarm waits for the next
+// attach, or, refused by a full queue, is flushed by a drain goroutine
+// (at most one per receiver) as soon as the writer has room, so a burst
+// that ends on a full queue still reaches the peer.
 func (r *Receiver) Push(e *Endpoint, a Alarm, enc func(dst []byte, idx uint64, a Alarm) ([]byte, error)) (queueFull bool) {
 	r.alarmMu.Lock()
 	defer r.alarmMu.Unlock()
@@ -421,6 +425,10 @@ func (r *Receiver) Push(e *Endpoint, a Alarm, enc func(dst []byte, idx uint64, a
 	n := r.flushLocked()
 	if n < 0 {
 		e.AlarmsBuffered.Add(1)
+		if !r.draining {
+			r.draining = true
+			go r.drain(e)
+		}
 		return true
 	}
 	e.Alarms.Add(1)
@@ -463,26 +471,50 @@ func (r *Receiver) flushLocked() int {
 	return len(tail)
 }
 
-// Attach prunes the bank through the peer's receipt, attaches w, and
-// replays every remaining alarm on it (the peer dedups by index). Send a
-// resume reply before attaching: the replay follows it. When w's queue is
-// full the replay waits for space with alarmMu released, so the tenant's
-// stream thread never waits behind it; a push meanwhile flushes the replay
-// ahead of its own alarm, and a newer attach takes the replay over.
-func (r *Receiver) Attach(e *Endpoint, w *Writer, receipt uint64) {
+// drain flushes the alarms a full queue refused, following the attached
+// writer, until they go out or the receiver is detached. Push starts it.
+// A finished writer accepts and discards, so a drain never outlives the
+// connection it waits on.
+func (r *Receiver) drain(e *Endpoint) {
 	r.alarmMu.Lock()
 	defer r.alarmMu.Unlock()
-	r.confirmLocked(receipt)
-	r.w, r.sent = w, 0
+	for r.w != nil {
+		if r.replayLocked(e, r.w) {
+			break
+		}
+	}
+	r.draining = false
+}
+
+// replayLocked hands w every banked alarm it has not been given, counted
+// as replays. When w's queue is full it waits for space with alarmMu
+// released, so the tenant's stream thread never waits behind it; a push
+// meanwhile flushes the replay ahead of its own alarm. It reports false
+// when w was detached or replaced before the replay went out.
+func (r *Receiver) replayLocked(e *Endpoint, w *Writer) bool {
 	for r.w == w {
 		if n := r.flushLocked(); n >= 0 {
 			e.AlarmReplays.Add(uint64(n))
-			return
+			return true
 		}
 		r.alarmMu.Unlock()
 		w.WaitSpace()
 		r.alarmMu.Lock()
 	}
+	return false
+}
+
+// Attach prunes the bank through the peer's receipt, attaches w, and
+// replays every remaining alarm on it (the peer dedups by index). Send a
+// resume reply before attaching: the replay follows it. A full queue makes
+// the replay wait for space (see replayLocked); a newer attach takes the
+// replay over.
+func (r *Receiver) Attach(e *Endpoint, w *Writer, receipt uint64) {
+	r.alarmMu.Lock()
+	defer r.alarmMu.Unlock()
+	r.confirmLocked(receipt)
+	r.w, r.sent = w, 0
+	r.replayLocked(e, w)
 }
 
 // Detach releases w if it is still the attached writer (a newer connection

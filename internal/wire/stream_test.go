@@ -164,8 +164,9 @@ func TestStreamAlarmBank(t *testing.T) {
 }
 
 // TestStreamAlarmBankQueueFull: an alarm refused by a full writer queue
-// waits in the bank, and the next push carries it ahead of the new one, so
-// the peer's index dedup never sees a later index first.
+// waits in the bank until the queue has room, then the drain sends it
+// ahead of any later alarm, so the peer's index dedup never sees a later
+// index first.
 func TestStreamAlarmBankQueueFull(t *testing.T) {
 	e := &Endpoint{AlarmRing: 8}
 	var r Receiver
@@ -180,13 +181,55 @@ func TestStreamAlarmBankQueueFull(t *testing.T) {
 	if ft, _ := nextFrame(t, rd); ft != FramePing {
 		t.Fatalf("plug: %s", ft)
 	}
-	waitWriter(t, "writer to take the first alarm", w, func() bool { return w.frames == 0 })
-	r.Push(e, Alarm{}, AppendSessionAlarm)
+	// The writer takes the first alarm and blocks writing it; the drain
+	// queues the second behind it, so the third push is refused too.
+	drained := func() bool {
+		r.alarmMu.Lock()
+		defer r.alarmMu.Unlock()
+		return !r.draining
+	}
+	waitFor(t, "the drain to queue the second alarm", drained)
+	if !r.Push(e, Alarm{}, AppendSessionAlarm) {
+		t.Fatal("third push not refused by the queue the drain filled")
+	}
 	if got := fmt.Sprint(alarmPipe{r: rd}.read(t, 3)); got != "[1 2 3]" {
 		t.Fatalf("read %s, want [1 2 3]", got)
 	}
-	if a, buf, rep := e.Alarms.Load(), e.AlarmsBuffered.Load(), e.AlarmReplays.Load(); a != 2 || buf != 1 || rep != 1 {
-		t.Errorf("alarms %d buffered %d replays %d, want 2 1 1", a, buf, rep)
+	waitFor(t, "the drain of the third alarm", drained)
+	if a, buf, rep := e.Alarms.Load(), e.AlarmsBuffered.Load(), e.AlarmReplays.Load(); a != 1 || buf != 2 || rep != 2 {
+		t.Errorf("alarms %d buffered %d replays %d, want 1 2 2", a, buf, rep)
+	}
+}
+
+// TestStreamAlarmBurstDrains: a burst that ends on a full writer queue is
+// delivered whole, in index order, with no later push or attach to carry
+// its tail.
+func TestStreamAlarmBurstDrains(t *testing.T) {
+	e := &Endpoint{AlarmRing: 64}
+	var r Receiver
+	a, b := net.Pipe()
+	w := NewWriter(a, 1, 0, 0, nil)
+	t.Cleanup(func() {
+		w.Finish()
+		b.Close()
+	})
+	b.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rd := NewReader(b, 0)
+	w.Send(AppendPing(nil)) // the plug: the writer blocks on it until read
+	waitWriter(t, "writer to take the plug", w, func() bool { return w.frames == 0 })
+	r.Attach(e, w, 0)
+	const burst = 20
+	for range burst {
+		r.Push(e, Alarm{}, AppendSessionAlarm)
+	}
+	if ft, _ := nextFrame(t, rd); ft != FramePing {
+		t.Fatalf("plug: %s", ft)
+	}
+	got := alarmPipe{r: rd}.read(t, burst)
+	for i, idx := range got {
+		if idx != uint64(i+1) {
+			t.Fatalf("read %v, want 1..%d in order", got, burst)
+		}
 	}
 }
 

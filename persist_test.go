@@ -3,6 +3,7 @@ package causaliot
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,68 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if det.Alarm == nil {
 		t.Error("loaded system misses the ghost activation")
+	}
+}
+
+// TestLoadIgnoresRetiredKernelKey pins compatibility with models saved
+// while Config still carried a CI-test counting kernel choice: a config
+// with "Kernel":1 (the old scalar kernel) loads, serves the detections a
+// fresh save of the same system serves, and saves again without the key.
+func TestLoadIgnoresRetiredKernelKey(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2, KMax: 2})
+	var fresh bytes.Buffer
+	if err := sys.Save(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(fresh.String(), "Kernel") {
+		t.Fatal("a fresh save still writes a Kernel key")
+	}
+	old := strings.Replace(fresh.String(), `"config": {`, `"config": {
+    "Kernel": 1,`, 1)
+	if old == fresh.String() {
+		t.Fatal("saved model has no config object to extend")
+	}
+	legacy, err := Load(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("model with a Kernel key refused: %v", err)
+	}
+	current, err := Load(bytes.NewReader(fresh.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := legacy.NewMonitor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := current.NewMonitor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append(trainingLog(40, 23),
+		Event{Time: t0.Add(9 * time.Hour), Device: "light", Value: 1},
+		Event{Time: t0.Add(9*time.Hour + time.Second), Device: "light", Value: 0},
+		Event{Time: t0.Add(9*time.Hour + 2*time.Second), Device: "light", Value: 1},
+	)
+	alarms := 0
+	for i, e := range stream {
+		ld, lErr := lm.ObserveEvent(e)
+		cd, cErr := cm.ObserveEvent(e)
+		if (lErr == nil) != (cErr == nil) || !reflect.DeepEqual(ld, cd) {
+			t.Fatalf("event %d: legacy %+v/%v, current %+v/%v", i, ld, lErr, cd, cErr)
+		}
+		if cd.Alarm != nil {
+			alarms++
+		}
+	}
+	if alarms == 0 {
+		t.Error("stream raised no alarm; the comparison covers no detection")
+	}
+	var resaved bytes.Buffer
+	if err := legacy.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), fresh.Bytes()) {
+		t.Errorf("re-saved legacy model differs from a fresh save:\n%s\nwant:\n%s", resaved.String(), fresh.String())
 	}
 }
 
