@@ -111,7 +111,7 @@ type Device struct {
 // Event is a raw device state report: Seq, Time, Device and Value. Seq is
 // an optional producer-assigned sequence number. Detection does not
 // interpret it; it is echoed back in TenantAlarm.Seq (and over the network
-// in wire Nack/Alarm frames) so producers can correlate alarms and refusals
+// in wire Nack and alarm frames) so producers can correlate alarms and refusals
 // with the events that caused them. Zero means unassigned.
 type Event = event.Report
 

@@ -536,15 +536,18 @@ func TestServeListenWireE2E(t *testing.T) {
 
 	// Handshake refusals travel as Nack frames: a bad token and an unknown
 	// home are both turned away before any event flows.
-	if _, err := wire.Dial(addr, wire.ClientConfig{Token: "bad", Tenant: "home-0"}); !errors.Is(err, wire.ErrBadAuth) {
+	open := func(cfg wire.ClientConfig) (*wire.SessionClient, error) {
+		return wire.OpenSession(wire.SessionConfig{Addr: addr, Session: "e2e", Client: cfg})
+	}
+	if _, err := open(wire.ClientConfig{Token: "bad", Tenant: "home-0"}); !errors.Is(err, wire.ErrBadAuth) {
 		t.Fatalf("bad token error = %v", err)
 	}
-	if _, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home-99"}); err == nil ||
+	if _, err := open(wire.ClientConfig{Token: "tok", Tenant: "home-99"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown-tenant") {
 		t.Fatalf("unknown tenant error = %v", err)
 	}
 	nacks := make(chan wire.Nack, 8)
-	c, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home-0",
+	c, err := open(wire.ClientConfig{Token: "tok", Tenant: "home-0",
 		OnNack: func(n wire.Nack) { nacks <- n }})
 	if err != nil {
 		t.Fatal(err)
@@ -768,11 +771,14 @@ func TestServeListenTLSE2E(t *testing.T) {
 
 	tlsCfg := &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS12}
 	// Without the CA the handshake is refused before any wire frame flows.
-	if _, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home-0",
+	open := func(name string, cfg wire.ClientConfig) (*wire.SessionClient, error) {
+		return wire.OpenSession(wire.SessionConfig{Addr: addr, Session: name, Client: cfg})
+	}
+	if _, err := open("tls-no-ca", wire.ClientConfig{Token: "tok", Tenant: "home-0",
 		TLS: &tls.Config{MinVersion: tls.VersionTLS12}, DialTimeout: 5 * time.Second}); err == nil {
 		t.Fatal("dial without the CA succeeded")
 	}
-	c, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home-0", TLS: tlsCfg})
+	c, err := open("tls-first", wire.ClientConfig{Token: "tok", Tenant: "home-0", TLS: tlsCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,11 +796,7 @@ func TestServeListenTLSE2E(t *testing.T) {
 	}
 
 	// The session client inherits the same tls.Config on every (re)connect.
-	sc, err := wire.OpenSession(wire.SessionConfig{
-		Addr:    addr,
-		Session: "tls-session",
-		Client:  wire.ClientConfig{Token: "tok", Tenant: "home-0", TLS: tlsCfg},
-	})
+	sc, err := open("tls-session", wire.ClientConfig{Token: "tok", Tenant: "home-0", TLS: tlsCfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@
 //	loadgen -addr 10.0.0.5:9070 -token secret -conns 256 -homes 256
 //	loadgen -self-serve -conns 16 -chaos 42
 //
-// -chaos SEED routes every connection through the deterministic
-// network-chaos proxy (seeded kills, corruptions, trickles) and switches
-// producers to fault-tolerant session clients; the report then carries
-// reconnect counts and recovery-latency percentiles alongside the usual
-// throughput numbers.
+// Every producer is a fault-tolerant session client. -chaos SEED routes
+// every connection through the deterministic network-chaos proxy (seeded
+// kills, corruptions, trickles); the report then carries reconnect counts
+// and recovery-latency percentiles alongside the usual throughput numbers.
 //
 // Traffic is synthesized in memory from the simulation testbeds (no CSV
 // files touched): one training log builds the model (-models K builds K
@@ -98,7 +97,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.days, "days", 1, "simulated days of runtime traffic per lap")
 	fs.IntVar(&cfg.trainDays, "train-days", 2, "simulated days of training traffic")
 	fs.Int64Var(&cfg.seed, "seed", 1, "traffic synthesis seed")
-	fs.Int64Var(&cfg.chaos, "chaos", 0, "route traffic through a seeded network-chaos proxy with session producers (0 = off)")
+	fs.Int64Var(&cfg.chaos, "chaos", 0, "route traffic through a seeded network-chaos proxy (0 = off)")
 	fs.StringVar(&cfg.testbed, "testbed", "contextact", "testbed to synthesize: contextact|casas")
 	fs.StringVar(&cfg.token, "token", "", "auth token to present in Hello")
 	fs.IntVar(&cfg.tau, "tau", 2, "maximum time lag for the self-served model (0 = automatic)")
@@ -290,21 +289,12 @@ func pickPolicy(name string) (causaliot.BackpressurePolicy, error) {
 	}
 }
 
-// sender is the producer-facing surface shared by a plain wire.Client and
-// a fault-tolerant wire.SessionClient (-chaos mode).
-type sender interface {
-	Send(wire.Event) error
-	Flush() error
-	Close() error
-}
-
-// producer is one connection's load state. Send times are indexed by
+// producer is one session's load state. Send times are indexed by
 // sequence number (seq-1) and read from the client's alarm callback, so
 // they are atomics; latencies are collected under the mutex.
 type producer struct {
-	client    sender
-	session   *wire.SessionClient // non-nil in -chaos mode
-	sendTimes []int64             // unix nanos, atomic
+	session   *wire.SessionClient
+	sendTimes []int64 // unix nanos, atomic
 	nacked    atomic.Uint64
 	alarms    atomic.Uint64
 
@@ -355,21 +345,20 @@ func (p *producer) run(cfg config, stream []causaliot.Event) error {
 			}
 		}
 	}
-	return p.client.Flush()
+	return p.session.Flush()
 }
 
 // send forwards one event, absorbing the session window's typed
 // backpressure. A connected session's Send waits for window room itself;
 // ErrSendWindowFull comes only while the session is degraded, and the run
-// retries until it resumes instead of failing (a plain client never
-// returns it).
+// retries until it resumes instead of failing.
 func (p *producer) send(ev wire.Event) error {
 	for {
-		err := p.client.Send(ev)
+		err := p.session.Send(ev)
 		if err == nil || !errors.Is(err, wire.ErrSendWindowFull) {
 			return err
 		}
-		p.client.Flush()
+		p.session.Flush()
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -502,9 +491,8 @@ func runLoad(cfg config) (*report, error) {
 		}()
 	}
 
-	// -chaos SEED interposes the deterministic network-chaos proxy and
-	// switches producers to fault-tolerant session clients, so the run
-	// measures recovery behaviour instead of dying on the first cut.
+	// -chaos SEED interposes the deterministic network-chaos proxy, so the
+	// run measures the sessions' recovery behaviour.
 	var proxy *netchaos.Proxy
 	if cfg.chaos != 0 {
 		proxy, err = netchaos.New(netchaos.Config{
@@ -524,39 +512,27 @@ func runLoad(cfg config) (*report, error) {
 	producers := make([]*producer, cfg.conns)
 	for i := range producers {
 		p := &producer{sendTimes: make([]int64, cfg.events)}
-		ccfg := wire.ClientConfig{
-			Token:   cfg.token,
-			Tenant:  fmt.Sprintf("home-%d", i%cfg.homes),
-			OnNack:  func(wire.Nack) { p.nacked.Add(1) },
-			OnAlarm: p.onAlarm,
-		}
-		if cfg.chaos != 0 {
-			sc, err := wire.OpenSession(wire.SessionConfig{
-				Addr:        addr,
-				Session:     fmt.Sprintf("loadgen-%d", i),
-				Client:      ccfg,
-				BackoffMin:  5 * time.Millisecond,
-				BackoffMax:  500 * time.Millisecond,
-				MaxAttempts: 1 << 20,
-				JitterSeed:  cfg.chaos + int64(i),
-			})
-			if err != nil {
-				for _, q := range producers[:i] {
-					q.client.Close()
-				}
-				return nil, fmt.Errorf("session %d: %w", i, err)
+		sc, err := wire.OpenSession(wire.SessionConfig{
+			Addr:    addr,
+			Session: fmt.Sprintf("loadgen-%d", i),
+			Client: wire.ClientConfig{
+				Token:   cfg.token,
+				Tenant:  fmt.Sprintf("home-%d", i%cfg.homes),
+				OnNack:  func(wire.Nack) { p.nacked.Add(1) },
+				OnAlarm: p.onAlarm,
+			},
+			BackoffMin:  5 * time.Millisecond,
+			BackoffMax:  500 * time.Millisecond,
+			MaxAttempts: 1 << 20,
+			JitterSeed:  cfg.chaos + int64(i),
+		})
+		if err != nil {
+			for _, q := range producers[:i] {
+				q.session.Close()
 			}
-			p.client, p.session = sc, sc
-		} else {
-			c, err := wire.Dial(addr, ccfg)
-			if err != nil {
-				for _, q := range producers[:i] {
-					q.client.Close()
-				}
-				return nil, fmt.Errorf("conn %d: %w", i, err)
-			}
-			p.client = c
+			return nil, fmt.Errorf("session %d: %w", i, err)
 		}
+		p.session = sc
 		producers[i] = p
 	}
 
@@ -616,26 +592,25 @@ func runLoad(cfg config) (*report, error) {
 	default:
 	}
 
-	// Under chaos, events may still sit in retransmit windows after the
-	// send loops finish; keep flushing until every session drains (or the
-	// grace period runs out — a gave-up session never will).
-	if cfg.chaos != 0 {
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := 0
-			for _, p := range producers {
-				if p.session.Err() != nil {
-					continue // gave up: its window will never drain
-				}
-				pending += p.session.Pending()
-				p.session.Flush()
-				p.session.Ping() // a session ping flushes the server's cumulative ack
+	// Events may still sit in retransmit windows after the send loops
+	// finish, unacknowledged or awaiting a resume; keep flushing until every
+	// session drains (or the grace period runs out — a gave-up session
+	// never will).
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		pending := 0
+		for _, p := range producers {
+			if p.session.Err() != nil {
+				continue // gave up: its window will never drain
 			}
-			if pending == 0 {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
+			pending += p.session.Pending()
+			p.session.Flush()
+			p.session.Ping() // a session ping flushes the server's cumulative ack
 		}
+		if pending == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Let in-flight events finish processing so trailing alarms make it
@@ -652,7 +627,7 @@ func runLoad(cfg config) (*report, error) {
 		time.Sleep(200 * time.Millisecond)
 	}
 	for _, p := range producers {
-		if err := p.client.Close(); err != nil {
+		if err := p.session.Close(); err != nil {
 			return nil, err
 		}
 	}

@@ -107,7 +107,7 @@ type Event struct {
 type Report struct {
 	// Seq is an optional producer-assigned sequence number. Detection does
 	// not interpret it; it is echoed back in TenantAlarm.Seq (and over the
-	// network in wire Nack/Alarm frames) so producers can correlate alarms
+	// network in wire Nack and alarm frames) so producers can correlate alarms
 	// and refusals with the events that caused them. Zero means unassigned.
 	Seq    uint64
 	Time   time.Time

@@ -476,7 +476,10 @@ func TestRouterConcurrentDispatchMigrateReject(t *testing.T) {
 // repeated live migrations: because a dispatch holds the route entry across
 // the shard enqueue and the gap replays under the same lock before the flip
 // is visible, arrival order across source, gap replay, and target must be
-// exactly dispatch order — the replay boundary never reorders.
+// exactly dispatch order — the replay boundary never reorders. The
+// dispatcher waits halfway until the first migration's handoff has begun,
+// so at least one migration races the stream however the goroutines are
+// scheduled.
 func TestRouterMigrateOrderPreserved(t *testing.T) {
 	r := NewRouter(0)
 	r.AddShard(0)
@@ -496,9 +499,14 @@ func TestRouterMigrateOrderPreserved(t *testing.T) {
 	}
 	const total = 2000
 	done := make(chan struct{})
+	handoff := make(chan struct{}) // closed once the first migration's handoff runs
+	var handoffOnce sync.Once
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
+			if i == total/2 {
+				<-handoff
+			}
 			if err := dispatch(r, "a", ev(i)); err != nil {
 				t.Error(err)
 				return
@@ -511,6 +519,7 @@ func TestRouterMigrateOrderPreserved(t *testing.T) {
 		case <-done:
 		default:
 			if _, err := r.Migrate("a", (flips+1)%2, func(int) error {
+				handoffOnce.Do(func() { close(handoff) })
 				time.Sleep(time.Millisecond)
 				return nil
 			}); err != nil {

@@ -101,7 +101,7 @@ func TestServerBatchOverlapsWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c1, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", OnAck: onAck})
+	c1, err := dial(addr, ClientConfig{Tenant: "home-0"}, "prod", new(AlarmCursor), onAck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestServerBatchOverlapsWatermark(t *testing.T) {
 	c1.nc.Close()
 	<-c1.Done()
 
-	c2, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", OnAck: onAck})
+	c2, err := dial(addr, ClientConfig{Tenant: "home-0"}, "prod", new(AlarmCursor), onAck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServerBatchNacksEachRefusal(t *testing.T) {
 	}
 	addr, s := startServer(t, b, nil)
 	nacks := make(chan Nack, 8)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSessionBatchSeqOrderRefused(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, s := startServer(t, b, nil)
 	nacks := make(chan Nack, 1)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", OnNack: func(n Nack) { nacks <- n }})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,9 @@ type rawFrame struct {
 	events int // events carried by an Event or EventBatch frame
 }
 
-// rawServer accepts one connection, answers its Hello with welcome, and
-// reports every later frame (read under maxFrame) until the client leaves.
+// rawServer accepts one connection, answers its Hello and Resume with
+// welcome and a fresh session's ResumeOK, and reports every later frame
+// (read under maxFrame) until the client leaves.
 func rawServer(t *testing.T, welcome []byte, maxFrame int) (string, <-chan []rawFrame) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -234,10 +235,12 @@ func rawServer(t *testing.T, welcome []byte, maxFrame int) (string, <-chan []raw
 		}
 		defer nc.Close()
 		r := NewReader(nc, maxFrame)
-		if _, _, err := r.Next(); err != nil {
-			return
+		for range 2 { // the Hello and the Resume
+			if _, _, err := r.Next(); err != nil {
+				return
+			}
 		}
-		nc.Write(welcome)
+		nc.Write(AppendResumeOK(welcome, 0, 0))
 		for {
 			ft, p, err := r.Next()
 			if err != nil {
@@ -248,7 +251,7 @@ func rawServer(t *testing.T, welcome []byte, maxFrame int) (string, <-chan []raw
 			}
 			f := rawFrame{t: ft}
 			switch ft {
-			case FrameEvent:
+			case FrameEvent, FrameEventRetx:
 				f.events = 1
 			case FrameEventBatch:
 				evs, err := new(Names).ParseEventBatch(p, nil)
@@ -269,14 +272,14 @@ func rawServer(t *testing.T, welcome []byte, maxFrame int) (string, <-chan []raw
 
 // TestWireClientBatchUnderSmallMaxFrame: with long device names and a
 // small server frame limit, the client closes each batch before it would
-// outgrow the limit, and sends an event too large for any batch as a plain
-// Event frame.
+// outgrow the limit, and refuses an event too large for any batch with
+// ErrFrameTooLarge, writing nothing of it; one that just fits still goes.
 func TestWireClientBatchUnderSmallMaxFrame(t *testing.T) {
 	const maxFrame = 300
 	// 126 bytes per event: two fit a 300-byte batch (3+252), three do not.
 	dev := strings.Repeat("d", 100)
 	addr, frames := rawServer(t, AppendWelcome(nil, maxFrame, CapEventBatch), 1<<20)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0"})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +288,17 @@ func TestWireClientBatchUnderSmallMaxFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Alone in a batch this one is 2 bytes over the limit.
-	if err := c.Send(Event{Seq: 8, Device: strings.Repeat("x", maxFrame-1-24-2)}); err != nil {
+	// Alone in a batch this one is 1 byte over the limit.
+	if err := c.Send(Event{Seq: 8, Device: strings.Repeat("x", maxFrame-1-2-eventBodyMin+1)}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized event: %v, want ErrFrameTooLarge", err)
+	}
+	// Alone in a batch this one is exactly the limit.
+	if err := c.Send(Event{Seq: 9, Device: strings.Repeat("x", maxFrame-1-2-eventBodyMin)}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	got := <-frames
-	want := []rawFrame{{FrameEventBatch, 2}, {FrameEventBatch, 2}, {FrameEventBatch, 2}, {FrameEventBatch, 1}, {FrameEvent, 1}, {FrameBye, 0}}
+	want := []rawFrame{{FrameEventBatch, 2}, {FrameEventBatch, 2}, {FrameEventBatch, 2}, {FrameEventBatch, 1}, {FrameEventBatch, 1}, {FrameBye, 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("frames = %v, want %v", got, want)
 	}
@@ -301,7 +308,7 @@ func TestWireClientBatchUnderSmallMaxFrame(t *testing.T) {
 // without a Flush.
 func TestWireClientBatchClosesAtMax(t *testing.T) {
 	addr, frames := rawServer(t, AppendWelcome(nil, DefaultMaxFrame, CapEventBatch), 0)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0"})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,28 +326,24 @@ func TestWireClientBatchClosesAtMax(t *testing.T) {
 	}
 }
 
-// TestWireInteropClientWithoutBatchCap: facing a server whose Welcome has
-// no capability byte, the client sends one Event frame per event.
-func TestWireInteropClientWithoutBatchCap(t *testing.T) {
+// TestWireClientRefusesServerWithoutBatchCap: a server whose Welcome has
+// no capability byte cannot take the client's EventBatch frames, so the
+// handshake fails with ErrBadFrame and no event frame is ever written.
+func TestWireClientRefusesServerWithoutBatchCap(t *testing.T) {
 	v1 := AppendWelcome(nil, DefaultMaxFrame, 0)
 	v1 = v1[:len(v1)-1]
 	binary.BigEndian.PutUint32(v1, uint32(len(v1)-headerLen))
 	addr, frames := rawServer(t, v1, 0)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		if err := c.Send(Event{Seq: uint64(i), Device: "light"}); err != nil {
-			t.Fatal(err)
+	if c, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod"); !errors.Is(err, ErrBadFrame) {
+		if err == nil {
+			c.Close()
 		}
+		t.Fatalf("dial = %v, want ErrBadFrame", err)
 	}
-	c.Flush()
-	c.Close()
-	got := <-frames
-	want := []rawFrame{{FrameEvent, 1}, {FrameEvent, 1}, {FrameEvent, 1}, {FrameEvent, 1}, {FrameEvent, 1}, {FrameBye, 0}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("frames = %v, want %v", got, want)
+	for _, f := range <-frames {
+		if f.events > 0 {
+			t.Fatalf("frame %v carried events to a server without CapEventBatch", f)
+		}
 	}
 }
 

@@ -30,7 +30,8 @@ const ReceiptDelay = 10 * time.Millisecond
 // quarter of a default 256-entry bank.
 const ReceiptLag = 64
 
-// ClientConfig tunes one wire client connection.
+// ClientConfig tunes a producer's connections: a SessionClient dials each
+// of them with it.
 type ClientConfig struct {
 	// Token is the shared secret presented in the Hello; Tenant the home
 	// this connection produces for (and receives alarms of).
@@ -41,8 +42,8 @@ type ClientConfig struct {
 	MaxFrame int
 	// TLS, when non-nil, wraps the connection in TLS before the wire
 	// handshake. A zero ServerName is filled in from the dialed host
-	// unless verification is disabled. Session clients reuse the same
-	// config on every reconnect.
+	// unless verification is disabled. The same config serves every
+	// reconnect.
 	TLS *tls.Config
 	// DialTimeout bounds the TCP connect plus the TLS and Hello/Welcome
 	// handshakes. Defaults to 10s.
@@ -50,42 +51,25 @@ type ClientConfig struct {
 	// OnNack receives every Nack frame (refused events). Called from the
 	// client's reader goroutine.
 	OnNack func(Nack)
-	// OnAlarm receives every Alarm frame pushed by the server. Called
-	// from the client's reader goroutine.
+	// OnAlarm receives every alarm the server pushes, with its session
+	// index stripped and replays the session already holds dropped.
+	// Called from the client's reader goroutine.
 	OnAlarm func(Alarm)
-	// Session, when non-empty, names a durable server-side session to
-	// attach: Dial pipelines a session-intent Hello and a Resume frame,
-	// and the handshake completes only after the server's ResumeOK.
-	// Empty keeps the plain v1 handshake.
-	Session string
-	// AlarmIdx is the highest session-alarm index this producer has
-	// already received, echoed in the Resume so the server replays only
-	// the gap. Ignored without Session.
-	AlarmIdx uint64
-	// OnAck receives the server's cumulative event acknowledgements:
-	// every event with Seq at or below the value has been decided.
-	// Session connections only; called from the reader goroutine.
-	OnAck func(seq uint64)
-	// OnSessionAlarm receives session-indexed alarms (replacing OnAlarm
-	// on session connections). Called from the reader goroutine.
-	OnSessionAlarm func(idx uint64, a Alarm)
 }
 
-// Client is one producer connection: Send streams events (buffered; call
-// Flush to push a partial batch), while a reader goroutine dispatches the
-// server's Nack and Alarm frames to the configured callbacks.
+// Client is one session connection, the one a SessionClient dials per
+// (re)connect: Send streams events (buffered; call Flush to push a partial
+// batch), while a reader goroutine dispatches the server's Nack, Ack and
+// SessionAlarm frames to the callbacks.
 //
-// A server whose Welcome announces CapEventBatch receives the events packed
-// into EventBatch frames: the client keeps one batch open and closes it on
-// Flush, at MaxEventBatch events, before it would outgrow the server's
-// frame limit, and before any other frame. Any other server receives one
-// Event frame per event.
+// The events travel packed into EventBatch frames: the client keeps one
+// batch open and closes it on Flush, at MaxEventBatch events, before it
+// would outgrow the server's frame limit, and before any other frame.
 //
-// A session connection (one a SessionClient dials) drops replayed alarms by
-// index on its reader and receipts the rest cumulatively: the highest index
-// received rides the connection's next write as one FrameAlarmAck, or goes
-// out on its own after ReceiptDelay. AckAlarm does the same for callers of
-// Dial.
+// The reader drops replayed alarms by index through the session's alarm
+// cursor and receipts the rest cumulatively: the highest index received
+// rides the connection's next write as one FrameAlarmAck, or goes out on
+// its own after ReceiptDelay.
 //
 // Send/Flush/Close are safe for concurrent use; the callbacks run on the
 // single reader goroutine.
@@ -109,10 +93,10 @@ type Client struct {
 	rcptArmed, rcptUrgent atomic.Bool
 	rcptTimer             *time.Timer
 
-	// batchMax is the server's frame limit when it accepts EventBatch
-	// frames, 0 when it does not; batch holds the open EventBatch frame
-	// and batchN its event count (0: no batch open).
-	batchMax int
+	// maxFrame is the frame limit the server's Welcome announced; batch
+	// holds the open EventBatch frame and batchN its event count (0: no
+	// batch open).
+	maxFrame int
 	batch    []byte
 	batchN   int
 
@@ -120,41 +104,36 @@ type Client struct {
 	// readErr is the reader's terminal error, set once and read on every
 	// send without a lock.
 	readErr atomic.Pointer[error]
-	// The reader's own state: the session's alarm cursor (nil on a plain
-	// connection) and the intern table alarm names decode through.
+	// The reader's own state: the ack callback, the session's alarm cursor
+	// and the intern table alarm names decode through.
+	onAck  func(seq uint64)
 	cursor *AlarmCursor
 	names  Names
 
-	// Resume handshake results (immutable after Dial).
+	// Resume handshake results (immutable after dial).
 	resumeWatermark uint64
 	resumeAlarmIdx  uint64
 }
 
-// Dial connects to a wire server and authenticates the connection to
-// cfg.Tenant. A Hello refused by the server surfaces as an error matching
+// dial opens one connection of the named session. It pipelines the Hello
+// and a Resume carrying the alarm cursor's index, so one round trip covers
+// the whole handshake and the server claims the session's alarm route
+// before any alarm could slip past its bank; it returns after the server's
+// Welcome and ResumeOK. A refused handshake surfaces as an error matching
 // the reason (ErrBadAuth for a bad token, ErrBadFrame for a protocol
-// mismatch); the Nack detail rides in the message.
-func Dial(addr string, cfg ClientConfig) (*Client, error) { return dial(addr, cfg, nil) }
-
-// dial is Dial for a session client: its alarm receipt cursor, when
-// non-nil, sees the resume reply before the reader delivers any alarm.
-func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
+// mismatch, a server without CapEventBatch included), with the Nack detail
+// in the message. The cursor sees the resume reply before the reader
+// delivers any alarm. onAck, when non-nil, receives the server's cumulative
+// event acknowledgements: every event with Seq at or below the value has
+// been decided.
+func dial(addr string, cfg ClientConfig, session string, cursor *AlarmCursor, onAck func(seq uint64)) (*Client, error) {
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	var hello []byte
-	var err error
-	if cfg.Session != "" {
-		// Pipeline session-intent Hello + Resume: one round trip covers
-		// the whole handshake, and the server claims the session's alarm
-		// route before any alarm could slip past its bank.
-		hello, err = AppendHelloSession(nil, cfg.Token, cfg.Tenant)
-		if err == nil {
-			hello, err = AppendResume(hello, cfg.Session, cfg.AlarmIdx)
-		}
-	} else {
-		hello, err = AppendHello(nil, cfg.Token, cfg.Tenant)
+	hello, err := AppendHelloSession(nil, cfg.Token, cfg.Tenant)
+	if err == nil {
+		hello, err = AppendResume(hello, session, cursor.Index())
 	}
 	if err != nil {
 		return nil, err
@@ -168,18 +147,20 @@ func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
 		cfg:      cfg,
 		bw:       bufio.NewWriterSize(nc, 32<<10),
 		readDone: make(chan struct{}),
-		cursor:   alarms,
+		onAck:    onAck,
+		cursor:   cursor,
 	}
 	switch t {
 	case FrameWelcome:
 		_, maxFrame, caps, err := ParseWelcome(p)
+		if err == nil && caps&CapEventBatch == 0 {
+			err = fmt.Errorf("%w: server does not accept event batches", ErrBadFrame)
+		}
 		if err != nil {
 			nc.Close()
 			return nil, err
 		}
-		if caps&CapEventBatch != 0 {
-			c.batchMax = int(maxFrame)
-		}
+		c.maxFrame = int(maxFrame)
 	case FrameNack:
 		nc.Close()
 		return nil, helloError(p)
@@ -187,38 +168,34 @@ func dial(addr string, cfg ClientConfig, alarms *AlarmCursor) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("%w: handshake frame %s", ErrBadFrame, t)
 	}
-	if cfg.Session != "" {
-		t, p, err := r.Next()
-		if err != nil {
+	t, p, err = r.Next()
+	if err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("wire: resume handshake: %w", err)
+	}
+	switch t {
+	case FrameResumeOK:
+		wm, aidx, perr := ParseResumeOK(p)
+		if perr != nil {
 			nc.Close()
-			return nil, fmt.Errorf("wire: resume handshake: %w", err)
+			return nil, perr
 		}
-		switch t {
-		case FrameResumeOK:
-			wm, aidx, perr := ParseResumeOK(p)
-			if perr != nil {
-				nc.Close()
-				return nil, perr
-			}
-			c.resumeWatermark, c.resumeAlarmIdx = wm, aidx
-		case FrameNack:
-			nc.Close()
-			return nil, helloError(p)
-		default:
-			nc.Close()
-			return nil, fmt.Errorf("%w: resume handshake frame %s", ErrBadFrame, t)
-		}
+		c.resumeWatermark, c.resumeAlarmIdx = wm, aidx
+	case FrameNack:
+		nc.Close()
+		return nil, helloError(p)
+	default:
+		nc.Close()
+		return nil, fmt.Errorf("%w: resume handshake frame %s", ErrBadFrame, t)
 	}
 	nc.SetDeadline(time.Time{})
-	if alarms != nil {
-		// The resume carried the receipt; the cursor's index is where this
-		// connection's receipts start.
-		alarms.Restart(c.resumeAlarmIdx)
-		idx := alarms.Index()
-		c.rcpt.Store(idx)
-		c.rcptSent = idx
-		c.rcptFlushed.Store(idx)
-	}
+	// The resume carried the receipt; the cursor's index is where this
+	// connection's receipts start.
+	cursor.Restart(c.resumeAlarmIdx)
+	idx := cursor.Index()
+	c.rcpt.Store(idx)
+	c.rcptSent = idx
+	c.rcptFlushed.Store(idx)
 	c.rcptTimer = time.AfterFunc(time.Hour, c.receiptDue)
 	c.rcptTimer.Stop()
 	go c.readLoop(r)
@@ -260,23 +237,14 @@ func (c *Client) readLoop(r *Reader) {
 			if c.cfg.OnNack != nil {
 				c.cfg.OnNack(n)
 			}
-		case FrameAlarm:
-			a, err := ParseAlarm(p)
-			if err != nil {
-				c.setErr(err)
-				return
-			}
-			if c.cfg.OnAlarm != nil {
-				c.cfg.OnAlarm(a)
-			}
 		case FrameAck:
 			seq, err := ParseAck(p)
 			if err != nil {
 				c.setErr(err)
 				return
 			}
-			if c.cfg.OnAck != nil {
-				c.cfg.OnAck(seq)
+			if c.onAck != nil {
+				c.onAck(seq)
 			}
 		case FrameSessionAlarm:
 			idx, a, err := c.names.ParseSessionAlarm(p)
@@ -284,15 +252,13 @@ func (c *Client) readLoop(r *Reader) {
 				c.setErr(err)
 				return
 			}
-			if c.cursor != nil && !c.cursor.Receive(idx) {
+			if !c.cursor.Receive(idx) {
 				break // a replay overlapping what this session already has
 			}
-			if c.cfg.OnSessionAlarm != nil {
-				c.cfg.OnSessionAlarm(idx, a)
+			if c.cfg.OnAlarm != nil {
+				c.cfg.OnAlarm(a)
 			}
-			if c.cursor != nil {
-				c.AckAlarm(idx)
-			}
+			c.ackAlarm(idx)
 		case FramePong:
 			// Keepalive reply; receiving it already reset our read state.
 		default:
@@ -319,30 +285,28 @@ func (c *Client) Done() <-chan struct{} { return c.readDone }
 
 // ResumeState reports the server's answer to this connection's Resume: the
 // session's decided-event watermark and its alarm index at attach time.
-// Zero values on a plain (non-session) connection.
 func (c *Client) ResumeState() (watermark, alarmIdx uint64) {
 	return c.resumeWatermark, c.resumeAlarmIdx
 }
 
 // Send buffers one event toward the server. Frames are flushed when the
-// buffer fills; call Flush to push a partial batch (e.g. when pacing).
-// After the connection dies, Send returns the terminal error instead of
-// buffering into a dead pipe.
+// buffer fills; call Flush to push a partial batch (e.g. when pacing). An
+// event too large to travel alone in a batch under the server's frame limit
+// is refused with ErrFrameTooLarge, and nothing is written. After the
+// connection dies, Send returns the terminal error instead of buffering into
+// a dead pipe.
 func (c *Client) Send(ev Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.usableLocked(); err != nil {
 		return err
 	}
-	if c.batchMax == 0 {
-		return c.writeEventLocked(ev, AppendEvent)
+	if err := fitEvent(ev, c.maxFrame); err != nil {
+		return err
 	}
+	// fitEvent ruled out the event encoder's one error.
 	if c.batchN > 0 {
-		buf, err := appendEventBody(c.batch, ev)
-		if err != nil {
-			return err
-		}
-		if len(buf)-headerLen <= c.batchMax {
+		if buf, _ := appendEventBody(c.batch, ev); len(buf)-headerLen <= c.maxFrame {
 			c.batch = buf
 			return c.addedLocked()
 		}
@@ -351,16 +315,7 @@ func (c *Client) Send(ev Event) error {
 		}
 	}
 	buf, _ := begin(c.batch[:0], FrameEventBatch)
-	buf, err := appendEventBody(append(buf, 0, 0), ev)
-	if err != nil {
-		return err
-	}
-	if len(buf)-headerLen > c.batchMax {
-		// Too large even alone in a batch: a plain Event frame, which the
-		// server's limit refuses exactly as it would a v1 client's.
-		return c.writeEventLocked(ev, AppendEvent)
-	}
-	c.batch = buf
+	c.batch, _ = appendEventBody(append(buf, 0, 0), ev)
 	return c.addedLocked()
 }
 
@@ -423,7 +378,13 @@ func (c *Client) SendRetx(ev Event) error {
 	if err := c.closeBatchLocked(); err != nil {
 		return err
 	}
-	return c.writeEventLocked(ev, AppendEventRetx)
+	frame, err := AppendEventRetx(c.scratch[:0], ev)
+	if err != nil {
+		return err
+	}
+	c.scratch = frame[:0]
+	_, err = c.bw.Write(frame)
+	return err
 }
 
 func (c *Client) usableLocked() error {
@@ -431,16 +392,6 @@ func (c *Client) usableLocked() error {
 		return ErrClientClosed
 	}
 	return c.Err()
-}
-
-func (c *Client) writeEventLocked(ev Event, enc func([]byte, Event) ([]byte, error)) error {
-	frame, err := enc(c.scratch[:0], ev)
-	if err != nil {
-		return err
-	}
-	c.scratch = frame[:0]
-	_, err = c.bw.Write(frame)
-	return err
 }
 
 // Ping enqueues and flushes a keepalive frame, refreshing the server's
@@ -460,13 +411,13 @@ func (c *Client) Ping() error {
 	return c.flushLocked()
 }
 
-// AckAlarm records the cumulative session-alarm receipt: the server may
+// ackAlarm records the cumulative session-alarm receipt: the server may
 // prune its replay ring up to idx. The receipt rides the connection's next
 // batch close, Flush or Ping, and is written on its own after ReceiptDelay
 // when none comes, or at once when it runs ReceiptLag alarms ahead of the
 // last one flushed; a lower index than one already recorded is ignored. It
 // never blocks: the write of its own runs on the timer's goroutine.
-func (c *Client) AckAlarm(idx uint64) {
+func (c *Client) ackAlarm(idx uint64) {
 	for {
 		cur := c.rcpt.Load()
 		if idx <= cur {

@@ -235,7 +235,6 @@ func TestSessionKilledWithReceiptPending(t *testing.T) {
 // event slice and the one array its contexts share.
 func TestAlarmFrameAllocs(t *testing.T) {
 	encoders := map[string]func() ([]byte, error){
-		"Alarm":        func() ([]byte, error) { return AppendAlarm(nil, goldenAlarm) },
 		"SessionAlarm": func() ([]byte, error) { return AppendSessionAlarm(nil, 7, goldenAlarm) },
 		"AlarmStream":  func() ([]byte, error) { return AppendAlarmStream(nil, "home-3", 11, goldenAlarm) },
 	}
@@ -297,13 +296,12 @@ func TestPingPathAllocs(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, _ := startServer(t, b, nil)
 	acked := make(chan uint64, 1)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "ping",
-		OnAck: func(seq uint64) {
-			select {
-			case acked <- seq:
-			default:
-			}
-		}})
+	c, err := dial(addr, ClientConfig{Tenant: "home-0"}, "ping", new(AlarmCursor), func(seq uint64) {
+		select {
+		case acked <- seq:
+		default:
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,10 @@ type ServerConfig struct {
 	Classify func(error) Code
 	// MaxFrame caps accepted frame sizes; <= 0 selects DefaultMaxFrame.
 	MaxFrame int
-	// AlarmBuffer sizes each connection's outbound alarm queue. When the
-	// queue is full (a producer not draining its read side), further
-	// alarms for that connection are dropped and counted in
+	// AlarmBuffer sizes each connection's outbound frame queue and each
+	// session's undelivered-alarm replay ring. An alarm a full queue
+	// refuses (a producer not draining its read side) waits in the ring;
+	// ring overflow evicts the oldest unconfirmed alarm and counts it in
 	// Stats.AlarmsDropped. Defaults to 256.
 	AlarmBuffer int
 	// HelloTimeout bounds how long a fresh connection may sit silent
@@ -50,28 +51,22 @@ type ServerConfig struct {
 	// IdleTimeout evicts an authenticated connection that delivers no
 	// frame for this long — a wedged or half-dead producer must not hold
 	// a reader goroutine forever. Session clients keep quiet links alive
-	// with Ping frames. <= 0 applies the 2-minute default; set negative
-	// via NoIdleTimeout semantics is not supported — use a large value to
-	// effectively disable.
+	// with Ping frames. <= 0 applies the 2-minute default; there is no
+	// way to disable it, so use a large value instead.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each socket write; a peer that stops reading
 	// (TCP window collapsed) is evicted instead of wedging the writer
 	// goroutine. Defaults to 30s.
 	WriteTimeout time.Duration
-	// AckEvery is the cumulative-acknowledgement cadence for session
-	// connections: an Ack frame once at least this many events were
-	// decided since the last one. It is a floor, as a frame gets at most
-	// one Ack. Defaults to 32.
+	// AckEvery is the cumulative-acknowledgement cadence: an Ack frame
+	// once at least this many events were decided since the last one. It
+	// is a floor, as a frame gets at most one Ack. Defaults to 32.
 	AckEvery int
-	// SessionAlarmBuffer caps each session's undelivered-alarm replay
-	// ring. Overflow evicts the oldest unconfirmed alarm and counts it in
-	// Stats.AlarmsDropped. Defaults to AlarmBuffer.
-	SessionAlarmBuffer int
 	// MaxSessions caps the session table; a Resume beyond it is refused.
 	// Defaults to 65536.
 	MaxSessions int
-	// Logf receives operational log lines (first alarm drop per
-	// connection, refused Hellos); nil disables logging.
+	// Logf receives operational log lines (first full alarm queue per
+	// session, refused Hellos and Resumes); nil disables logging.
 	Logf func(format string, args ...any)
 }
 
@@ -81,9 +76,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.AlarmBuffer <= 0 {
 		c.AlarmBuffer = 256
-	}
-	if c.SessionAlarmBuffer <= 0 {
-		c.SessionAlarmBuffer = c.AlarmBuffer
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 65536
@@ -123,9 +115,9 @@ type ServerStats struct {
 	// AlarmsBuffered the alarms banked in a session's replay ring while
 	// no (responsive) connection was attached; AlarmReplays the ring
 	// entries re-pushed after a Resume or once a full queue had room
-	// again. AlarmsDropped counts alarms lost
-	// for real: a plain connection's full queue, or a session ring
-	// overflowing with unconfirmed alarms.
+	// again. AlarmsDropped counts alarms lost for real: a session ring
+	// overflowing with unconfirmed alarms, or an alarm that failed to
+	// encode.
 	Alarms         uint64
 	AlarmsBuffered uint64
 	AlarmReplays   uint64
@@ -150,14 +142,15 @@ func sessionKey(tenant, name string) string { return tenant + "\x00" + name }
 
 // Server accepts wire connections and bridges them onto a Backend: the
 // session vocabulary over the resumable-stream core (Endpoint, Receiver).
-// All methods are safe for concurrent use.
+// Every connection attaches a session; the newest session of a tenant
+// holds the tenant's alarm route. All methods are safe for concurrent use.
 type Server struct {
 	cfg ServerConfig
 	ep  *Endpoint
 
 	mu       sync.Mutex
-	owners   map[string]*srvConn // tenant → plain connection receiving its alarms
 	sessions map[string]*session
+	routes   map[string]*session // tenant → the session its alarm route feeds
 
 	retransmits atomic.Uint64
 	resumes     atomic.Uint64
@@ -174,9 +167,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg: cfg,
 		ep: (&Endpoint{Name: "wire", HelloTimeout: cfg.HelloTimeout, IdleTimeout: cfg.IdleTimeout,
 			WriteTimeout: cfg.WriteTimeout, MaxFrame: cfg.MaxFrame, OutBuffer: cfg.AlarmBuffer,
-			AckEvery: cfg.AckEvery, AlarmRing: cfg.SessionAlarmBuffer, Logf: cfg.Logf}).WithDefaults(),
-		owners:   make(map[string]*srvConn),
+			AckEvery: cfg.AckEvery, AlarmRing: cfg.AlarmBuffer, Logf: cfg.Logf}).WithDefaults(),
 		sessions: make(map[string]*session),
+		routes:   make(map[string]*session),
 	}, nil
 }
 
@@ -232,16 +225,15 @@ func (s *Server) Stats() ServerStats {
 }
 
 // srvConn is one accepted connection: the session vocabulary's Handler and
-// Vocab. Its Writer serializes Welcome, Ack, Nack and Alarm frames; once
-// authenticated it claims the tenant's alarm route, either directly (plain
-// v1 connection) or through a durable session.
+// Vocab. Its Writer serializes Welcome, ResumeOK, Ack, Nack and
+// SessionAlarm frames; the Resume after its Hello attaches a durable
+// session, which claims the tenant's alarm route.
 type srvConn struct {
 	srv    *Server
 	nc     net.Conn
 	w      *Writer // outbound frames toward the producer
 	tenant string
-	sess   *session // attached by a Resume frame; nil on plain connections
-	intent bool     // the Hello announced a Resume
+	sess   *session // attached by the Resume frame
 	clean  bool     // Bye received: teardown retires the session
 
 	// Reader-loop scratch, reused for every event frame: the name table,
@@ -250,39 +242,33 @@ type srvConn struct {
 	names Names
 	evs   []Event
 	out   []byte
-
-	alarmDropLogged atomic.Bool
 }
 
 func (c *srvConn) String() string { return fmt.Sprintf("%s (tenant %q)", c.nc.RemoteAddr(), c.tenant) }
 
-// Teardown unwinds one connection's registrations. A plain connection
-// releases its alarm route back to default delivery; a session connection
-// only detaches — the session keeps the route and banks alarms for the
-// resume — unless a Bye retired it (clean departure restores defaults).
+// Teardown unwinds one connection's registrations. The connection only
+// detaches from its session — the session keeps the route and banks alarms
+// for the resume — unless a Bye retired it: a clean departure restores the
+// tenant's default delivery, unless a newer session of the tenant took the
+// route over. A connection refused before its Resume holds nothing.
 func (c *srvConn) Teardown() {
-	s := c.srv
-	s.mu.Lock()
-	if sess := c.sess; sess != nil {
-		retire := sess.rx.Detach(c.w) && c.clean
-		if retire {
-			delete(s.sessions, sessionKey(sess.tenant, sess.name))
-		}
-		s.mu.Unlock()
-		if retire {
-			_ = s.cfg.Backend.RouteAlarms(sess.tenant, nil)
-		}
+	sess := c.sess
+	if sess == nil {
 		return
 	}
-	owner := c.tenant != "" && s.owners[c.tenant] == c
-	if owner {
-		delete(s.owners, c.tenant)
+	s := c.srv
+	s.mu.Lock()
+	retire := sess.rx.Detach(c.w) && c.clean
+	unroute := retire && s.routes[sess.tenant] == sess
+	if retire {
+		delete(s.sessions, sessionKey(sess.tenant, sess.name))
+	}
+	if unroute {
+		delete(s.routes, sess.tenant)
 	}
 	s.mu.Unlock()
-	if owner {
-		// Route the tenant's alarms back to the host's default delivery; a
-		// newer connection for the same tenant already rerouted them.
-		_ = s.cfg.Backend.RouteAlarms(c.tenant, nil)
+	if unroute {
+		_ = s.cfg.Backend.RouteAlarms(sess.tenant, nil)
 	}
 }
 
@@ -291,9 +277,9 @@ func (c *srvConn) ErrorFrame(r Refusal) ([]byte, error) {
 	return AppendNack(nil, Nack{Code: r.Code, Detail: r.Detail})
 }
 
-// Hello performs the authentication handshake. A client that announced it
-// will Resume has its alarm route claimed by the session attach instead of
-// here, so no alarm can slip past the session's bank between Welcome and
+// Hello performs the authentication handshake. It refuses a Hello without
+// the session byte: the alarm route is claimed by the Resume that must
+// follow, so no alarm can slip past the session's bank between Welcome and
 // Resume.
 func (c *srvConn) Hello(r *Reader) error {
 	s := c.srv
@@ -304,55 +290,30 @@ func (c *srvConn) Hello(r *Reader) error {
 	if t != FrameHello {
 		return Protocolf("expected hello, got %s", t)
 	}
-	ver, token, tenant, intent, err := ParseHello(p)
+	ver, token, tenant, session, err := ParseHello(p)
 	if err != nil {
 		return Protocolf("malformed hello")
 	}
 	if ver != Version {
 		return Protocolf("protocol version %d, want %d", ver, Version)
 	}
+	if !session {
+		return Protocolf("session required: a Hello must carry the session byte and be followed by a Resume")
+	}
 	if err := s.cfg.Backend.Authenticate(token, tenant); err != nil {
 		s.ep.Printf("refused connection from %s for tenant %q: %v", c.nc.RemoteAddr(), tenant, err)
 		return Refusal{Code: s.cfg.Classify(err), Detail: "authentication rejected"}
 	}
-	c.tenant, c.intent = tenant, intent
-	if !intent {
-		if err := s.claimAlarms(tenant, c); err != nil {
-			s.ep.Printf("refused connection from %s: %v", c.nc.RemoteAddr(), err)
-			return Refusal{Code: s.cfg.Classify(err), Detail: err.Error()}
-		}
-	}
+	c.tenant = tenant
 	c.w.Send(AppendWelcome(nil, uint32(s.cfg.MaxFrame), CapEventBatch))
-	return nil
-}
-
-// claimAlarms routes the tenant's alarms to this plain connection,
-// displacing a previous connection for the same tenant (the newest
-// producer wins).
-func (s *Server) claimAlarms(tenant string, c *srvConn) error {
-	s.mu.Lock()
-	prev, hadPrev := s.owners[tenant]
-	s.owners[tenant] = c
-	s.mu.Unlock()
-	err := s.cfg.Backend.RouteAlarms(tenant, func(a Alarm) { s.pushAlarm(c, a) })
-	if err != nil {
-		s.mu.Lock()
-		if s.owners[tenant] == c {
-			if hadPrev {
-				s.owners[tenant] = prev
-			} else {
-				delete(s.owners, tenant)
-			}
-		}
-		s.mu.Unlock()
-		return err
-	}
 	return nil
 }
 
 // resume binds c to the (tenant, name) session, creating it on first use,
 // routes the tenant's alarms into the session's bank, answers ResumeOK,
-// and attaches c, replaying the alarms past the client's receipt.
+// and attaches c, replaying the alarms past the client's receipt. A session
+// created here whose route is refused (an unknown tenant) is forgotten
+// again, so refused resumes cannot fill the session table.
 func (c *srvConn) resume(name string, receipt uint64) error {
 	s := c.srv
 	key := sessionKey(c.tenant, name)
@@ -370,17 +331,20 @@ func (c *srvConn) resume(name string, receipt uint64) error {
 		sess = &session{tenant: c.tenant, name: name}
 		s.sessions[key] = sess
 	}
-	// A plain connection may still own this tenant's alarm route; the
-	// session claim below displaces it at the backend, so drop the stale
-	// owner entry to keep that connection's teardown from clearing the
-	// session's route later.
-	delete(s.owners, c.tenant)
 	s.mu.Unlock()
-	if err := s.cfg.Backend.RouteAlarms(c.tenant, func(a Alarm) {
+	err := s.cfg.Backend.RouteAlarms(c.tenant, func(a Alarm) {
 		if sess.rx.Push(s.ep, a, AppendSessionAlarm) && sess.fullLogged.CompareAndSwap(false, true) {
 			s.ep.Printf("alarm queue full for tenant %q session %q; banked for replay (first occurrence — producer not reading, or raise AlarmBuffer)", sess.tenant, sess.name)
 		}
-	}); err != nil {
+	})
+	s.mu.Lock()
+	if err == nil {
+		s.routes[c.tenant] = sess
+	} else if !ok {
+		delete(s.sessions, key)
+	}
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	c.sess = sess
@@ -389,26 +353,6 @@ func (c *srvConn) resume(name string, receipt uint64) error {
 	c.w.Send(AppendResumeOK(nil, wm, idx))
 	sess.rx.Attach(s.ep, c.w, receipt)
 	return nil
-}
-
-// pushAlarm encodes one alarm onto a plain connection's outbound queue. It
-// runs on the tenant's stream thread: never block, count what cannot be
-// sent.
-func (s *Server) pushAlarm(c *srvConn, a Alarm) {
-	frame, err := AppendAlarm(nil, a)
-	if err != nil {
-		s.ep.AlarmsDropped.Add(1)
-		return
-	}
-	if c.w.TrySend(frame) {
-		s.ep.Alarms.Add(1)
-		return
-	}
-	s.ep.AlarmsDropped.Add(1)
-	if c.alarmDropLogged.CompareAndSwap(false, true) {
-		s.ep.Printf("alarm queue full for tenant %q on %s; dropping (first drop — producer not reading, or raise AlarmBuffer)",
-			c.tenant, c.nc.RemoteAddr())
-	}
 }
 
 // Seq, Submit, AppendNack and AppendAck make srvConn the session
@@ -429,17 +373,15 @@ func (c *srvConn) AppendNack(dst []byte, ev *Event, err error) []byte {
 func (c *srvConn) AppendAck(dst []byte, wm uint64) []byte { return AppendAck(dst, wm) }
 
 // decide is the one admission path of every event frame (Event, EventRetx
-// and EventBatch alike): Decide on a session connection, a plain Admit
-// otherwise. It returns false only when the frame's sequence numbers do
-// not increase and the connection must close.
+// and EventBatch alike): Decide through the session's watermark. It returns
+// false only when the frame's sequence numbers do not increase and the
+// connection must close.
 func (s *Server) decide(c *srvConn, evs []Event, retx bool) bool {
 	if retx {
 		s.retransmits.Add(uint64(len(evs)))
 	}
 	var err error
-	if c.sess == nil {
-		c.out = Admit(s.ep, c, evs, c.out[:0])
-	} else if c.out, err = Decide(s.ep, &c.sess.rx, c, evs, c.out[:0]); err != nil {
+	if c.out, err = Decide(s.ep, &c.sess.rx, c, evs, c.out[:0]); err != nil {
 		return false
 	}
 	if len(c.out) > 0 {
@@ -451,9 +393,9 @@ func (s *Server) decide(c *srvConn, evs []Event, retx bool) bool {
 // Frame handles one frame after the Hello.
 func (c *srvConn) Frame(t FrameType, p []byte) error {
 	s := c.srv
-	// A session-intent connection must attach before anything else so its
+	// A connection must attach its session before anything else so its
 	// alarm route never dangles.
-	if c.intent && c.sess == nil && t != FrameResume && t != FrameBye && t != FramePing {
+	if c.sess == nil && t != FrameResume && t != FrameBye && t != FramePing {
 		return Protocolf("expected resume, got %s", t)
 	}
 	var err error
@@ -490,8 +432,8 @@ func (c *srvConn) Frame(t FrameType, p []byte) error {
 		// Cumulative: the producer coalesces its receipts onto its own
 		// writes, so one frame may confirm many alarms.
 		idx, err := ParseAlarmAck(p)
-		if err != nil || c.sess == nil {
-			return Protocolf("unexpected alarm-ack")
+		if err != nil {
+			return Protocolf("malformed alarm-ack")
 		}
 		s.ep.Receipts.Add(1)
 		c.sess.rx.Confirm(idx)

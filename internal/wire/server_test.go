@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,12 @@ func startServer(t *testing.T, b *fakeBackend, tweak func(*ServerConfig)) (strin
 	return ln.Addr().String(), s
 }
 
+// dialSession opens one connection of the named session with a fresh
+// alarm cursor and no ack callback.
+func dialSession(addr string, cfg ClientConfig, session string) (*Client, error) {
+	return dial(addr, cfg, session, new(AlarmCursor), nil)
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -143,11 +150,11 @@ func TestServerEventFlow(t *testing.T) {
 
 	var nacks []Nack
 	var nackMu sync.Mutex
-	c, err := Dial(addr, ClientConfig{Token: "tok", Tenant: "home-0", OnNack: func(n Nack) {
+	c, err := dialSession(addr, ClientConfig{Token: "tok", Tenant: "home-0", OnNack: func(n Nack) {
 		nackMu.Lock()
 		nacks = append(nacks, n)
 		nackMu.Unlock()
-	}})
+	}}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +191,7 @@ func TestServerEventFlow(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The alarm route is released once the connection is gone.
+	// The alarm route is released once the session's Bye retired it.
 	waitFor(t, "route cleanup", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -200,7 +207,7 @@ func TestServerNackOnSubmitError(t *testing.T) {
 	b.mu.Unlock()
 
 	nacks := make(chan Nack, 16)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnNack: func(n Nack) { nacks <- n }}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +236,7 @@ func TestServerAlarmPushback(t *testing.T) {
 	addr, s := startServer(t, b, nil)
 
 	alarms := make(chan Alarm, 16)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { alarms <- a }})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { alarms <- a }}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,17 +263,60 @@ func TestServerAlarmPushback(t *testing.T) {
 	}
 }
 
+// TestServerRefusesBadAuth: a bad token is refused at the Hello and counted
+// as an auth failure; an unknown tenant passes the Hello and is refused at
+// the Resume, when its alarm route is claimed, leaving no session behind.
 func TestServerRefusesBadAuth(t *testing.T) {
 	b := newFakeBackend("tok", "home-0")
 	addr, s := startServer(t, b, nil)
-	if _, err := Dial(addr, ClientConfig{Token: "wrong", Tenant: "home-0"}); !errors.Is(err, ErrBadAuth) {
+	if _, err := dialSession(addr, ClientConfig{Token: "wrong", Tenant: "home-0"}, "prod"); !errors.Is(err, ErrBadAuth) {
 		t.Fatalf("bad token error = %v", err)
 	}
-	if _, err := Dial(addr, ClientConfig{Token: "tok", Tenant: "nobody"}); err == nil {
-		t.Fatal("unknown tenant accepted")
+	if _, err := dialSession(addr, ClientConfig{Token: "tok", Tenant: "nobody"}, "prod"); err == nil ||
+		!strings.Contains(err.Error(), CodeUnknownTenant.String()) {
+		t.Fatalf("unknown tenant error = %v", err)
 	}
-	if got := s.Stats().AuthFailures; got != 2 {
-		t.Fatalf("auth failures = %d", got)
+	if st := s.Stats(); st.AuthFailures != 1 || st.Sessions != 0 {
+		t.Fatalf("auth failures %d sessions %d, want 1 and 0", st.AuthFailures, st.Sessions)
+	}
+}
+
+// TestServerRefusesPlainHello: a Hello without the session byte is refused
+// with a CodeProtocol Nack saying a session is required, before any alarm
+// route is claimed.
+func TestServerRefusesPlainHello(t *testing.T) {
+	b := newFakeBackend("", "home-0")
+	addr, s := startServer(t, b, nil)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello, err := appendHello(nil, FrameHello, "", "home-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := NewReader(nc, 0)
+	ft, p, err := r.Next()
+	if err != nil || ft != FrameNack {
+		t.Fatalf("reply = %v %v, want nack", ft, err)
+	}
+	n, err := ParseNack(p)
+	if err != nil || n.Code != CodeProtocol || !strings.Contains(n.Detail, "session required") {
+		t.Fatalf("nack = %+v %v, want a protocol nack requiring a session", n, err)
+	}
+	if _, _, err := r.Next(); err == nil {
+		t.Fatal("connection still open after the refused hello")
+	}
+	b.mu.Lock()
+	routes := len(b.sinks)
+	b.mu.Unlock()
+	if st := s.Stats(); routes != 0 || st.AuthFailures != 1 || st.Sessions != 0 {
+		t.Fatalf("routes %d auth failures %d sessions %d, want 0, 1, 0", routes, st.AuthFailures, st.Sessions)
 	}
 }
 
@@ -316,20 +366,20 @@ func TestServerOversizedFrameNack(t *testing.T) {
 	}
 }
 
-// TestServerNewConnDisplacesAlarmRoute: the newest connection for a tenant
-// receives its alarms; the displaced connection's close must not clear the
-// newer route.
+// TestServerNewConnDisplacesAlarmRoute: the newest session for a tenant
+// receives its alarms; the displaced session's retirement must not clear
+// the newer route.
 func TestServerNewConnDisplacesAlarmRoute(t *testing.T) {
 	b := newFakeBackend("", "home-0")
-	addr, _ := startServer(t, b, nil)
+	addr, s := startServer(t, b, nil)
 
 	got1 := make(chan Alarm, 1)
-	c1, err := Dial(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { got1 <- a }})
+	c1, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { got1 <- a }}, "first")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got2 := make(chan Alarm, 1)
-	c2, err := Dial(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { got2 <- a }})
+	c2, err := dialSession(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { got2 <- a }}, "second")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +387,8 @@ func TestServerNewConnDisplacesAlarmRoute(t *testing.T) {
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// c1's teardown ran; the route must still point at c2.
+	// c1's Bye retired its session; the route must still point at c2's.
+	waitFor(t, "first session retired", func() bool { return s.Stats().Sessions == 1 })
 	waitFor(t, "displaced alarm", func() bool {
 		return b.push("home-0", Alarm{Seq: 5})
 	})
@@ -365,7 +416,7 @@ func TestServerCloseTerminatesServe(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
-	c, err := Dial(ln.Addr().String(), ClientConfig{Tenant: "home-0"})
+	c, err := dialSession(ln.Addr().String(), ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}

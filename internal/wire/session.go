@@ -14,9 +14,7 @@ type SessionConfig struct {
 	Addr    string
 	Session string
 	// Client carries the per-connection settings (token, tenant, frame
-	// limit, Nack/alarm callbacks). Its Session/AlarmIdx/OnAck/
-	// OnSessionAlarm fields are owned by the SessionClient and must be
-	// left zero; OnAlarm receives session alarms with the index stripped.
+	// limit, TLS, Nack and alarm callbacks).
 	Client ClientConfig
 	// Window caps the ring of sent-but-unacknowledged events held for
 	// retransmit. While connected, a Send into a full window waits for an
@@ -80,6 +78,9 @@ type SessionStats struct {
 // event instead of silent data loss. It is the session vocabulary's sending
 // end over Link, Window and AlarmCursor.
 //
+// It is the one way to open a producer: the server refuses a connection
+// that attaches no session.
+//
 // Events must carry strictly increasing Seq (ErrSeqOrder otherwise) — the
 // cumulative-ack protocol depends on it. Send accepts an event into the
 // window and returns nil even while degraded (delivery happens on resume).
@@ -105,6 +106,7 @@ type SessionClient struct {
 	room        sync.Cond // on mu: a slot freed, the connection died, or Close ran
 	window      Window
 	retransmits uint64
+	maxFrame    int // the frame limit of the last connection's Welcome
 }
 
 // OpenSession dials the first connection and attaches the session. The
@@ -129,9 +131,6 @@ func OpenSession(cfg SessionConfig) (*SessionClient, error) {
 // dial opens one connection resuming the session at the alarm receipt.
 func (s *SessionClient) dial() (*Client, error) {
 	cc := s.cfg.Client
-	cc.Session = s.cfg.Session
-	cc.AlarmIdx = s.alarms.Index()
-	cc.OnAck = s.onAck
 	cc.OnNack = func(n Nack) {
 		// A Nack is decided: the server's watermark advanced through it.
 		s.onAck(n.Seq)
@@ -139,11 +138,9 @@ func (s *SessionClient) dial() (*Client, error) {
 			s.cfg.Client.OnNack(n)
 		}
 	}
-	cc.OnSessionAlarm = s.onSessionAlarm
-	cc.OnAlarm = nil // session connections receive FrameSessionAlarm only
 	// With the cursor, the connection's reader drops replayed duplicates
 	// and receipts what it delivers.
-	return dial(s.cfg.Addr, cc, &s.alarms)
+	return dial(s.cfg.Addr, cc, s.cfg.Session, &s.alarms, s.onAck)
 }
 
 // onAck prunes the window through the server's cumulative decided seq and
@@ -164,15 +161,6 @@ func (s *SessionClient) wake() {
 	s.mu.Unlock()
 }
 
-// onSessionAlarm hands a new alarm to the caller. The connection's reader
-// has already dropped replayed duplicates, and it receipts the alarm after
-// this returns.
-func (s *SessionClient) onSessionAlarm(_ uint64, a Alarm) {
-	if s.cfg.Client.OnAlarm != nil {
-		s.cfg.Client.OnAlarm(a)
-	}
-}
-
 // resume installs a fresh connection: prune the window to the server's
 // watermark, retransmit the rest of the tail in order, and only then
 // publish it for new Sends (the mutex covers the whole splice, so the
@@ -180,6 +168,7 @@ func (s *SessionClient) onSessionAlarm(_ uint64, a Alarm) {
 func (s *SessionClient) resume(conn *Client) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.maxFrame = conn.maxFrame
 	wm, _ := conn.ResumeState()
 	s.window.Confirm(wm) // no Send waits while degraded: nothing to wake
 	for _, be := range s.window.Items() {
@@ -204,10 +193,16 @@ func (s *SessionClient) resume(conn *Client) error {
 // sent before it — until an ack or Nack frees a slot; while degraded, or
 // once the connection it waited on dies, a full window returns
 // ErrSendWindowFull. After Close it returns ErrClientClosed,
-// after give-up ErrSessionGaveUp.
+// after give-up ErrSessionGaveUp. An event too large to travel alone in an
+// EventBatch frame under the server's frame limit returns ErrFrameTooLarge
+// and is not banked: retransmitted, it would cut every connection that
+// carried it.
 func (s *SessionClient) Send(ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := fitEvent(ev, s.maxFrame); err != nil {
+		return err
+	}
 	for {
 		conn, live := s.link.Current()
 		if !live {

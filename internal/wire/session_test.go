@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func TestSessionWatermarkExactlyOnce(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 4 })
 
-	c1, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod"})
+	c1, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSessionWatermarkExactlyOnce(t *testing.T) {
 
 	// Second connection resumes the same session: the server reports the
 	// decided watermark, and replayed events below it are dropped.
-	c2, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod"})
+	c2, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +96,11 @@ func TestSessionAlarmBankAndReplay(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, s := startServer(t, b, nil)
 
+	// One cursor across both connections, as a SessionClient keeps it: the
+	// resume carries the receipt of what the first connection delivered.
+	var cursor AlarmCursor
 	alarms1 := make(chan Alarm, 16)
-	c1, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod",
-		OnSessionAlarm: func(idx uint64, a Alarm) { alarms1 <- a }})
+	c1, err := dial(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { alarms1 <- a }}, "prod", &cursor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +141,7 @@ func TestSessionAlarmBankAndReplay(t *testing.T) {
 
 	// Resume confirming receipt of alarm idx 1: only 2 and 3 replay.
 	alarms2 := make(chan Alarm, 16)
-	c2, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", AlarmIdx: 1,
-		OnSessionAlarm: func(idx uint64, a Alarm) { alarms2 <- a }})
+	c2, err := dial(addr, ClientConfig{Tenant: "home-0", OnAlarm: func(a Alarm) { alarms2 <- a }}, "prod", &cursor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestSessionAlarmBankAndReplay(t *testing.T) {
 func TestSessionByeRetires(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, s := startServer(t, b, nil)
-	c, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod"})
+	c, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +218,12 @@ func runKillServer(t *testing.T, point killPoint) string {
 			return // cut before even reading the Hello
 		}
 		r := NewReader(nc, 0)
-		if _, _, err := r.Next(); err != nil { // the Hello
-			return
+		for range 2 { // the Hello and the Resume
+			if _, _, err := r.Next(); err != nil {
+				return
+			}
 		}
-		nc.Write(AppendWelcome(nil, DefaultMaxFrame, CapEventBatch))
+		nc.Write(AppendResumeOK(AppendWelcome(nil, DefaultMaxFrame, CapEventBatch), 0, 0))
 		switch point {
 		case killPostHello:
 			return
@@ -254,7 +258,7 @@ func TestClientErrorPropagationOnTornConnections(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := runKillServer(t, tc.point)
-			c, err := Dial(addr, ClientConfig{Tenant: "home-0"})
+			c, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "prod")
 			if tc.point == killPreHello {
 				if err == nil {
 					c.Close()
@@ -307,7 +311,7 @@ func TestServerIdleEviction(t *testing.T) {
 	b := newFakeBackend("", "home-0")
 	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.IdleTimeout = 250 * time.Millisecond })
 
-	silent, err := Dial(addr, ClientConfig{Tenant: "home-0"})
+	silent, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "silent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +323,7 @@ func TestServerIdleEviction(t *testing.T) {
 		t.Fatal("evicted client never saw the cut")
 	}
 
-	lively, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "keeper"})
+	lively, err := dialSession(addr, ClientConfig{Tenant: "home-0"}, "keeper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +369,7 @@ func TestServerCloseReapsHalfOpenConns(t *testing.T) {
 		raw = append(raw, nc)
 	}
 	// Plus one authenticated session connection mid-flight.
-	c, err := Dial(ln.Addr().String(), ClientConfig{Tenant: "home-0", Session: "prod"})
+	c, err := dialSession(ln.Addr().String(), ClientConfig{Tenant: "home-0"}, "prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,6 +585,57 @@ func TestSessionClientTypedBackpressureAndSeqOrder(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesOversizedEvent: an event too large to travel alone in
+// a batch under the server's frame limit is refused by Send with
+// ErrFrameTooLarge and never banked. Banked, it would be retransmitted into
+// the server's frame-limit cut on every reconnect, and no later event would
+// ever be admitted.
+func TestSessionRefusesOversizedEvent(t *testing.T) {
+	b := newFakeBackend("", "home-0")
+	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.MaxFrame = 300 })
+	sc, err := OpenSession(SessionConfig{
+		Addr:        addr,
+		Session:     "prod",
+		Client:      ClientConfig{Tenant: "home-0"},
+		MaxAttempts: 1 << 20,
+		BackoffMin:  time.Millisecond,
+		BackoffMax:  time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if err := sc.Send(Event{Seq: 1, Device: "light"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Send(Event{Seq: 2, Device: strings.Repeat("x", 400)}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized event: %v, want ErrFrameTooLarge", err)
+	}
+	if err := sc.Send(Event{Seq: 3, Device: "light"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the events around the oversized one", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.events) == 2
+	})
+	b.mu.Lock()
+	got := []uint64{b.events[0].Seq, b.events[1].Seq}
+	b.mu.Unlock()
+	if got[0] != 1 || got[1] != 3 {
+		t.Fatalf("admitted seqs %v, want [1 3]", got)
+	}
+	if st := sc.Stats(); st.Reconnects != 0 || st.Retransmits != 0 || st.State != StateConnected {
+		t.Fatalf("session stats %+v: the oversized event cut the connection", st)
+	}
+	if st := s.Stats(); st.Conns != 1 {
+		t.Fatalf("server accepted %d connections, want 1", st.Conns)
+	}
+}
+
 // TestSessionNackPrunesWindow: a Nack is a decided event, so it prunes the
 // producer's retransmit window like an Ack. With the Ack cadence out of
 // reach and every event refused, the window must still drain, and OnNack
@@ -624,7 +679,7 @@ func TestSessionAckCountsDuplicates(t *testing.T) {
 	addr, s := startServer(t, b, func(cfg *ServerConfig) { cfg.AckEvery = 4 })
 	acks := make(chan uint64, 16)
 	dial := func() *Client {
-		c, err := Dial(addr, ClientConfig{Tenant: "home-0", Session: "prod", OnAck: func(seq uint64) { acks <- seq }})
+		c, err := dial(addr, ClientConfig{Tenant: "home-0"}, "prod", new(AlarmCursor), func(seq uint64) { acks <- seq })
 		if err != nil {
 			t.Fatal(err)
 		}

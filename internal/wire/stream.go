@@ -290,27 +290,6 @@ type Vocab[T any] interface {
 	AppendAck(dst []byte, watermark uint64) []byte
 }
 
-// Admit hands items to the backend, resuming past each refusal, and
-// appends one Nack per refused item to out. Counters move before the peer
-// can see a result: the items count as admitted before the backend gets
-// them (an alarm one raises may reach the peer before Submit returns), a
-// refusal takes its item back, and the Nack frames are sent afterwards.
-func Admit[T any, V Vocab[T]](e *Endpoint, v V, items []T, out []byte) []byte {
-	e.Events.Add(uint64(len(items)))
-	for len(items) > 0 {
-		n, err := v.Submit(items)
-		if err == nil {
-			break
-		}
-		n = min(n, len(items)-1)
-		e.Events.Add(^uint64(0)) // the refused item
-		e.Nacks.Add(1)
-		out = v.AppendNack(out, &items[n], err)
-		items = items[n+1:]
-	}
-	return out
-}
-
 // Receiver is one stream's durable receiving end — a wire session or a
 // worker tenant — that outlives any one connection: the decided watermark
 // for exactly-once admission and the bank of unconfirmed alarms. The zero
@@ -346,11 +325,15 @@ type bankedAlarm struct {
 // order. Under one hold of r's event lock it counts the prefix at or below
 // the watermark as duplicates (a retransmit overlap: decided before, never
 // re-admitted), refuses a frame whose remaining sequence numbers do not
-// increase (ErrSeqOrder: the caller closes the connection), admits the rest
-// with Admit, and advances the watermark past every decided item. Every
-// item received, duplicates included, counts toward AckEvery, and the frame
+// increase (ErrSeqOrder: the caller closes the connection), hands the rest
+// to the backend, resuming past each refusal with one Nack per refused
+// item, and advances the watermark past every decided item. Every item
+// received, duplicates included, counts toward AckEvery, and the frame
 // earns at most one cumulative Ack. It returns out with the Nack and Ack
-// frames to send.
+// frames to send. Counters move before the peer can see a result: the items
+// count as admitted before the backend gets them (an alarm one raises may
+// reach the peer before Submit returns), a refusal takes its item back, and
+// the frames are sent afterwards.
 func Decide[T any, V Vocab[T]](e *Endpoint, r *Receiver, v V, items []T, out []byte) ([]byte, error) {
 	r.evMu.Lock()
 	defer r.evMu.Unlock()
@@ -371,7 +354,19 @@ func Decide[T any, V Vocab[T]](e *Endpoint, r *Receiver, v V, items []T, out []b
 	// the resumed one serializes here, keeping admission exactly-once and
 	// in sequence order. The alarm path never takes evMu, so a Block policy
 	// waiting out a full queue cannot deadlock the stream thread.
-	out = Admit(e, v, items[dup:], out)
+	fresh := items[dup:]
+	e.Events.Add(uint64(len(fresh)))
+	for len(fresh) > 0 {
+		n, err := v.Submit(fresh)
+		if err == nil {
+			break
+		}
+		n = min(n, len(fresh)-1)
+		e.Events.Add(^uint64(0)) // the refused item
+		e.Nacks.Add(1)
+		out = v.AppendNack(out, &fresh[n], err)
+		fresh = fresh[n+1:]
+	}
 	r.watermark = last
 	r.sinceAck += len(items)
 	if r.sinceAck >= e.AckEvery {

@@ -1,12 +1,14 @@
 // Package wire implements the network ingestion protocol: a compact
 // length-prefixed binary event frame over any byte stream (in production a
 // TCP connection), with explicit end-to-end backpressure. A producer opens
-// a connection, authenticates it to one tenant with a Hello frame, and
-// streams Event frames; the server answers a refused event (full queue
-// under a Reject policy, tripped circuit breaker, unknown device) with a
-// Nack frame carrying the event's producer-assigned sequence number, and
-// pushes the tenant's alarms back over the same connection as Alarm frames
-// — nothing the serving side decides is ever silently swallowed.
+// a session: a Hello authenticates the connection to one tenant and a Resume
+// attaches a durable session that outlives the connection. It then streams
+// EventBatch frames; the server answers a refused event (full queue under a
+// Reject policy, tripped circuit breaker, unknown device) with a Nack frame
+// carrying the event's producer-assigned sequence number, and pushes the
+// tenant's alarms back over the same connection as SessionAlarm frames,
+// banked for replay until the producer confirms them — nothing the serving
+// side decides is ever silently swallowed.
 //
 // Frame layout (all integers big-endian):
 //
@@ -75,19 +77,18 @@ type FrameType uint8
 
 const (
 	// FrameHello is the client's first frame: protocol version, auth
-	// token, tenant name. The connection is bound to that tenant.
+	// token, tenant name and the session byte. The connection is bound to
+	// that tenant; a Hello without the session byte is refused.
 	FrameHello FrameType = 1
 	// FrameWelcome is the server's accept of a Hello: protocol version
 	// and the server's frame size limit.
 	FrameWelcome FrameType = 2
-	// FrameEvent carries one device state report toward the server.
+	// FrameEvent carries one device state report toward the server. The
+	// server accepts it; Client sends EventBatch frames instead.
 	FrameEvent FrameType = 3
 	// FrameNack reports a refused Hello or event back to the producer,
 	// with the event's sequence number and a reason code.
 	FrameNack FrameType = 4
-	// FrameAlarm pushes one detection alarm back to the producer, tagged
-	// with the sequence number of the event that completed the chain.
-	FrameAlarm FrameType = 5
 	// FrameBye announces a graceful client shutdown.
 	FrameBye FrameType = 6
 	// FrameResume joins the handshake right after Hello: it names a
@@ -114,10 +115,11 @@ const (
 	FramePing FrameType = 11
 	// FramePong is the empty server reply to a Ping.
 	FramePong FrameType = 12
-	// FrameSessionAlarm is an Alarm prefixed with the session's
-	// monotonically increasing alarm index; only session connections
-	// receive it (plain connections get FrameAlarm), and the index is what
-	// a Resume echoes back so no alarm is lost to a dead connection.
+	// FrameSessionAlarm pushes one detection alarm back to the producer,
+	// tagged with the sequence number of the event that completed the
+	// chain and prefixed with the session's monotonically increasing alarm
+	// index, which a Resume echoes back so no alarm is lost to a dead
+	// connection.
 	FrameSessionAlarm FrameType = 13
 	// FrameAlarmAck is the client's cumulative session-alarm receipt: the
 	// server prunes its replay ring up to the carried index, so ring
@@ -128,7 +130,7 @@ const (
 	FrameAlarmAck FrameType = 14
 	// FrameEventBatch carries several events in one frame: a u16 count,
 	// then each event as an Event payload. A client sends it only to a
-	// server whose Welcome announced CapEventBatch.
+	// server whose Welcome announced CapEventBatch, and refuses any other.
 	FrameEventBatch FrameType = 15
 )
 
@@ -149,8 +151,6 @@ func (t FrameType) String() string {
 		return "event"
 	case FrameNack:
 		return "nack"
-	case FrameAlarm:
-		return "alarm"
 	case FrameBye:
 		return "bye"
 	case FrameResume:
@@ -270,7 +270,7 @@ func (c Code) String() string {
 }
 
 // Event is one device state report on the wire. Seq is the
-// producer-assigned sequence number echoed in Nack and Alarm frames; the
+// producer-assigned sequence number echoed in Nack and alarm frames; the
 // protocol does not interpret it beyond echoing.
 type Event = event.Report
 
@@ -329,11 +329,6 @@ func begin(dst []byte, t FrameType) ([]byte, int) {
 	return append(dst, byte(t)), at
 }
 
-// AppendHello encodes a Hello frame onto dst.
-func AppendHello(dst []byte, token, tenant string) ([]byte, error) {
-	return appendHello(dst, FrameHello, token, tenant)
-}
-
 // appendHello encodes a connection opener of type t (Hello, ShardHello):
 // the protocol version, the auth token, and the peer's name.
 func appendHello(dst []byte, t FrameType, token, name string) ([]byte, error) {
@@ -349,14 +344,12 @@ func appendHello(dst []byte, t FrameType, token, name string) ([]byte, error) {
 	return frame(dst, at), nil
 }
 
-// AppendHelloSession encodes a Hello announcing session intent: the v1
-// payload plus a trailing capability byte. A v1 server ignores trailing
-// Hello bytes, so the handshake stays compatible in both directions; a
-// session-aware server defers alarm routing until the Resume frame that
-// must follow, closing the window where an alarm could bypass the
-// session's replay ring.
+// AppendHelloSession encodes the Hello every producer sends: the v1 payload
+// plus a trailing session byte. The server refuses a Hello without it, and
+// defers alarm routing until the Resume frame that must follow, closing the
+// window where an alarm could bypass the session's replay ring.
 func AppendHelloSession(dst []byte, token, tenant string) ([]byte, error) {
-	out, err := AppendHello(dst, token, tenant)
+	out, err := appendHello(dst, FrameHello, token, tenant)
 	if err != nil {
 		return nil, err
 	}
@@ -365,8 +358,8 @@ func AppendHelloSession(dst []byte, token, tenant string) ([]byte, error) {
 	return out, nil
 }
 
-// ParseHello decodes a Hello payload. session reports the trailing
-// capability byte a resuming client appends; a v1 Hello leaves it false.
+// ParseHello decodes a Hello payload. session reports the trailing session
+// byte; a plain v1 Hello, which the server refuses, leaves it false.
 func ParseHello(p []byte) (version uint8, token, tenant string, session bool, err error) {
 	d := decoder{p: p}
 	version = d.u8()
@@ -421,6 +414,21 @@ func AppendEvent(dst []byte, ev Event) ([]byte, error) {
 // eventBodyMin is the smallest encoded event: seq, time and value plus an
 // empty device name's length prefix.
 const eventBodyMin = 8 + 8 + 8 + 2
+
+// fitEvent refuses an event that cannot travel alone in an EventBatch frame
+// under maxFrame, the server's frame limit on the type byte and payload, or
+// whose device name the codec cannot encode. A server cuts the connection
+// that carries a frame over its limit, so such an event would be
+// retransmitted into the same cut on every reconnect.
+func fitEvent(ev Event, maxFrame int) error {
+	if len(ev.Device) > math.MaxUint16 {
+		return fmt.Errorf("%w: device name of %d bytes", ErrBadFrame, len(ev.Device))
+	}
+	if n := 1 + 2 + eventBodyMin + len(ev.Device); n > maxFrame {
+		return fmt.Errorf("%w: event batch of %d bytes, server limit %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	return nil
+}
 
 // appendEventBody encodes one Event payload, the entry codec of both the
 // Event and the EventBatch frame.
@@ -503,14 +511,8 @@ func ParseNack(p []byte) (Nack, error) {
 // The alarm encoders size the frame first and grow dst once to hold it, so
 // encoding onto nil (an alarm bank's entry) costs exactly one allocation.
 
-// AppendAlarm encodes an Alarm frame onto dst.
-func AppendAlarm(dst []byte, a Alarm) ([]byte, error) {
-	dst, at := begin(grow(dst, headerLen+1+alarmBodyLen(a)), FrameAlarm)
-	return appendAlarmBody(dst, at, a)
-}
-
 // AppendSessionAlarm encodes a SessionAlarm frame: the session's alarm
-// index, then the regular alarm payload.
+// index, then the alarm payload.
 func AppendSessionAlarm(dst []byte, idx uint64, a Alarm) ([]byte, error) {
 	dst, at := begin(grow(dst, headerLen+1+8+alarmBodyLen(a)), FrameSessionAlarm)
 	dst = binary.BigEndian.AppendUint64(dst, idx)
@@ -572,12 +574,6 @@ func appendAlarmBody(dst []byte, at int, a Alarm) ([]byte, error) {
 		}
 	}
 	return frame(dst, at), nil
-}
-
-// ParseAlarm decodes an Alarm payload.
-func ParseAlarm(p []byte) (Alarm, error) {
-	d := decoder{p: p}
-	return parseAlarmBody(&d)
 }
 
 // ParseSessionAlarm decodes a SessionAlarm payload.

@@ -9,11 +9,12 @@ import (
 
 // FuzzWireFrames is the error-never-panic contract for the decoders that
 // read untrusted network input: no payload may crash ParseEvent,
-// ParseEventBatch, ParseSubmitBatch, ParseHello or the three alarm
-// decoders, and no batch decoder may return more events than the payload's
-// bytes can encode. Each input is fed to every decoder, the event decoders
-// with and without a name table. An alarm that decodes must re-encode and
-// decode to an equal alarm.
+// ParseEventBatch, ParseSubmitBatch, ParseHello or the two alarm decoders,
+// and no batch decoder may return more events than the payload's bytes can
+// encode. Each input is fed to every decoder, the event decoders with and
+// without a name table. A Hello that decodes, with or without the session
+// byte, must re-encode in its form and decode to the same fields; an alarm
+// that decodes must re-encode and decode to an equal alarm.
 func FuzzWireFrames(f *testing.F) {
 	now := time.Unix(1700000000, 0)
 	evs := []Event{{Seq: 1, Time: now, Device: "light", Value: 1}, {Seq: 2, Time: now, Device: "door"}}
@@ -27,11 +28,12 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(payload(appendEventBatch(nil, evs)))
 	f.Add(payload(appendEventBatch(nil, nil)))
 	f.Add(payload(AppendSubmitBatch(nil, "home-0", []BatchEvent{{Link: 1, Ev: evs[0]}, {Link: 2, Ev: evs[1]}})))
-	f.Add(payload(AppendHello(nil, "tok", "home-0")))
+	f.Add(payload(appendHello(nil, FrameHello, "tok", "home-0")))
 	f.Add(payload(AppendHelloSession(nil, "tok", "home-0")))
-	f.Add(payload(AppendAlarm(nil, goldenAlarm)))
-	f.Add(payload(AppendAlarm(nil, Alarm{Seq: 3})))
+	f.Add(payload(appendHello(nil, FrameHello, "", "")))
+	f.Add(payload(AppendHelloSession(nil, "", "")))
 	f.Add(payload(AppendSessionAlarm(nil, 7, goldenAlarm)))
+	f.Add(payload(AppendSessionAlarm(nil, 1, Alarm{Seq: 3})))
 	f.Add(payload(AppendAlarmStream(nil, "home-3", 11, goldenAlarm)))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff})
@@ -53,9 +55,8 @@ func FuzzWireFrames(f *testing.F) {
 				t.Fatalf("SubmitBatch: error %v with %d events", err, len(bes))
 			}
 		}
-		ParseHello(p)
-		if a, err := ParseAlarm(p); err == nil {
-			alarmRoundTrip(t, a, func(a Alarm) ([]byte, error) { return AppendAlarm(nil, a) }, ParseAlarm)
+		if _, token, tenant, session, err := ParseHello(p); err == nil {
+			helloRoundTrip(t, token, tenant, session)
 		}
 		if idx, a, err := ParseSessionAlarm(p); err == nil {
 			alarmRoundTrip(t, a, func(a Alarm) ([]byte, error) { return AppendSessionAlarm(nil, idx, a) },
@@ -66,6 +67,26 @@ func FuzzWireFrames(f *testing.F) {
 				func(p []byte) (Alarm, error) { _, _, a, err := ParseAlarmStream(p); return a, err })
 		}
 	})
+}
+
+// helloRoundTrip re-encodes a decoded Hello in its form, plain or with the
+// session byte, and decodes it again: the fields must come back unchanged.
+func helloRoundTrip(t *testing.T, token, tenant string, session bool) {
+	t.Helper()
+	enc := AppendHelloSession
+	if !session {
+		enc = func(dst []byte, token, tenant string) ([]byte, error) {
+			return appendHello(dst, FrameHello, token, tenant)
+		}
+	}
+	frame, err := enc(nil, token, tenant)
+	if err != nil {
+		t.Fatalf("re-encode hello %q %q: %v", token, tenant, err)
+	}
+	ver, tok, ten, sess, err := ParseHello(frame[headerLen+1:])
+	if err != nil || ver != Version || tok != token || ten != tenant || sess != session {
+		t.Fatalf("hello round trip: %d %q %q %v %v, want %d %q %q %v", ver, tok, ten, sess, err, Version, token, tenant, session)
+	}
 }
 
 // alarmRoundTrip re-encodes a decoded alarm and decodes it again: the

@@ -24,8 +24,10 @@ func readOne(t *testing.T, buf []byte, max int) (FrameType, []byte) {
 	return ft, p
 }
 
+// TestHelloRoundTrip: a plain v1 Hello, which the server refuses, parses
+// with the session flag false.
 func TestHelloRoundTrip(t *testing.T) {
-	frame, err := AppendHello(nil, "secret", "home-3")
+	frame, err := appendHello(nil, FrameHello, "secret", "home-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +200,19 @@ func TestAlarmRoundTrip(t *testing.T) {
 			{Device: "heater", State: 1, Score: 0.7},
 		},
 	}
-	frame, err := AppendAlarm(nil, want)
+	frame, err := AppendSessionAlarm(nil, 12, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ft, p := readOne(t, frame, 0)
-	if ft != FrameAlarm {
+	if ft != FrameSessionAlarm {
 		t.Fatalf("type = %v", ft)
 	}
-	got, err := ParseAlarm(p)
+	idx, got, err := ParseSessionAlarm(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if idx != 12 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("alarm = %+v, want %+v", got, want)
 	}
 }
@@ -233,8 +235,8 @@ var goldenAlarm = Alarm{
 	},
 }
 
-// TestAlarmFrameGolden pins the encoded bytes of goldenAlarm in all three
-// alarm frames, as the protocol's first release encoded them: any change
+// TestAlarmFrameGolden pins the encoded bytes of goldenAlarm in both alarm
+// frames, as the protocol's first release encoded them: any change
 // to the alarm's field layout or context order breaks v1 peers, and this
 // test catches it. Each frame also decodes back to the same alarm.
 func TestAlarmFrameGolden(t *testing.T) {
@@ -245,8 +247,6 @@ func TestAlarmFrameGolden(t *testing.T) {
 		parse  func([]byte) (Alarm, error)
 		want   string
 	}{
-		{"Alarm", func() ([]byte, error) { return AppendAlarm(nil, goldenAlarm) }, ParseAlarm,
-			"000000a205" + body},
 		{"SessionAlarm", func() ([]byte, error) { return AppendSessionAlarm(nil, 7, goldenAlarm) },
 			func(p []byte) (Alarm, error) { _, a, err := ParseSessionAlarm(p); return a, err },
 			"000000aa0d0000000000000007" + body},
@@ -270,8 +270,8 @@ func TestAlarmFrameGolden(t *testing.T) {
 }
 
 // TestAlarmDecoderRefusesImpossibleValues patches values the detector
-// never produces into goldenAlarm's encoding, in each of the three alarm
-// frames: every decoder must refuse them with ErrBadFrame. The offsets are
+// never produces into goldenAlarm's encoding, in both alarm frames: every
+// decoder must refuse them with ErrBadFrame. The offsets are
 // into the alarm body (see TestAlarmFrameGolden's hex): the alarm score at
 // 8, then the first event's state at 26, its score at 30, and its first
 // context entry's state at 50.
@@ -304,18 +304,12 @@ func TestAlarmDecoderRefusesImpossibleValues(t *testing.T) {
 		{"context state 2", ctxState, state(1), state(2)},
 		{"context state -1", ctxState, state(1), state(math.MaxUint32)},
 	}
-	plain, err := AppendAlarm(nil, goldenAlarm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := len(plain) - headerLen - 1
+	body := alarmBodyLen(goldenAlarm)
 	decoders := []struct {
 		name   string
 		encode func() ([]byte, error)
 		parse  func([]byte) error
 	}{
-		{"Alarm", func() ([]byte, error) { return AppendAlarm(nil, goldenAlarm) },
-			func(p []byte) error { _, err := ParseAlarm(p); return err }},
 		{"SessionAlarm", func() ([]byte, error) { return AppendSessionAlarm(nil, 7, goldenAlarm) },
 			func(p []byte) error { _, _, err := ParseSessionAlarm(p); return err }},
 		{"AlarmStream", func() ([]byte, error) { return AppendAlarmStream(nil, "home-3", 11, goldenAlarm) },
@@ -396,19 +390,17 @@ func TestReaderTruncation(t *testing.T) {
 // TestParseNeverPanics drives every parser over truncations and bit-flipped
 // mutations of valid payloads: malformed input must error, never panic.
 func TestParseNeverPanics(t *testing.T) {
-	alarmFrame, _ := AppendAlarm(nil, Alarm{Seq: 1, Events: []AlarmEvent{
-		{Device: "light", State: 1, Context: []ContextEntry{{Name: "p@t-1", State: 1}}},
-	}})
 	eventFrame, _ := AppendEvent(nil, Event{Seq: 9, Device: "light", Value: 1})
-	helloFrame, _ := AppendHello(nil, "tok", "home")
+	helloFrame, _ := AppendHelloSession(nil, "tok", "home")
 	nackFrame, _ := AppendNack(nil, Nack{Seq: 3, Code: CodeInternal, Detail: "x"})
 	resumeFrame, _ := AppendResume(nil, "sess", 9)
-	sessAlarmFrame, _ := AppendSessionAlarm(nil, 2, Alarm{Seq: 1, Events: []AlarmEvent{{Device: "d"}}})
+	sessAlarmFrame, _ := AppendSessionAlarm(nil, 2, Alarm{Seq: 1, Events: []AlarmEvent{
+		{Device: "light", State: 1, Context: []ContextEntry{{Name: "p@t-1", State: 1}}},
+	}})
 	cases := []struct {
 		payload []byte
 		parse   func([]byte) error
 	}{
-		{alarmFrame[5:], func(p []byte) error { _, err := ParseAlarm(p); return err }},
 		{eventFrame[5:], func(p []byte) error { _, err := ParseEvent(p); return err }},
 		{helloFrame[5:], func(p []byte) error { _, _, _, _, err := ParseHello(p); return err }},
 		{nackFrame[5:], func(p []byte) error { _, err := ParseNack(p); return err }},
@@ -432,16 +424,16 @@ func TestParseNeverPanics(t *testing.T) {
 // TestAlarmCountGuard: a forged event count far beyond the payload size is
 // refused instead of driving a huge allocation loop.
 func TestAlarmCountGuard(t *testing.T) {
-	frame, _ := AppendAlarm(nil, Alarm{Seq: 1})
+	frame, _ := AppendSessionAlarm(nil, 1, Alarm{Seq: 1})
 	p := append([]byte(nil), frame[5:]...)
 	p[len(p)-2], p[len(p)-1] = 0xff, 0xff // nevents = 65535
-	if _, err := ParseAlarm(p); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := ParseSessionAlarm(p); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("forged count error = %v", err)
 	}
 }
 
 func TestAppendStringTooLong(t *testing.T) {
-	if _, err := AppendHello(nil, strings.Repeat("x", 70000), "t"); !errors.Is(err, ErrBadFrame) {
+	if _, err := AppendHelloSession(nil, strings.Repeat("x", 70000), "t"); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversize string error = %v", err)
 	}
 }
@@ -456,8 +448,9 @@ func TestCodeAndFrameTypeStrings(t *testing.T) {
 		t.Errorf("unknown code string = %q", Code(200).String())
 	}
 	for ft := FrameHello; ft <= FrameEventBatch; ft++ {
-		if strings.HasPrefix(ft.String(), "frame(") {
-			t.Errorf("frame type %d has no name", ft)
+		// Type 5 was the plain connection's Alarm frame, retired with it.
+		if named := !strings.HasPrefix(ft.String(), "frame("); named != (ft != 5) {
+			t.Errorf("frame type %d named %q", ft, ft.String())
 		}
 	}
 }

@@ -30,10 +30,11 @@ type WireConfig struct {
 	// MaxFrame caps accepted frame sizes; <= 0 selects the wire protocol
 	// default (1 MiB).
 	MaxFrame int
-	// AlarmBuffer sizes each connection's outbound alarm queue. A producer
-	// not draining its read side overflows it: further alarms for that
-	// connection are dropped and counted in WireStats.AlarmsDropped.
-	// Defaults to 256.
+	// AlarmBuffer sizes each connection's outbound frame queue and each
+	// session's undelivered-alarm replay ring. An alarm a full queue
+	// refuses (a producer not draining its read side) waits in the ring;
+	// ring overflow evicts the oldest unconfirmed alarm into
+	// WireStats.AlarmsDropped. Defaults to 256.
 	AlarmBuffer int
 	// HelloTimeout bounds how long a fresh connection may sit silent
 	// before authenticating. Defaults to 10s.
@@ -45,18 +46,14 @@ type WireConfig struct {
 	// WriteTimeout bounds each socket write; a peer that stops reading is
 	// evicted instead of wedging the writer. Defaults to 30s.
 	WriteTimeout time.Duration
-	// AckEvery is the cumulative-acknowledgement cadence for session
-	// connections: one Ack per this many decided events. Defaults to 32.
+	// AckEvery is the cumulative-acknowledgement cadence: one Ack per this
+	// many decided events. Defaults to 32.
 	AckEvery int
-	// SessionAlarmBuffer caps each session's undelivered-alarm replay
-	// ring; overflow evicts the oldest unconfirmed alarm into
-	// WireStats.AlarmsDropped. Defaults to AlarmBuffer.
-	SessionAlarmBuffer int
 	// MaxSessions caps the durable session table; a Resume beyond it is
 	// refused. Defaults to 65536.
 	MaxSessions int
 	// Logf receives operational log lines (refused connections, first
-	// alarm drop per connection); nil disables logging.
+	// full alarm queue per session); nil disables logging.
 	Logf func(format string, args ...any)
 }
 
@@ -65,16 +62,18 @@ type WireConfig struct {
 type WireStats = wire.ServerStats
 
 // WireServer puts a Host on the network: producers connect over TCP, bind
-// each connection to one home with an authenticated Hello, and stream
-// length-prefixed binary event frames. Backpressure is end-to-end — an
-// event the host refuses (full queue under BackpressureReject, quarantine,
-// shutdown) comes back to the producer as a Nack frame carrying the
-// event's sequence number and a reason code — and the home's alarms are
-// pushed back over the same connection as Alarm frames. See DESIGN.md §9
-// for the frame layouts.
+// each connection to one home with an authenticated Hello, attach a
+// resumable session with a Resume, and stream length-prefixed binary event
+// frames. Backpressure is end-to-end — an event the host refuses (full
+// queue under BackpressureReject, quarantine, shutdown) comes back to the
+// producer as a Nack frame carrying the event's sequence number and a
+// reason code — and the home's alarms are pushed back over the same
+// connection as SessionAlarm frames, banked in the session and replayed
+// after a reconnect until the producer confirms them. A connection that
+// attaches no session is refused. See DESIGN.md §9 for the frame layouts.
 //
 // The server works identically over a single Hub or a sharded Fleet, and a
-// connection's alarm push-back follows its home across live migrations.
+// session's alarm push-back follows its home across live migrations.
 type WireServer struct {
 	srv *wire.Server
 }
@@ -86,17 +85,16 @@ func NewWireServer(h Host, cfg WireConfig) (*WireServer, error) {
 		return nil, errors.New("causaliot: wire server with nil host")
 	}
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Backend:            &hostBackend{host: h, token: cfg.Token},
-		Classify:           classifyWireError,
-		MaxFrame:           cfg.MaxFrame,
-		AlarmBuffer:        cfg.AlarmBuffer,
-		HelloTimeout:       cfg.HelloTimeout,
-		IdleTimeout:        cfg.IdleTimeout,
-		WriteTimeout:       cfg.WriteTimeout,
-		AckEvery:           cfg.AckEvery,
-		SessionAlarmBuffer: cfg.SessionAlarmBuffer,
-		MaxSessions:        cfg.MaxSessions,
-		Logf:               cfg.Logf,
+		Backend:      &hostBackend{host: h, token: cfg.Token},
+		Classify:     classifyWireError,
+		MaxFrame:     cfg.MaxFrame,
+		AlarmBuffer:  cfg.AlarmBuffer,
+		HelloTimeout: cfg.HelloTimeout,
+		IdleTimeout:  cfg.IdleTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		AckEvery:     cfg.AckEvery,
+		MaxSessions:  cfg.MaxSessions,
+		Logf:         cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -109,8 +107,8 @@ func NewWireServer(h Host, cfg WireConfig) (*WireServer, error) {
 // multiple listeners.
 func (s *WireServer) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 
-// Close stops accepting, closes every live connection, and restores their
-// homes' default alarm delivery. Close does not close the underlying host.
+// Close stops accepting, closes every live connection, drops every session,
+// and restores their homes' default alarm delivery. Close does not close the underlying host.
 // Idempotent.
 func (s *WireServer) Close() error { return s.srv.Close() }
 

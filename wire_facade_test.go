@@ -38,9 +38,15 @@ func startWireServer(t *testing.T, h Host, cfg WireConfig) (string, *WireServer)
 	return ln.Addr().String(), s
 }
 
+// openWireSession opens a producer session on addr named after the test.
+func openWireSession(t *testing.T, addr string, cfg wire.ClientConfig) (*wire.SessionClient, error) {
+	t.Helper()
+	return wire.OpenSession(wire.SessionConfig{Addr: addr, Session: t.Name(), Client: cfg})
+}
+
 // TestWireServerEndToEnd drives the full network path over a real hub: a
-// producer streams the ghost sequence as event frames and receives the
-// detection alarm back on the same connection, tagged with the sequence
+// producer session streams the ghost sequence as event frames and receives
+// the detection alarm back on the same connection, tagged with the sequence
 // number of the event that completed the chain.
 func TestWireServerEndToEnd(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
@@ -54,7 +60,7 @@ func TestWireServerEndToEnd(t *testing.T) {
 	alarms := make(chan wire.Alarm, 4)
 	var nacks []wire.Nack
 	var nackMu sync.Mutex
-	c, err := wire.Dial(addr, wire.ClientConfig{
+	c, err := openWireSession(t, addr, wire.ClientConfig{
 		Token:  "tok",
 		Tenant: "home",
 		OnNack: func(n wire.Nack) {
@@ -101,7 +107,7 @@ func TestWireServerEndToEnd(t *testing.T) {
 }
 
 // TestAlarmIdentityAcrossHops runs one trace through a Monitor, a Hub
-// alarm route, a wire client behind NewWireServer, and a router over two
+// alarm route, a wire session behind NewWireServer, and a router over two
 // cluster workers. Every hop hands the detector's one alarm type on as it
 // is, so each must deliver alarms deeply equal to the Monitor's own: Seq,
 // Score, the chain and the context order included.
@@ -181,14 +187,14 @@ func TestAlarmIdentityAcrossHops(t *testing.T) {
 	}
 	await("hub")
 
-	// Wire client behind NewWireServer.
+	// Wire session behind NewWireServer.
 	wh := NewHub(HubConfig{Workers: 2})
 	defer wh.Close()
 	if err := wh.Register("home", sys, TenantOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	addr, _ := startWireServer(t, wh, WireConfig{Token: "tok"})
-	c, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home", OnAlarm: func(a wire.Alarm) { record("wire", a) }})
+	c, err := openWireSession(t, addr, wire.ClientConfig{Token: "tok", Tenant: "home", OnAlarm: func(a wire.Alarm) { record("wire", a) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestAlarmDeliveryAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1024)
 	encode := func(a wire.Alarm) {
 		var err error
-		if buf, err = wire.AppendAlarm(buf[:0], a); err != nil {
+		if buf, err = wire.AppendSessionAlarm(buf[:0], 1, a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +319,7 @@ func TestWireServerBackpressureNack(t *testing.T) {
 	addr, s := startWireServer(t, h, WireConfig{})
 
 	nacked := make(chan wire.Nack, 64)
-	c, err := wire.Dial(addr, wire.ClientConfig{Tenant: "home", OnNack: func(n wire.Nack) { nacked <- n }})
+	c, err := openWireSession(t, addr, wire.ClientConfig{Tenant: "home", OnNack: func(n wire.Nack) { nacked <- n }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +367,10 @@ func TestWireServerBackpressureNack(t *testing.T) {
 }
 
 // TestWireServerRefusals pins the handshake failure modes over a real
-// fleet: a wrong token surfaces to the dialer as ErrBadAuth, an unknown
-// home as an unknown-tenant refusal, and neither leaks an internal error
-// identity.
+// fleet: a wrong token surfaces to the session opener as ErrBadAuth (a
+// refused Hello, counted in AuthFailures), an unknown home as an
+// unknown-tenant refusal of the Resume, and neither leaks an internal error
+// identity or leaves a session behind.
 func TestWireServerRefusals(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
 	f := NewFleet(FleetConfig{Shards: 2, Hub: HubConfig{Workers: 1}})
@@ -373,19 +380,19 @@ func TestWireServerRefusals(t *testing.T) {
 	}
 	addr, s := startWireServer(t, f, WireConfig{Token: "tok"})
 
-	if _, err := wire.Dial(addr, wire.ClientConfig{Token: "wrong", Tenant: "home"}); !errors.Is(err, wire.ErrBadAuth) {
+	if _, err := openWireSession(t, addr, wire.ClientConfig{Token: "wrong", Tenant: "home"}); !errors.Is(err, wire.ErrBadAuth) {
 		t.Fatalf("bad token error = %v", err)
 	}
-	_, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "nobody"})
+	_, err := openWireSession(t, addr, wire.ClientConfig{Token: "tok", Tenant: "nobody"})
 	if err == nil || !strings.Contains(err.Error(), "unknown-tenant") {
 		t.Fatalf("unknown tenant error = %v", err)
 	}
-	if st := s.Stats(); st.AuthFailures != 2 {
-		t.Fatalf("auth failures = %d", st.AuthFailures)
+	if st := s.Stats(); st.AuthFailures != 1 || st.Sessions != 0 {
+		t.Fatalf("auth failures %d sessions %d, want 1 and 0", st.AuthFailures, st.Sessions)
 	}
 	// The refused connections left no alarm route behind: a valid producer
 	// still binds and serves.
-	c, err := wire.Dial(addr, wire.ClientConfig{Token: "tok", Tenant: "home"})
+	c, err := openWireSession(t, addr, wire.ClientConfig{Token: "tok", Tenant: "home"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +401,9 @@ func TestWireServerRefusals(t *testing.T) {
 	}
 }
 
-// TestWireServerRestoresDefaultDelivery: when a producer disconnects, the
-// home's alarms fall back to the host's Alarms channel instead of vanishing
-// with the dead connection.
+// TestWireServerRestoresDefaultDelivery: when a producer closes its session,
+// the home's alarms fall back to the host's Alarms channel instead of
+// vanishing with the retired session.
 func TestWireServerRestoresDefaultDelivery(t *testing.T) {
 	sys := mustTrain(t, Config{Tau: 2})
 	h := NewHub(HubConfig{Workers: 2})
@@ -404,7 +411,7 @@ func TestWireServerRestoresDefaultDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := startWireServer(t, h, WireConfig{})
-	c, err := wire.Dial(addr, wire.ClientConfig{Tenant: "home"})
+	c, err := openWireSession(t, addr, wire.ClientConfig{Tenant: "home"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +512,7 @@ func TestWireDecoratorsSeeEveryEvent(t *testing.T) {
 				t.Fatal(err)
 			}
 			addr, _ := startWireServer(t, host, WireConfig{})
-			c, err := wire.Dial(addr, wire.ClientConfig{Tenant: "home"})
+			c, err := openWireSession(t, addr, wire.ClientConfig{Tenant: "home"})
 			if err != nil {
 				t.Fatal(err)
 			}
