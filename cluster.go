@@ -2,7 +2,6 @@ package causaliot
 
 import (
 	"bytes"
-	"crypto/subtle"
 	"crypto/tls"
 	"encoding/json"
 	"errors"
@@ -115,36 +114,13 @@ type shardHubBackend struct {
 	token string
 }
 
-func (b *shardHubBackend) Authenticate(token string) error {
-	if b.token == "" {
-		return nil
-	}
-	if subtle.ConstantTimeCompare([]byte(token), []byte(b.token)) != 1 {
-		return ErrBadAuth
-	}
-	return nil
-}
+func (b *shardHubBackend) Authenticate(token string) error { return checkToken(b.token, token) }
 
+// Register hosts a tenant from the router's envelope. The policy byte is
+// input from outside the process: the hub reads any value but Block,
+// DropOldest and Reject as its configured default.
 func (b *shardHubBackend) Register(tenant string, model, state []byte, queue int, policy uint8) error {
-	sys, err := Load(bytes.NewReader(model))
-	if err != nil {
-		return fmt.Errorf("causaliot: cluster register %q: %w", tenant, err)
-	}
-	var mon *Monitor
-	if state == nil {
-		mon, err = sys.NewMonitor()
-	} else {
-		mon, err = sys.RestoreMonitor(bytes.NewReader(state))
-	}
-	if err != nil {
-		return fmt.Errorf("causaliot: cluster register %q: %w", tenant, err)
-	}
-	opts := TenantOptions{QueueSize: queue, Backpressure: BackpressurePolicy(policy)}
-	if err := b.h.RegisterMonitor(tenant, mon, opts); err != nil {
-		mon.Close()
-		return err
-	}
-	return nil
+	return b.h.ImportEnvelope(tenant, model, state, TenantOptions{QueueSize: queue, Backpressure: BackpressurePolicy(policy)})
 }
 
 func (b *shardHubBackend) Swap(tenant string, model []byte) error {
@@ -168,14 +144,10 @@ func (b *shardHubBackend) RouteAlarms(tenant string, sink func(wire.Alarm)) erro
 	return b.h.SetAlarmRoute(tenant, func(ta TenantAlarm) { sink(*ta.Alarm) })
 }
 
-func (b *shardHubBackend) Quiesce(tenant string) error { return b.h.inner.Quiesce(tenant) }
+func (b *shardHubBackend) Quiesce(tenant string) error { return b.h.Quiesce(tenant) }
 
 func (b *shardHubBackend) Export(tenant string) (model, state []byte, err error) {
-	var m, s bytes.Buffer
-	if err := b.h.Export(tenant, ExportOptions{Model: &m, State: &s}); err != nil {
-		return nil, nil, err
-	}
-	return m.Bytes(), s.Bytes(), nil
+	return b.h.ExportEnvelope(tenant)
 }
 
 func (b *shardHubBackend) Flush(tenant string) error { return b.h.Flush(tenant) }
@@ -189,7 +161,7 @@ func (b *shardHubBackend) Drain(d time.Duration) error {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrDrainTimeout
 		}
-		if err := b.h.inner.Quiesce(ts.Tenant); err != nil && !errors.Is(err, ErrUnknownTenant) {
+		if err := b.h.Quiesce(ts.Tenant); err != nil && !errors.Is(err, ErrUnknownTenant) {
 			return err
 		}
 	}
@@ -236,7 +208,7 @@ type remoteShard struct {
 	nacks atomic.Uint64
 
 	mu    sync.Mutex
-	sinks map[string]func(TenantAlarm)
+	sinks map[string]func(string, *Alarm, float64)
 
 	// statsMu guards the last successfully fetched worker stats snapshot,
 	// served when the link (or the whole proxy) cannot be asked.
@@ -249,7 +221,7 @@ func openRemoteShard(cfg RemoteShardConfig) (*remoteShard, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	rs := &remoteShard{addr: cfg.Addr, sinks: make(map[string]func(TenantAlarm))}
+	rs := &remoteShard{addr: cfg.Addr, sinks: make(map[string]func(string, *Alarm, float64))}
 	p, err := cluster.Open(cluster.ProxyConfig{
 		Addr:           cfg.Addr,
 		Token:          cfg.Token,
@@ -340,25 +312,28 @@ func sentinelForWireCode(code wire.Code) error {
 	}
 }
 
-// wireSink adapts one tenant's fleet alarm sink to the proxy's alarm
-// callback: the decoded alarm is handed on as it is.
-func (s *remoteShard) wireSink(tenant string, sink func(TenantAlarm)) func(wire.Alarm) {
+// wireSink adapts one tenant's OnAlarm to the proxy's alarm callback: the
+// decoded alarm is handed on as it is. A nil onAlarm registers no sink.
+func (s *remoteShard) wireSink(tenant string, onAlarm func(string, *Alarm, float64)) func(wire.Alarm) {
+	if onAlarm == nil {
+		return nil
+	}
 	s.mu.Lock()
-	s.sinks[tenant] = sink
+	s.sinks[tenant] = onAlarm
 	s.mu.Unlock()
 	return func(wa wire.Alarm) {
 		s.mu.Lock()
 		cur := s.sinks[tenant]
 		s.mu.Unlock()
 		if cur != nil {
-			cur(TenantAlarm{Tenant: tenant, Alarm: &wa})
+			cur(tenant, &wa, wa.Score)
 		}
 	}
 }
 
-func (s *remoteShard) register(tenant string, model, state []byte, opts TenantOptions, sink func(TenantAlarm)) error {
+func (s *remoteShard) register(tenant string, model, state []byte, opts TenantOptions) error {
 	reject := opts.Backpressure == BackpressureReject
-	err := s.p.Register(tenant, model, state, uint32(opts.QueueSize), uint8(opts.Backpressure), reject, s.wireSink(tenant, sink))
+	err := s.p.Register(tenant, model, state, uint32(opts.QueueSize), uint8(opts.Backpressure), reject, s.wireSink(tenant, opts.OnAlarm))
 	if err != nil {
 		s.mu.Lock()
 		delete(s.sinks, tenant)
@@ -368,22 +343,22 @@ func (s *remoteShard) register(tenant string, model, state []byte, opts TenantOp
 	return nil
 }
 
-func (s *remoteShard) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions, sink func(TenantAlarm)) error {
+func (s *remoteShard) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions) error {
 	// A monitor cannot cross a process boundary live: serialize it through
 	// the checkpoint envelope, ship both halves, and retire the local copy.
 	var model, state bytes.Buffer
 	if err := mon.Export(ExportOptions{Model: &model, State: &state}); err != nil {
 		return err
 	}
-	if err := s.register(tenant, model.Bytes(), state.Bytes(), opts, sink); err != nil {
+	if err := s.register(tenant, model.Bytes(), state.Bytes(), opts); err != nil {
 		return err
 	}
 	mon.Close()
 	return nil
 }
 
-func (s *remoteShard) ImportEnvelope(tenant string, model, state []byte, opts TenantOptions, sink func(TenantAlarm)) error {
-	return s.register(tenant, model, state, opts, sink)
+func (s *remoteShard) ImportEnvelope(tenant string, model, state []byte, opts TenantOptions) error {
+	return s.register(tenant, model, state, opts)
 }
 
 func (s *remoteShard) ExportEnvelope(tenant string) ([]byte, []byte, error) {

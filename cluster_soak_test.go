@@ -3,6 +3,7 @@ package causaliot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 // cross-process live migration with the link killed mid-handoff. The run
 // must land exactly like an uninterrupted single-process hub: identical
 // alarm sequence, identical final checkpoint bytes, zero lost or
-// duplicated events.
+// duplicated events. It runs once per netchaos seed.
 func TestNetchaosClusterSoak(t *testing.T) {
 	netchaosGate(t)
 	sys := mustTrain(t, Config{Tau: 2})
@@ -25,18 +26,28 @@ func TestNetchaosClusterSoak(t *testing.T) {
 	if len(wantSeqs) == 0 {
 		t.Fatal("baseline raised no alarms; the soak would prove nothing")
 	}
+	for _, seed := range []int64{4242, 7, 1234} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			clusterSoak(t, sys, evs, wantSeqs, wantExport, seed)
+		})
+	}
+}
 
+func clusterSoak(t *testing.T, sys *System, evs []Event, wantSeqs []uint64, wantExport []byte, seed int64) {
 	w1, addr1 := startClusterWorker(t, ClusterWorkerConfig{Hub: HubConfig{Workers: 2, QueueSize: 512}, Token: "tok"})
 	w2, addr2 := startClusterWorker(t, ClusterWorkerConfig{Hub: HubConfig{Workers: 2, QueueSize: 512}, Token: "tok"})
 	_, _ = w1, w2
 
 	// Shard 0's link runs through the fault proxy; shard 1 dials direct.
+	// The first connection carries about 6 upstream frames before the
+	// scripted kill below and the last one about 22, so a seeded fault is
+	// planned at frame 2–5, where every connection reaches.
 	chaos, err := netchaos.New(netchaos.Config{
 		Target:    addr1,
-		Seed:      4242,
+		Seed:      seed,
 		Weights:   netchaos.Weights{Kill: 0.7, Trickle: 0.1},
-		MinFrames: 20,
-		MaxFrames: 80,
+		MinFrames: 2,
+		MaxFrames: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +68,28 @@ func TestNetchaosClusterSoak(t *testing.T) {
 	}
 	defer f.Close()
 
-	if err := f.Register("home", sys, TenantOptions{QueueSize: 512}); err != nil {
-		t.Fatal(err)
+	// untilUp retries a control operation that a fault on the chaos link
+	// cut short. An aborted operation (link down mid-control) must leave
+	// the home where it was with nothing lost, so such failures are
+	// retried, not fatal — the differential check at the end is the
+	// arbiter.
+	untilUp := func(what string, op func() error) {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			err := op()
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, ErrShardUnavailable) && !errors.Is(err, ErrBackpressure) {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never succeeded: %v", what, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
+	untilUp("register", func() error { return f.Register("home", sys, TenantOptions{QueueSize: 512}) })
 	var mu sync.Mutex
 	var gotSeqs []uint64
 	if err := f.SetAlarmRoute("home", func(ta TenantAlarm) {
@@ -84,36 +114,19 @@ func TestNetchaosClusterSoak(t *testing.T) {
 		t.Fatalf("could not locate the chaos shard among %+v", f.Shards())
 	}
 	if at, _ := f.ShardOf("home"); at != chaosShard {
-		if err := f.Migrate("home", chaosShard); err != nil {
-			t.Fatalf("placing home on the chaos shard: %v", err)
-		}
+		untilUp("placing home on the chaos shard", func() error { return f.Migrate("home", chaosShard) })
 	}
 
 	// migrateUnderFire flips the home between worker processes while the
 	// seeded faults run, killing the chaos-side link right as the handoff
-	// starts. An aborted migration (link down mid-control) must compensate
-	// back to the source with nothing lost, so failures here are retried,
-	// not fatal — the differential check at the end is the arbiter.
+	// starts.
 	migrations := 0
 	migrateUnderFire := func(to int, killFirst bool) {
 		if killFirst {
 			chaos.KillAll()
 		}
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			err := f.Migrate("home", to)
-			if err == nil {
-				migrations++
-				return
-			}
-			if !errors.Is(err, ErrShardUnavailable) && !errors.Is(err, ErrBackpressure) {
-				t.Fatalf("migrate to %d: %v", to, err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("migration to %d never succeeded: %v", to, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		untilUp(fmt.Sprintf("migrate to %d", to), func() error { return f.Migrate("home", to) })
+		migrations++
 	}
 
 	third := len(evs) / 3

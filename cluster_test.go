@@ -239,7 +239,7 @@ func TestClusterExportMatchesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wModel, wState, err := (&shardHubBackend{h: w.Hub()}).Export("home")
+	wModel, wState, err := w.Hub().ExportEnvelope("home")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,4 +364,80 @@ func TestClusterSentinelMapping(t *testing.T) {
 	if err := f.Submit("ghost", Event{Device: "d", Value: 1}); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("submitting to unknown tenant gave %v, want ErrUnknownTenant", err)
 	}
+}
+
+// TestOutOfRangePolicyInheritsDefault pins the policy range check: a
+// backpressure value outside Block..Reject — set in TenantOptions, or a
+// policy byte in a cluster register frame, which comes from outside the
+// process — inherits the hub's configured policy, as BackpressureDefault
+// does.
+func TestOutOfRangePolicyInheritsDefault(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2})
+	h := NewHub(HubConfig{Workers: 1, Backpressure: BackpressureReject})
+	defer h.Close()
+	if err := h.Register("home", sys, TenantOptions{QueueSize: 1, Backpressure: BackpressurePolicy(9)}); err != nil {
+		t.Fatal(err)
+	}
+	requireRejects(t, h, "home")
+
+	w, addr := startClusterWorker(t, ClusterWorkerConfig{Hub: HubConfig{Workers: 1, Backpressure: BackpressureReject}})
+	rs, err := openRemoteShard(RemoteShardConfig{Addr: addr, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.p.Close()
+	var model bytes.Buffer
+	if err := sys.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.p.Register("home", model.Bytes(), nil, 1, 7, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireRejects(t, w.Hub(), "home")
+}
+
+// requireRejects holds a home's stream paused inside an Export and submits
+// into its one-slot queue: a Reject home refuses with ErrBackpressure, where
+// a Block home would wait for the pause to end.
+func requireRejects(t *testing.T, h *Hub, tenant string) {
+	t.Helper()
+	pw := &pausingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	exported := make(chan error, 1)
+	go func() { exported <- h.Export(tenant, ExportOptions{Model: pw}) }()
+	<-pw.entered
+	refused := make(chan error, 1)
+	go func() {
+		for i := 0; i < 8; i++ {
+			if err := h.Submit(tenant, Event{Time: t0, Device: "presence", Value: 1}); err != nil {
+				refused <- err
+				return
+			}
+		}
+		refused <- nil
+	}()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrBackpressure) {
+			t.Errorf("%s: submits into a full queue returned %v, want ErrBackpressure", tenant, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s: a submit into a full queue waited: the home did not inherit BackpressureReject", tenant)
+	}
+	close(pw.release)
+	if err := <-exported; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pausingWriter blocks its first Write until release is closed, signalling
+// entered when it starts waiting.
+type pausingWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *pausingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
 }

@@ -31,6 +31,7 @@ import (
 
 	"github.com/causaliot/causaliot"
 	"github.com/causaliot/causaliot/internal/event"
+	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/sim"
 )
 
@@ -314,19 +315,6 @@ func readServeCheckpoint(path string) (*serveCheckpoint, error) {
 	}
 }
 
-func pickPolicy(name string) (causaliot.BackpressurePolicy, error) {
-	switch name {
-	case "block":
-		return causaliot.BackpressureBlock, nil
-	case "drop-oldest":
-		return causaliot.BackpressureDropOldest, nil
-	case "reject":
-		return causaliot.BackpressureReject, nil
-	default:
-		return 0, fmt.Errorf("unknown backpressure policy %q", name)
-	}
-}
-
 // listenReady, when non-nil, receives the bound listener address as soon as
 // serve -listen is accepting. Test hook: lets a test dial a :0 listener.
 var listenReady func(net.Addr)
@@ -593,7 +581,7 @@ func cmdServe(args []string) error {
 		case <-sigDone:
 		}
 	}()
-	policy, err := pickPolicy(*policyName)
+	policy, err := hub.ParsePolicy(*policyName)
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,7 @@ import (
 
 	"github.com/causaliot/causaliot"
 	"github.com/causaliot/causaliot/internal/event"
+	"github.com/causaliot/causaliot/internal/hub"
 	"github.com/causaliot/causaliot/internal/netchaos"
 	"github.com/causaliot/causaliot/internal/sim"
 	"github.com/causaliot/causaliot/internal/wire"
@@ -276,19 +277,6 @@ func synthesize(tb *sim.Testbed, seed int64, days int) ([]causaliot.Event, error
 	return out, nil
 }
 
-func pickPolicy(name string) (causaliot.BackpressurePolicy, error) {
-	switch name {
-	case "block":
-		return causaliot.BackpressureBlock, nil
-	case "drop-oldest":
-		return causaliot.BackpressureDropOldest, nil
-	case "reject":
-		return causaliot.BackpressureReject, nil
-	default:
-		return 0, fmt.Errorf("unknown backpressure policy %q", name)
-	}
-}
-
 // producer is one session's load state. Send times are indexed by
 // sequence number (seq-1) and read from the client's alarm callback, so
 // they are atomics; latencies are collected under the mutex.
@@ -402,7 +390,7 @@ func runLoad(cfg config) (*report, error) {
 	var ws *causaliot.WireServer
 	serveDone := make(chan error, 1)
 	if cfg.selfServe {
-		policy, err := pickPolicy(cfg.policy)
+		policy, err := hub.ParsePolicy(cfg.policy)
 		if err != nil {
 			return nil, err
 		}

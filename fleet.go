@@ -1,7 +1,6 @@
 package causaliot
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -45,26 +44,27 @@ type Host interface {
 }
 
 var (
-	_ Host = (*Hub)(nil)
-	_ Host = (*Fleet)(nil)
+	_ Host  = (*Hub)(nil)
+	_ Host  = (*Fleet)(nil)
+	_ Shard = (*Hub)(nil)
 )
 
-// Shard is one serving shard behind the fleet's router: an in-process hub
+// Shard is one serving shard behind the fleet's router: an in-process *Hub
 // (every NewFleet/AddShard shard) or a shard worker in another OS process
 // reached over the cluster wire protocol (AddRemoteShard). The fleet treats
 // the two identically — placement, live migration, stats aggregation, and
 // shutdown all speak this surface — so a fleet can mix local and remote
 // shards freely and a migration can cross a process boundary.
 type Shard interface {
-	// RegisterMonitor hosts a live monitor on the shard, routing its alarms
-	// into sink. The shard takes ownership of the monitor; a remote shard
-	// serializes it through the checkpoint envelope and closes the local
-	// copy.
-	RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions, sink func(TenantAlarm)) error
+	// RegisterMonitor hosts a live monitor on the shard, delivering its
+	// alarms to opts.OnAlarm. The shard takes ownership of the monitor; a
+	// remote shard serializes it through the checkpoint envelope and closes
+	// the local copy.
+	RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions) error
 	// ImportEnvelope hosts a tenant restored from a checkpoint envelope —
 	// the transport live migration and remote registration share. A nil
 	// state registers a fresh monitor over the model alone.
-	ImportEnvelope(tenant string, model, state []byte, opts TenantOptions, sink func(TenantAlarm)) error
+	ImportEnvelope(tenant string, model, state []byte, opts TenantOptions) error
 	// ExportEnvelope returns the tenant's checkpoint envelope. Quiesce
 	// first: the envelope then covers an exact event boundary.
 	ExportEnvelope(tenant string) (model, state []byte, err error)
@@ -108,76 +108,6 @@ type ShardHealth struct {
 	EnvelopeBytesOut uint64 `json:"envelope_bytes_out,omitempty"`
 }
 
-// localShard adapts an in-process *Hub to the Shard surface.
-type localShard struct {
-	h *Hub
-}
-
-func (s *localShard) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions, sink func(TenantAlarm)) error {
-	if err := s.h.RegisterMonitor(tenant, mon, opts); err != nil {
-		return err
-	}
-	if err := s.h.SetAlarmRoute(tenant, sink); err != nil {
-		_ = s.h.Deregister(tenant)
-		return err
-	}
-	return nil
-}
-
-func (s *localShard) ImportEnvelope(tenant string, model, state []byte, opts TenantOptions, sink func(TenantAlarm)) error {
-	sys, err := Load(bytes.NewReader(model))
-	if err != nil {
-		return fmt.Errorf("causaliot: import %q: %w", tenant, err)
-	}
-	var mon *Monitor
-	if state == nil {
-		mon, err = sys.NewMonitor()
-	} else {
-		// RestoreMonitor re-attaches to the cache-interned model when the
-		// fingerprint is already resident in this process, so landing on a
-		// shard already serving the model costs no duplicate compiled
-		// tables.
-		mon, err = sys.RestoreMonitor(bytes.NewReader(state))
-	}
-	if err != nil {
-		return fmt.Errorf("causaliot: import %q: %w", tenant, err)
-	}
-	if err := s.RegisterMonitor(tenant, mon, opts, sink); err != nil {
-		mon.Close()
-		return err
-	}
-	return nil
-}
-
-func (s *localShard) ExportEnvelope(tenant string) ([]byte, []byte, error) {
-	var model, state bytes.Buffer
-	if err := s.h.Export(tenant, ExportOptions{Model: &model, State: &state}); err != nil {
-		return nil, nil, err
-	}
-	return model.Bytes(), state.Bytes(), nil
-}
-
-func (s *localShard) Quiesce(tenant string) error           { return s.h.inner.Quiesce(tenant) }
-func (s *localShard) Deregister(tenant string) error        { return s.h.Deregister(tenant) }
-func (s *localShard) Submit(tenant string, ev Event) error  { return s.h.Submit(tenant, ev) }
-func (s *localShard) Swap(tenant string, sys *System) error { return s.h.Swap(tenant, sys) }
-func (s *localShard) Export(tenant string, opts ExportOptions) error {
-	return s.h.Export(tenant, opts)
-}
-func (s *localShard) Flush(tenant string) error { return s.h.Flush(tenant) }
-func (s *localShard) TenantStats(tenant string) (TenantStats, error) {
-	ts, err := s.h.inner.TenantStats(tenant)
-	if err != nil {
-		return TenantStats{}, err
-	}
-	return convertTenantStats(ts), nil
-}
-func (s *localShard) Stats() HubStats                           { return s.h.Stats() }
-func (s *localShard) LifecycleStats() map[string]LifecycleStats { return s.h.LifecycleStats() }
-func (s *localShard) Health() ShardHealth                       { return ShardHealth{Link: "local"} }
-func (s *localShard) Close() error                              { return s.h.Close() }
-func (s *localShard) CloseWithin(d time.Duration) error         { return s.h.CloseWithin(d) }
-
 // FleetConfig tunes a sharded serving fleet. The zero value selects one
 // shard with default hub settings.
 type FleetConfig struct {
@@ -213,9 +143,12 @@ func (ft *fleetTenant) alarmRoute() func(TenantAlarm) {
 	return ft.route
 }
 
+// carry adds a finished shard life's counters; the point-in-time fields
+// are taken from ts, the more recent snapshot.
 func (ft *fleetTenant) carry(ts TenantStats) {
 	ft.mu.Lock()
-	ft.carried = addTenantCounters(ft.carried, ts)
+	ts.AddCounters(ft.carried)
+	ft.carried = ts
 	ft.mu.Unlock()
 }
 
@@ -223,22 +156,6 @@ func (ft *fleetTenant) carriedStats() TenantStats {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	return ft.carried
-}
-
-// addTenantCounters sums the cumulative counters of two TenantStats; the
-// point-in-time fields (queue depth, health, latency percentiles, last
-// error) are taken from b, the more recent snapshot.
-func addTenantCounters(a, b TenantStats) TenantStats {
-	b.Ingested += a.Ingested
-	b.Processed += a.Processed
-	b.Alarms += a.Alarms
-	b.Dropped += a.Dropped
-	b.Rejected += a.Rejected
-	b.Errors += a.Errors
-	b.Panics += a.Panics
-	b.Shed += a.Shed
-	b.Updates += a.Updates
-	return b
 }
 
 // Fleet serves many independent homes across N in-process hub shards:
@@ -293,9 +210,9 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	return newFleet(cfg, cfg.Shards)
 }
 
-// newFleet builds a fleet with localShards in-process hub shards; zero is
-// allowed for cluster routers whose shards are all remote (AddRemoteShard).
-func newFleet(cfg FleetConfig, localShards int) *Fleet {
+// newFleet builds a fleet with hubs in-process hub shards; zero is allowed
+// for cluster routers whose shards are all remote (AddRemoteShard).
+func newFleet(cfg FleetConfig, hubs int) *Fleet {
 	buffer := cfg.Hub.AlarmBuffer
 	if buffer <= 0 {
 		buffer = 256
@@ -308,10 +225,10 @@ func newFleet(cfg FleetConfig, localShards int) *Fleet {
 		tenants: make(map[string]*fleetTenant),
 	}
 	f.migCond = sync.NewCond(&f.migMu)
-	for i := 0; i < localShards; i++ {
+	for i := 0; i < hubs; i++ {
 		id := f.nextShard
 		f.nextShard++
-		f.shards[id] = &localShard{h: NewHub(cfg.Hub)}
+		f.shards[id] = NewHub(cfg.Hub)
 		f.router.AddShard(id)
 	}
 	return f
@@ -343,28 +260,31 @@ func (f *Fleet) ShardOf(tenant string) (int, error) {
 // the final drain.
 func (f *Fleet) Alarms() <-chan TenantAlarm { return f.alarms }
 
-// deliverFor builds the alarm sink a shard hub routes one home's alarms
-// through. The sink consults the fleet's per-home record on every delivery
-// — SetAlarmRoute first, then the home's own OnAlarm, then the fan-in
-// channel — so a route set mid-migration takes effect the moment the home
-// lands on its new shard, and an alarm that cannot be delivered is counted
-// and logged, never silently discarded.
-func (f *Fleet) deliverFor(ft *fleetTenant) func(TenantAlarm) {
-	return func(ta TenantAlarm) {
+// shardOptions is the home's options as a shard registers them, with the
+// fleet's delivery as OnAlarm. The delivery consults the fleet's per-home
+// record on every alarm — SetAlarmRoute first, then the home's own OnAlarm,
+// then the fan-in channel — so a route set mid-migration takes effect the
+// moment the home lands on its new shard, and an alarm that cannot be
+// delivered is counted and logged, never silently discarded.
+func (f *Fleet) shardOptions(ft *fleetTenant) TenantOptions {
+	opts := ft.opts
+	opts.OnAlarm = func(tenant string, alarm *Alarm, score float64) {
+		ta := TenantAlarm{Tenant: tenant, Alarm: alarm}
 		if route := ft.alarmRoute(); route != nil {
 			route(ta)
 			return
 		}
 		if ft.opts.OnAlarm != nil {
-			ft.opts.OnAlarm(ta.Tenant, ta.Alarm, ta.Score)
+			ft.opts.OnAlarm(tenant, alarm, score)
 			return
 		}
 		select {
 		case f.alarms <- ta:
 		default:
-			f.noteAlarmDropped(ta.Tenant)
+			f.noteAlarmDropped(tenant)
 		}
 	}
+	return opts
 }
 
 // noteAlarmDropped counts one alarm discarded off the full fan-in channel
@@ -443,7 +363,7 @@ func (f *Fleet) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions)
 		delete(f.tenants, tenant)
 		f.mu.Unlock()
 	}
-	if err := s.RegisterMonitor(tenant, mon, opts, f.deliverFor(ft)); err != nil {
+	if err := s.RegisterMonitor(tenant, mon, f.shardOptions(ft)); err != nil {
 		unreserve()
 		return err
 	}
@@ -469,11 +389,7 @@ func (f *Fleet) gapCap(opts TenantOptions) int {
 }
 
 func (f *Fleet) gapPolicy(opts TenantOptions) hub.Policy {
-	p := opts.Backpressure
-	if p == BackpressureDefault {
-		p = f.cfg.Hub.Backpressure
-	}
-	return p.internal()
+	return opts.Backpressure.Or(f.cfg.Hub.Backpressure)
 }
 
 // Deregister removes a home from the fleet, discarding its queued events
@@ -504,8 +420,8 @@ func (f *Fleet) submitTo(tenant string) fleet.Sink {
 		switch s := f.shard(shard).(type) {
 		case nil:
 			return 0, fmt.Errorf("%w %d", ErrUnknownShard, shard)
-		case *localShard:
-			return s.h.inner.SubmitBatch(tenant, evs)
+		case *Hub:
+			return s.inner.SubmitBatch(tenant, evs)
 		case *remoteShard:
 			n, err := s.p.SubmitBatch(tenant, evs)
 			return n, clusterFacadeError(err)
@@ -648,16 +564,19 @@ func (f *Fleet) handoff(tenant string, ft *fleetTenant, from, to int) error {
 	if err != nil {
 		return err
 	}
-	if err := dst.ImportEnvelope(tenant, model, state, ft.opts, f.deliverFor(ft)); err != nil {
+	if err := dst.ImportEnvelope(tenant, model, state, f.shardOptions(ft)); err != nil {
 		return fmt.Errorf("causaliot: migrate %q: %w", tenant, err)
 	}
-	// Carry the source life's counters before they vanish with the tenant.
-	if ts, err := src.TenantStats(tenant); err == nil {
-		ft.carry(ts)
-	}
+	// Read the source life's counters before they vanish with the tenant,
+	// but carry them only once the source is gone: a failed Deregister
+	// leaves the home serving there, and a retried handoff reads them again.
+	ts, statsErr := src.TenantStats(tenant)
 	if err := src.Deregister(tenant); err != nil {
 		_ = dst.Deregister(tenant)
 		return err
+	}
+	if statsErr == nil {
+		ft.carry(ts)
 	}
 	return nil
 }
@@ -694,7 +613,7 @@ func (f *Fleet) AddShard() (int, error) {
 	}
 	id := f.nextShard
 	f.nextShard++
-	f.shards[id] = &localShard{h: NewHub(f.cfg.Hub)}
+	f.shards[id] = NewHub(f.cfg.Hub)
 	f.mu.Unlock()
 	f.router.AddShard(id)
 	return id, f.Rebalance()
@@ -798,7 +717,7 @@ func (f *Fleet) Stats() HubStats {
 			if prev, ok := merged[ts.Tenant]; ok {
 				// Mid-handoff a home transiently exists on two shards; sum
 				// the counters (the new life starts at zero).
-				ts = addTenantCounters(prev, ts)
+				ts.AddCounters(prev)
 			}
 			merged[ts.Tenant] = ts
 		}
@@ -818,22 +737,13 @@ func (f *Fleet) Stats() HubStats {
 	for _, name := range names {
 		ts := merged[name]
 		if c, ok := carried[name]; ok {
-			ts = addTenantCounters(c, ts)
+			ts.AddCounters(c)
 		}
 		out.Tenants = append(out.Tenants, ts)
-		t := &out.Total
-		t.Ingested += ts.Ingested
-		t.Processed += ts.Processed
-		t.Alarms += ts.Alarms
-		t.Dropped += ts.Dropped
-		t.Rejected += ts.Rejected
-		t.Errors += ts.Errors
-		t.QueueDepth += ts.QueueDepth
-		t.Panics += ts.Panics
-		t.Shed += ts.Shed
-		t.Updates += ts.Updates
+		out.Total.AddCounters(ts)
+		out.Total.QueueDepth += ts.QueueDepth
 		if ts.Health != HealthHealthy {
-			t.Health = HealthQuarantined
+			out.Total.Health = HealthQuarantined
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -637,5 +638,67 @@ func TestFleetAlarmDropSurfaced(t *testing.T) {
 	}
 	if got := f.Stats().AlarmsDropped; got != 1 {
 		t.Fatalf("Stats().AlarmsDropped = %d, want 1", got)
+	}
+}
+
+// flakyDeregisterShard is a hub shard whose next Deregister fails once, as a
+// remote shard's does when its link drops mid-handoff.
+type flakyDeregisterShard struct {
+	*Hub
+	fail atomic.Bool
+}
+
+func (s *flakyDeregisterShard) Deregister(tenant string) error {
+	if s.fail.Swap(false) {
+		return fmt.Errorf("%w: injected link drop", ErrShardUnavailable)
+	}
+	return s.Hub.Deregister(tenant)
+}
+
+// TestFleetMigrateRetryCountsOnce pins the stats carry of a handoff that
+// fails at the source's Deregister: the home stays served on the source, so
+// its counters must not be carried until a retried handoff removes it.
+func TestFleetMigrateRetryCountsOnce(t *testing.T) {
+	sys := mustTrain(t, Config{Tau: 2})
+	f := newFleet(FleetConfig{}, 0)
+	defer f.Close()
+	shards := make(map[int]*flakyDeregisterShard)
+	for i := 0; i < 2; i++ {
+		s := &flakyDeregisterShard{Hub: NewHub(HubConfig{Workers: 1})}
+		id, err := f.AddShardFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[id] = s
+	}
+	if err := f.Register("home", sys, TenantOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	evs := ghostSequence()
+	for _, ev := range evs {
+		if err := f.Submit("home", ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, err := f.ShardOf("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := -1
+	for id := range shards {
+		if id != from {
+			to = id
+		}
+	}
+	shards[from].fail.Store(true)
+	if err := f.Migrate("home", to); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("first migrate: %v, want ErrShardUnavailable", err)
+	}
+	if err := f.Migrate("home", to); err != nil {
+		t.Fatalf("retried migrate: %v", err)
+	}
+	waitProcessed(t, f, uint64(len(evs)))
+	if got := f.Stats().Total; got.Ingested != uint64(len(evs)) || got.Processed != uint64(len(evs)) {
+		t.Fatalf("after a retried migration: ingested %d, processed %d; want %d each", got.Ingested, got.Processed, len(evs))
 	}
 }

@@ -1,6 +1,7 @@
 package causaliot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -13,36 +14,25 @@ import (
 )
 
 // BackpressurePolicy selects what Hub.Submit does when a home's ingestion
-// queue is full.
-type BackpressurePolicy int
+// queue is full. Any value other than the three named policies — a policy
+// byte off the cluster wire, say — inherits the hub's configured policy, as
+// BackpressureDefault does.
+type BackpressurePolicy = hub.Policy
 
 const (
 	// BackpressureDefault inherits the hub's configured policy
 	// (BackpressureBlock unless the hub was configured otherwise).
-	BackpressureDefault BackpressurePolicy = iota
+	BackpressureDefault = hub.DefaultPolicy
 	// BackpressureBlock makes Submit wait for queue space — lossless, but
 	// a slow home stalls its producers.
-	BackpressureBlock
+	BackpressureBlock = hub.Block
 	// BackpressureDropOldest evicts the oldest queued event to admit the
 	// new one — bounded staleness, lossy under sustained overload.
-	BackpressureDropOldest
+	BackpressureDropOldest = hub.DropOldest
 	// BackpressureReject fails Submit with ErrBackpressure — the producer
 	// decides, nothing silently lost or stalled.
-	BackpressureReject
+	BackpressureReject = hub.Reject
 )
-
-func (p BackpressurePolicy) internal() hub.Policy {
-	switch p {
-	case BackpressureBlock:
-		return hub.Block
-	case BackpressureDropOldest:
-		return hub.DropOldest
-	case BackpressureReject:
-		return hub.Reject
-	default:
-		return hub.DefaultPolicy
-	}
-}
 
 // Hub serving errors. ErrBackpressure marks a Submit refused by a
 // BackpressureReject queue; ErrUnknownTenant an operation on an
@@ -65,21 +55,19 @@ var (
 )
 
 // HealthState is a home's circuit-breaker state, reported in TenantStats.
-type HealthState int
+type HealthState = hub.Health
 
 const (
 	// HealthHealthy is the normal serving state.
-	HealthHealthy HealthState = iota
+	HealthHealthy = hub.Healthy
 	// HealthQuarantined marks a tripped circuit breaker: the home's
 	// submissions are refused with ErrQuarantined until the readmission
 	// backoff elapses.
-	HealthQuarantined
+	HealthQuarantined = hub.Quarantined
 	// HealthProbing marks a quarantined home whose backoff elapsed and
 	// whose next event was admitted as a readmission probe.
-	HealthProbing
+	HealthProbing = hub.Probing
 )
-
-func (h HealthState) String() string { return hub.Health(h).String() }
 
 // HubConfig tunes a serving hub. The zero value selects the defaults.
 type HubConfig struct {
@@ -148,37 +136,10 @@ type TenantAlarm struct {
 	*Alarm
 }
 
-// TenantStats is one home's runtime counters.
-type TenantStats struct {
-	Tenant     string
-	Ingested   uint64
-	Processed  uint64
-	Alarms     uint64
-	Dropped    uint64
-	Rejected   uint64
-	Errors     uint64
-	QueueDepth int
-	// P50 and P99 are service-time percentiles over the home's 512 most
-	// recent samples. A sample is the observe call alone of one event in
-	// 64 that the home serves, its first event included, so the window
-	// spans about 32K events. Each sample is kept as a log-linear bucket,
-	// 16 per power of two, and a percentile reports its bucket's midpoint,
-	// within 1/32 of every sample in the bucket. A Hub's Total merges every
-	// home's window; a Fleet's Total takes the largest of its shards'.
-	P50 time.Duration
-	P99 time.Duration
-	// Health is the home's circuit-breaker state; Panics counts recovered
-	// processing panics; Shed counts events refused or discarded while
-	// quarantined; LastError is the most recent processing failure (empty
-	// when the home never failed).
-	Health    HealthState
-	Panics    uint64
-	Shed      uint64
-	LastError string
-	// Updates counts stream-pausing control operations applied to the home
-	// (model hot swaps, checkpoints, flushes).
-	Updates uint64
-}
+// TenantStats is one home's runtime counters. A Hub's Total merges every
+// home's latency window; a Fleet's Total takes the largest of its shards'
+// P50 and P99.
+type TenantStats = hub.TenantStats
 
 // HubStats is a point-in-time snapshot of the hub's counters.
 type HubStats struct {
@@ -230,7 +191,7 @@ func NewHub(cfg HubConfig) *Hub {
 		inner: hub.New(hub.Config{
 			Workers:              cfg.Workers,
 			QueueSize:            cfg.QueueSize,
-			Policy:               cfg.Backpressure.internal(),
+			Policy:               cfg.Backpressure,
 			QuarantineAfter:      cfg.QuarantineAfter,
 			QuarantineBackoff:    cfg.QuarantineBackoff,
 			QuarantineMaxBackoff: cfg.QuarantineMaxBackoff,
@@ -368,7 +329,7 @@ func (h *Hub) RegisterMonitor(tenant string, mon *Monitor, opts TenantOptions) e
 	}
 	err := h.inner.Register(tenant, proc, hub.TenantConfig{
 		QueueSize: opts.QueueSize,
-		Policy:    opts.Backpressure.internal(),
+		Policy:    opts.Backpressure,
 		OnError:   onError,
 	})
 	if err != nil {
@@ -524,37 +485,58 @@ func (h *Hub) Flush(tenant string) error {
 // Stats snapshots the hub's runtime counters.
 func (h *Hub) Stats() HubStats {
 	s := h.inner.Stats()
-	out := HubStats{
-		Tenants:       make([]TenantStats, len(s.Tenants)),
-		Total:         convertTenantStats(s.Total),
+	return HubStats{
+		Tenants:       s.Tenants,
+		Total:         s.Total,
 		AlarmsDropped: h.alarmsDropped.Load(),
 		Workers:       s.Workers,
 		GroupedDrains: s.Grouped,
 	}
-	for i, ts := range s.Tenants {
-		out.Tenants[i] = convertTenantStats(ts)
-	}
-	return out
 }
 
-func convertTenantStats(ts hub.TenantStats) TenantStats {
-	return TenantStats{
-		Tenant:     ts.Tenant,
-		Ingested:   ts.Ingested,
-		Processed:  ts.Processed,
-		Alarms:     ts.Alarms,
-		Dropped:    ts.Dropped,
-		Rejected:   ts.Rejected,
-		Errors:     ts.Errors,
-		QueueDepth: ts.QueueDepth,
-		P50:        ts.P50,
-		P99:        ts.P99,
-		Health:     HealthState(ts.Health),
-		Panics:     ts.Panics,
-		Shed:       ts.Shed,
-		LastError:  ts.LastError,
-		Updates:    ts.Updates,
+// TenantStats snapshots one home's runtime counters.
+func (h *Hub) TenantStats(tenant string) (TenantStats, error) { return h.inner.TenantStats(tenant) }
+
+// Quiesce blocks until every event accepted for the home so far is fully
+// processed. The caller must hold off the home's producers meanwhile.
+func (h *Hub) Quiesce(tenant string) error { return h.inner.Quiesce(tenant) }
+
+// Health reports an in-process hub's shard health: always link "local".
+func (h *Hub) Health() ShardHealth { return ShardHealth{Link: "local"} }
+
+// ImportEnvelope hosts a home restored from a checkpoint envelope (see
+// ExportEnvelope); a nil state starts a fresh monitor over the model alone.
+// On a hub already serving the model's fingerprint the home shares its
+// compiled tables.
+func (h *Hub) ImportEnvelope(tenant string, model, state []byte, opts TenantOptions) error {
+	sys, err := Load(bytes.NewReader(model))
+	if err != nil {
+		return fmt.Errorf("causaliot: import %q: %w", tenant, err)
 	}
+	var mon *Monitor
+	if state == nil {
+		mon, err = sys.NewMonitor()
+	} else {
+		mon, err = sys.RestoreMonitor(bytes.NewReader(state))
+	}
+	if err != nil {
+		return fmt.Errorf("causaliot: import %q: %w", tenant, err)
+	}
+	if err := h.RegisterMonitor(tenant, mon, opts); err != nil {
+		mon.Close()
+		return err
+	}
+	return nil
+}
+
+// ExportEnvelope returns a home's checkpoint envelope: its served model and
+// runtime state, exported under one stream pause (see Export).
+func (h *Hub) ExportEnvelope(tenant string) (model, state []byte, err error) {
+	var m, st bytes.Buffer
+	if err := h.Export(tenant, ExportOptions{Model: &m, State: &st}); err != nil {
+		return nil, nil, err
+	}
+	return m.Bytes(), st.Bytes(), nil
 }
 
 // Close stops intake, drains every queued event through its home's monitor,

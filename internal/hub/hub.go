@@ -83,6 +83,27 @@ func (p Policy) String() string {
 	}
 }
 
+// Or returns p when it names a policy — Block, DropOldest or Reject — and
+// def otherwise: DefaultPolicy and any value outside the enum (a policy
+// byte off the wire, say) inherit def.
+func (p Policy) Or(def Policy) Policy {
+	if p < Block || p > Reject {
+		return def
+	}
+	return p
+}
+
+// ParsePolicy is the inverse of String for the named policies: "block",
+// "drop-oldest" or "reject".
+func ParsePolicy(name string) (Policy, error) {
+	for p := Block; p <= Reject; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return DefaultPolicy, fmt.Errorf("unknown backpressure policy %q", name)
+}
+
 // Hub errors.
 var (
 	// ErrBackpressure reports a Reject-policy queue at capacity.
@@ -198,9 +219,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 1024
 	}
-	if c.Policy == DefaultPolicy {
-		c.Policy = Block
-	}
+	c.Policy = c.Policy.Or(Block)
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
@@ -372,10 +391,7 @@ func (h *Hub) Register(name string, p Processor, cfg TenantConfig) error {
 	if size <= 0 {
 		size = h.cfg.QueueSize
 	}
-	policy := cfg.Policy
-	if policy == DefaultPolicy {
-		policy = h.cfg.Policy
-	}
+	policy := cfg.Policy.Or(h.cfg.Policy)
 	t := &tenant{
 		name:    name,
 		hub:     h,
@@ -1005,6 +1021,21 @@ type TenantStats struct {
 	Updates uint64
 }
 
+// AddCounters adds o's cumulative counters — every count but QueueDepth —
+// into t. The point-in-time fields (queue depth, percentiles, health, last
+// error) keep t's values.
+func (t *TenantStats) AddCounters(o TenantStats) {
+	t.Ingested += o.Ingested
+	t.Processed += o.Processed
+	t.Alarms += o.Alarms
+	t.Dropped += o.Dropped
+	t.Rejected += o.Rejected
+	t.Errors += o.Errors
+	t.Panics += o.Panics
+	t.Shed += o.Shed
+	t.Updates += o.Updates
+}
+
 // Stats is a point-in-time snapshot of the hub's counters.
 type Stats struct {
 	// Tenants holds one entry per hosted tenant, sorted by name.
@@ -1076,16 +1107,8 @@ func (h *Hub) Stats() Stats {
 		ts := t.statsSnapshot(&one)
 		all.add(&one)
 		s.Tenants = append(s.Tenants, ts)
-		s.Total.Ingested += ts.Ingested
-		s.Total.Processed += ts.Processed
-		s.Total.Alarms += ts.Alarms
-		s.Total.Dropped += ts.Dropped
-		s.Total.Rejected += ts.Rejected
-		s.Total.Errors += ts.Errors
+		s.Total.AddCounters(ts)
 		s.Total.QueueDepth += ts.QueueDepth
-		s.Total.Panics += ts.Panics
-		s.Total.Shed += ts.Shed
-		s.Total.Updates += ts.Updates
 		if ts.Health != Healthy {
 			s.Total.Health = Quarantined
 		}

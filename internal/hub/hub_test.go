@@ -477,3 +477,29 @@ func TestPolicyString(t *testing.T) {
 		}
 	}
 }
+
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{Block, DropOldest, Reject} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"bogus", "", "default", "Block"} {
+		if _, err := ParsePolicy(name); err == nil || err.Error() != fmt.Sprintf("unknown backpressure policy %q", name) {
+			t.Errorf("ParsePolicy(%q) error = %v", name, err)
+		}
+	}
+}
+
+func TestPolicyOrDefault(t *testing.T) {
+	for p, want := range map[Policy]Policy{
+		DefaultPolicy: Reject, Block: Block, DropOldest: DropOldest, Reject: Reject, Policy(-1): Reject, Policy(7): Reject,
+	} {
+		if got := p.Or(Reject); got != want {
+			t.Errorf("%v.Or(Reject) = %v, want %v", p, got, want)
+		}
+	}
+	if got := (Config{Policy: Policy(9)}).withDefaults().Policy; got != Block {
+		t.Errorf("hub policy(9) defaults to %v, want block", got)
+	}
+}

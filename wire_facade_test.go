@@ -290,9 +290,9 @@ func TestAlarmDeliveryAllocs(t *testing.T) {
 		t.Fatal("no alarm frame encoded; the measurement was vacuous")
 	}
 
-	rs := &remoteShard{sinks: make(map[string]func(TenantAlarm))}
+	rs := &remoteShard{sinks: make(map[string]func(string, *Alarm, float64))}
 	delivered := 0
-	sink := rs.wireSink("home", func(TenantAlarm) { delivered++ })
+	sink := rs.wireSink("home", func(string, *Alarm, float64) { delivered++ })
 	if allocs := testing.AllocsPerRun(200, func() { sink(*alarm) }); allocs != 1 {
 		t.Errorf("cluster link → fleet sink: %.1f allocs per alarm, want 1", allocs)
 	}
@@ -498,7 +498,7 @@ func TestWireDecoratorsSeeEveryEvent(t *testing.T) {
 		}},
 		{"shard", func(rec *seqRecorder) Host {
 			fl := newFleet(FleetConfig{}, 0)
-			if _, err := fl.AddShardFor(recordingShard{Shard: &localShard{h: NewHub(HubConfig{Workers: 1})}, rec: rec}); err != nil {
+			if _, err := fl.AddShardFor(recordingShard{Shard: NewHub(HubConfig{Workers: 1}), rec: rec}); err != nil {
 				t.Fatal(err)
 			}
 			return fl
